@@ -32,7 +32,7 @@ fn main() {
             ctr.increment(i);
         }
     }
-    h.bench("counterline_encode", || ctr.encode());
+    h.bench("counterline_encode", || black_box(&ctr).encode());
     let bytes = ctr.encode();
     h.bench("counterline_decode", || {
         CounterLine::decode(black_box(&bytes))

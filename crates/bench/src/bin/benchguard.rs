@@ -74,6 +74,36 @@ fn main() -> ExitCode {
         });
     }
     {
+        // A saturated write queue, the steady-write shape: each
+        // "transaction" flushes 1 KiB (16 lines) on each of two distinct
+        // pages of a 32 MiB region, all at one cycle, then fences on the
+        // last retire. Two bursts outrun the 8 banks, so the queue stays
+        // full and most flushes wait on the issue pick. The entries
+        // above cycle 64 lines of one page and never fill the queue.
+        let cfg = Scheme::SuperMem.apply(Config::default());
+        let page = cfg.page_bytes;
+        let pages = (32 << 20) / page;
+        let mut mc = MemoryController::new(&cfg);
+        let (mut t, mut fence) = (0u64, 0u64);
+        let mut i = 0u64;
+        h.bench("flush_line/SuperMem-saturated", || {
+            // Page of burst i/16: a large odd stride visits every page.
+            let burst = i / 16;
+            let line = LineAddr((burst * 2_731 % pages) * page + (i % 16) * 64);
+            i += 1;
+            fence = fence.max(mc.flush_line(black_box(line), [i as u8; 64], t));
+            if i.is_multiple_of(32) {
+                t = fence;
+            }
+            fence
+        });
+        let full_per_flush = mc.stats().wq_full_events as f64 / i as f64;
+        assert!(
+            full_per_flush > 0.5,
+            "saturated entry no longer saturates the queue ({full_per_flush:.2} full events per flush)"
+        );
+    }
+    {
         // The sharded front end, flushing round-robin across 4 channels
         // (line address strides whole pages, so the channel selector
         // exercises the interleave path on every call).

@@ -91,7 +91,8 @@ impl MachineCrashImage {
 pub struct ChannelSet {
     channels: Vec<MemoryController>,
     probes: Probes,
-    stats: Stats,
+    /// Boxed like each controller's, so lending it is a pointer swap.
+    stats: Box<Stats>,
     armed: Option<u64>,
     machine_image: Option<MachineCrashImage>,
     banks_per_channel: usize,
@@ -113,7 +114,7 @@ impl ChannelSet {
             .collect();
         Self {
             probes: Probes::default(),
-            stats: Stats::new(cfg.banks * cfg.channels),
+            stats: Box::new(Stats::new(cfg.banks * cfg.channels)),
             armed: None,
             machine_image: None,
             banks_per_channel: cfg.banks,
@@ -136,8 +137,8 @@ impl ChannelSet {
             cfg.channels, 1,
             "from_single requires a single-channel configuration"
         );
-        let mut stats = Stats::new(cfg.banks);
-        std::mem::swap(&mut stats, mc.stats_mut());
+        let mut stats = Box::new(Stats::new(cfg.banks));
+        std::mem::swap(&mut stats, mc.stats_box_mut());
         let mut probes = Probes::default();
         std::mem::swap(&mut probes, mc.probes_mut());
         Self {
@@ -261,7 +262,7 @@ impl ChannelSet {
     fn swap_shared(&mut self, ch: usize) {
         let mc = &mut self.channels[ch];
         std::mem::swap(&mut self.probes, mc.probes_mut());
-        std::mem::swap(&mut self.stats, mc.stats_mut());
+        std::mem::swap(&mut self.stats, mc.stats_box_mut());
         std::mem::swap(&mut self.armed, mc.armed_crash_mut());
     }
 

@@ -86,7 +86,9 @@ pub struct MemoryController {
     wq: WriteQueue,
     cc: CounterCache,
     engine: EncryptionEngine,
-    stats: Stats,
+    /// Boxed so [`ChannelSet`](crate::ChannelSet) lends the machine
+    /// statistics by swapping a pointer, not the whole block.
+    stats: Box<Stats>,
     rsr: Option<Rsr>,
     armed_crash: Option<u64>,
     crash_image: Option<CrashImage>,
@@ -196,7 +198,7 @@ impl MemoryController {
             wq,
             cc,
             engine: EncryptionEngine::new(cfg.encryption_key()),
-            stats: Stats::new(cfg.banks * cfg.channels),
+            stats: Box::new(Stats::new(cfg.banks * cfg.channels)),
             rsr: None,
             armed_crash: None,
             crash_image: None,
@@ -244,6 +246,11 @@ impl MemoryController {
     /// Mutable statistics (the system layer records transaction
     /// latencies here).
     pub fn stats_mut(&mut self) -> &mut Stats {
+        &mut self.stats
+    }
+
+    /// The boxed statistics, for lending machine stats by pointer swap.
+    pub(crate) fn stats_box_mut(&mut self) -> &mut Box<Stats> {
         &mut self.stats
     }
 

@@ -64,6 +64,55 @@ impl WqEntry {
     }
 }
 
+/// Sentinel [`BankSched::busy`] value: the bank's cached candidate is
+/// unknown and must be recomputed against its live timer.
+const STALE: Cycle = Cycle::MAX;
+
+/// The scheduling key of one occupied slot — everything the issue pick
+/// reads, kept apart from the 64-byte payloads so recomputing a bank's
+/// candidate touches only these.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SlotKey {
+    ready: Cycle,
+    seq: u64,
+    bank: usize,
+    /// The slot is the front (oldest) of its target's age-ordered list,
+    /// so no older same-target write blocks it from issuing.
+    eligible: bool,
+}
+
+/// Per-bank issue state: the eligible slots headed for the bank and
+/// their best `(start, seq)` under the bank timer value `busy`.
+///
+/// A write's service start is `max(ready, busy_until)`, so the best
+/// candidate is a pure function of the eligible set and `busy_until`:
+/// the cache stays exact until one of the two changes.
+#[derive(Debug, Clone)]
+struct BankSched {
+    /// Eligible slots whose entries target this bank (any order).
+    eligible: Vec<usize>,
+    /// The `busy_until` the cached `best` was computed for, or
+    /// [`STALE`] when unknown.
+    busy: Cycle,
+    /// `(start, seq, slot)` of the bank's next write under `busy`.
+    best: Option<(Cycle, u64, usize)>,
+}
+
+impl BankSched {
+    /// Recomputes `best` over the eligible set under `busy`.
+    fn recompute(&mut self, keys: &[SlotKey], busy: Cycle) {
+        self.busy = busy;
+        self.best = self
+            .eligible
+            .iter()
+            .map(|&slot| {
+                let k = keys[slot];
+                (k.ready.max(busy), k.seq, slot)
+            })
+            .min();
+    }
+}
+
 /// The memory controller's write queue.
 ///
 /// # Examples
@@ -79,14 +128,18 @@ impl WqEntry {
 pub struct WriteQueue {
     /// Slab of `capacity` slots; `None` slots are free.
     slots: Vec<Option<WqEntry>>,
+    /// Schedule key of each occupied slot (left over in free slots).
+    keys: Vec<SlotKey>,
     /// Free slot indices (reuse order is irrelevant to results).
     free: Vec<usize>,
     /// Target → occupied slots in age (seq) order. Appends push at the
     /// back, so the front is always the oldest pending write to that
     /// target — which makes CWC, read forwarding, and the same-address
-    /// ordering check in [`WriteQueue::next_issuable`] O(1) per entry
+    /// ordering rule (only a list front is eligible) O(1) per entry
     /// instead of a queue scan.
     index: FxHashMap<WqTarget, Vec<usize>>,
+    /// Per-bank candidates, indexed by channel-local bank.
+    sched: Vec<BankSched>,
     capacity: usize,
     cwc: bool,
     seq: u64,
@@ -95,16 +148,9 @@ pub struct WriteQueue {
     /// ids (`channel * banks_per_channel + local_bank`). Entry `bank`
     /// fields stay channel-local (they index the channel's bank timers).
     bank_base: usize,
-    /// Fast-forward cache: a lower bound on the earliest cycle at which
-    /// any pending entry could begin service, or `None` when unknown.
-    /// Valid because [`BankTimer::earliest_start`] for a write is
-    /// `max(ready, busy_until)` and `busy_until` only increases on a
-    /// live controller, so the bound can only move later until the
-    /// queue itself changes — appends and removals reset it to `None`.
-    next_start: Option<Cycle>,
-    /// When false, [`WriteQueue::drain_until`] ignores the cache and
-    /// rescans the slab on every call (the tick-by-tick reference
-    /// behavior the equivalence tests A/B against).
+    /// When false, the issue pick ignores the cached bank candidates and
+    /// recomputes every bank on every call (the reference behavior the
+    /// equivalence tests A/B against).
     fast_forward: bool,
 }
 
@@ -119,43 +165,57 @@ impl WriteQueue {
         assert!(capacity >= 2, "write queue must hold a data+counter pair");
         Self {
             slots: (0..capacity).map(|_| None).collect(),
+            keys: vec![SlotKey::default(); capacity],
             free: (0..capacity).rev().collect(),
             index: FxHashMap::default(),
+            sched: Vec::new(),
             capacity,
             cwc,
             seq: 0,
             bank_base: 0,
-            next_start: None,
             fast_forward: true,
         }
     }
 
-    /// Enables or disables the drain fast path (on by default). The
-    /// fast path is exact — it only skips scans that would provably
-    /// issue nothing — so this knob exists for A/B equivalence tests
-    /// and for ruling the cache out while debugging.
+    /// Enables or disables the cached bank candidates (on by default).
+    /// The cache is exact — a bank is recomputed whenever its eligible
+    /// set or its timer moved — so this knob exists for A/B equivalence
+    /// tests and for ruling the cache out while debugging.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
 
-    /// The cached lower bound on the next entry's service start, if one
-    /// is currently known. `None` means the next drain will rescan.
+    /// A lower bound on the next entry's service start: the minimum of
+    /// the cached bank candidates. `None` when the queue is empty, the
+    /// cache is disabled, or some bank with eligible entries has not
+    /// been recomputed since it changed.
+    ///
+    /// The bound holds because a write's start is `max(ready,
+    /// busy_until)` and `busy_until` only increases on a live
+    /// controller: a candidate cached under an older timer value can
+    /// only have moved later since.
     pub fn next_issue_bound(&self) -> Option<Cycle> {
-        self.next_start
+        if !self.fast_forward {
+            return None;
+        }
+        let mut bound = None;
+        for s in &self.sched {
+            if s.busy == STALE && !s.eligible.is_empty() {
+                return None;
+            }
+            if let Some((start, _, _)) = s.best {
+                bound = Some(bound.map_or(start, |b: Cycle| b.min(start)));
+            }
+        }
+        bound
     }
 
     /// Whether a drain at `now` could issue anything. A `false` answer
     /// is exact (the queue is empty, or every pending entry provably
     /// starts after `now`), so callers may skip the drain outright; a
-    /// `true` answer is conservative and merely means "scan needed".
+    /// `true` answer is conservative and merely means "drain needed".
     pub fn may_issue_by(&self, now: Cycle) -> bool {
-        if self.is_empty() {
-            return false;
-        }
-        match (self.fast_forward, self.next_start) {
-            (true, Some(bound)) => bound <= now,
-            _ => true,
-        }
+        !self.is_empty() && self.next_issue_bound().is_none_or(|bound| bound <= now)
     }
 
     /// Sets the global-bank offset reported in stats and events (a
@@ -206,7 +266,6 @@ impl WriteQueue {
     // invariant above — slot, index, and list entries move together.
     #[allow(clippy::disallowed_methods)]
     fn remove_slot(&mut self, slot: usize) -> WqEntry {
-        self.next_start = None;
         let e = self.slots[slot].take().expect("slot occupied");
         self.free.push(slot);
         let list = self
@@ -218,10 +277,64 @@ impl WriteQueue {
             .position(|&s| s == slot)
             .expect("slot present in its target list");
         list.remove(pos);
+        let successor = list.first().copied();
         if list.is_empty() {
             self.index.remove(&e.target);
         }
+        // Only a list front is eligible; when it leaves, the next write
+        // to the same target (if any) is unblocked.
+        if self.keys[slot].eligible {
+            self.make_ineligible(slot);
+            if let Some(next) = successor {
+                self.make_eligible(next);
+            }
+        }
         e
+    }
+
+    /// Marks `slot` (now the front of its target list) issuable and
+    /// folds it into its bank's cached candidate.
+    fn make_eligible(&mut self, slot: usize) {
+        let key = &mut self.keys[slot];
+        key.eligible = true;
+        let key = *key;
+        if key.bank >= self.sched.len() {
+            self.sched.resize_with(key.bank + 1, || BankSched {
+                eligible: Vec::new(),
+                busy: STALE,
+                best: None,
+            });
+        }
+        let bank = &mut self.sched[key.bank];
+        bank.eligible.push(slot);
+        if bank.busy != STALE {
+            let cand = (key.ready.max(bank.busy), key.seq, slot);
+            if bank.best.is_none_or(|best| cand < best) {
+                bank.best = Some(cand);
+            }
+        }
+    }
+
+    /// Drops `slot` from its bank's eligible set. Losing the bank's
+    /// best candidate leaves the bank stale until the next pick
+    /// recomputes it against the live timer — on the issue path that
+    /// timer is about to move anyway.
+    // Justified panic: an eligible slot is always in its bank's list.
+    #[allow(clippy::disallowed_methods)]
+    fn make_ineligible(&mut self, slot: usize) {
+        let key = &mut self.keys[slot];
+        key.eligible = false;
+        let bank = &mut self.sched[key.bank];
+        let pos = bank
+            .eligible
+            .iter()
+            .position(|&s| s == slot)
+            .expect("eligible slot present in its bank list");
+        bank.eligible.swap_remove(pos);
+        if bank.best.is_some_and(|(_, _, s)| s == slot) {
+            bank.busy = STALE;
+            bank.best = None;
+        }
     }
 
     /// Pending entries as `(target, seq)` pairs, in queue (age) order
@@ -298,7 +411,6 @@ impl WriteQueue {
             .free
             .pop()
             .expect("write queue overflow: wait_for_slots first");
-        self.next_start = None;
         self.seq += 1;
         self.slots[slot] = Some(WqEntry {
             target,
@@ -309,7 +421,17 @@ impl WriteQueue {
             ready,
             seq: self.seq,
         });
-        self.index.entry(target).or_default().push(slot);
+        self.keys[slot] = SlotKey {
+            ready,
+            seq: self.seq,
+            bank,
+            eligible: false,
+        };
+        let list = self.index.entry(target).or_default();
+        list.push(slot);
+        if list.len() == 1 {
+            self.make_eligible(slot);
+        }
         self.seq
     }
 
@@ -339,22 +461,26 @@ impl WriteQueue {
     /// (posted writes queued behind an earlier stall), and issuing two
     /// writes to one line out of order would persist the older payload
     /// last.
-    fn next_issuable(&self, banks: &[BankTimer]) -> Option<(usize, Cycle)> {
-        let mut best: Option<(usize, Cycle, u64)> = None;
-        for (i, e) in self.entries() {
-            // An older same-target entry exists iff this slot is not the
-            // front of its target's age-ordered list — an O(1) check.
-            let blocked = self.index[&e.target][0] != i;
-            if blocked {
-                continue;
+    ///
+    /// The pick is the `(start, seq)` minimum over the per-bank cached
+    /// candidates. A bank is recomputed only when its timer no longer
+    /// matches the value its candidate was computed for (or, with the
+    /// cache off, always), so a call costs O(banks) plus one bank's
+    /// eligible entries per bank that changed.
+    fn next_issuable(&mut self, banks: &[BankTimer]) -> Option<(usize, Cycle)> {
+        let mut best: Option<(Cycle, u64, usize)> = None;
+        for (sched, timer) in self.sched.iter_mut().zip(banks) {
+            let busy = timer.busy_until();
+            if !self.fast_forward || sched.busy != busy {
+                sched.recompute(&self.keys, busy);
             }
-            let start = banks[e.bank].earliest_start(OpKind::Write, e.ready);
-            match best {
-                Some((_, bs, bseq)) if (bs, bseq) <= (start, e.seq) => {}
-                _ => best = Some((i, start, e.seq)),
+            if let Some(cand) = sched.best {
+                if best.is_none_or(|b| cand < b) {
+                    best = Some(cand);
+                }
             }
         }
-        best.map(|(i, s, _)| (i, s))
+        best.map(|(start, _, slot)| (slot, start))
     }
 
     fn issue_at(
@@ -433,18 +559,11 @@ impl WriteQueue {
         stats: &mut Stats,
         probes: &mut Probes,
     ) {
-        // Fast-forward: an empty queue, or a cached bound proving every
-        // pending entry starts after `now`, means the O(capacity) slab
-        // scan below would issue nothing — skip it. Exact, not an
-        // approximation: the skipped scan has no side effects.
-        if self.is_empty() || !self.may_issue_by(now) {
+        if self.is_empty() {
             return;
         }
         while let Some((idx, start)) = self.next_issuable(banks) {
             if start > now {
-                // Remember where the scan stopped: until the queue next
-                // mutates, no drain before `start` can issue anything.
-                self.next_start = Some(start);
                 break;
             }
             self.issue_at(idx, banks, store, stats, probes);
@@ -604,13 +723,57 @@ impl WriteQueue {
         }
     }
 
+    /// The issue pick by a linear scan of the slab, probing the target
+    /// index per entry — the reference the per-bank scheduler must match
+    /// exactly (test-only).
+    #[cfg(test)]
+    pub(crate) fn linear_scan_pick(&self, banks: &[BankTimer]) -> Option<(usize, Cycle)> {
+        let mut best: Option<(usize, Cycle, u64)> = None;
+        for (i, e) in self.entries() {
+            if self.index[&e.target][0] != i {
+                continue; // an older write to the same target pends
+            }
+            let start = banks[e.bank].earliest_start(OpKind::Write, e.ready);
+            match best {
+                Some((_, bs, bseq)) if (bs, bseq) <= (start, e.seq) => {}
+                _ => best = Some((i, start, e.seq)),
+            }
+        }
+        best.map(|(i, s, _)| (i, s))
+    }
+
     /// Test-only invariant check: the target index must agree with a
     /// linear scan of the slot slab — every occupied slot appears in
     /// exactly its target's list, lists are age (seq) ordered,
     /// free-list accounting matches, and forwarding answers equal the
-    /// max-seq entry a scan would find.
+    /// max-seq entry a scan would find. The scheduler state must agree
+    /// too: keys mirror their entries, a slot is eligible iff it fronts
+    /// its target list, each bank lists exactly its eligible slots, and
+    /// every non-stale bank candidate equals a recomputation under the
+    /// timer value it was cached for.
     #[cfg(test)]
     pub(crate) fn assert_index_matches_linear_scan(&self) {
+        for (slot, e) in self.entries() {
+            let k = self.keys[slot];
+            assert_eq!((k.ready, k.seq, k.bank), (e.ready, e.seq, e.bank));
+            let front = self.index[&e.target][0] == slot;
+            assert_eq!(k.eligible, front, "eligible bit of slot {slot}");
+            let listed = self.sched[e.bank].eligible.contains(&slot);
+            assert_eq!(listed, front, "bank list membership of slot {slot}");
+        }
+        for (bank, s) in self.sched.iter().enumerate() {
+            for &slot in &s.eligible {
+                assert!(self.slots[slot].is_some(), "free slot {slot} listed");
+                assert_eq!(self.keys[slot].bank, bank, "slot {slot} in wrong bank");
+            }
+            if s.busy == STALE {
+                assert_eq!(s.best, None, "stale bank {bank} keeps a candidate");
+            } else {
+                let mut fresh = s.clone();
+                fresh.recompute(&self.keys, s.busy);
+                assert_eq!(s.best, fresh.best, "bank {bank} candidate drifted");
+            }
+        }
         let mut occupied: Vec<(usize, &WqEntry)> = self.entries().collect();
         occupied.sort_by_key(|&(_, e)| e.seq);
         let mut oracle: FxHashMap<WqTarget, Vec<usize>> = FxHashMap::default();
@@ -988,7 +1151,7 @@ mod randomized {
     use super::*;
     use std::collections::HashMap;
     use supermem_nvm::bank::BankTimer;
-    use supermem_sim::SplitMix64;
+    use supermem_sim::{EventTape, SplitMix64};
 
     fn banks(n: usize) -> Vec<BankTimer> {
         (0..n).map(|_| BankTimer::new(126, 626, 15)).collect()
@@ -1099,110 +1262,195 @@ mod randomized {
         }
     }
 
-    /// The auxiliary target index must stay in lockstep with a linear
-    /// scan of the slot slab under arbitrary append / CWC coalesce /
-    /// partial drain sequences, forwarding must return exactly what a
-    /// scan for the max-seq matching entry would, and CWC must fire
-    /// iff a counter entry for the page is pending — removing exactly
-    /// the oldest one.
+    /// Operations the scheduler oracle drives: the queue ops above plus
+    /// everything else that moves a bank candidate.
+    #[derive(Debug, Clone)]
+    enum SchedOp {
+        Queue(QOp),
+        /// A counter append that skips CWC, so a second same-page entry
+        /// queues behind the first until a later coalesce removes the
+        /// older one and unblocks it.
+        AppendCounterUncoalesced {
+            page: u64,
+            fill: u8,
+            ready: u64,
+        },
+        /// A demand read moving a bank timer between writes.
+        DemandRead {
+            bank: usize,
+            at: u64,
+        },
+        /// A bank timer reset (its `busy_until` moves *backwards*).
+        ResetBank {
+            bank: usize,
+        },
+        /// Page re-encryption pulls arbitrary, not only front, entries.
+        Extract {
+            page: u64,
+        },
+    }
+
+    const SCHED_BANKS: usize = 4;
+    /// Small pages so the 16-line data domain spans the 4 counter pages.
+    const SCHED_PAGE_BYTES: u64 = 256;
+
+    fn random_sched_op(rng: &mut SplitMix64) -> SchedOp {
+        match rng.next_below(9) {
+            0..=3 => SchedOp::Queue(random_qop(rng)),
+            4 => SchedOp::AppendCounterUncoalesced {
+                page: rng.next_below(4),
+                fill: rng.next_u64() as u8,
+                ready: rng.next_below(10_000),
+            },
+            5 | 6 => SchedOp::DemandRead {
+                bank: rng.next_below(SCHED_BANKS as u64) as usize,
+                at: rng.next_below(100_000),
+            },
+            7 => SchedOp::ResetBank {
+                bank: rng.next_below(SCHED_BANKS as u64) as usize,
+            },
+            _ => SchedOp::Extract {
+                page: rng.next_below(4),
+            },
+        }
+    }
+
+    /// Checks the CWC contract on one coalesce: it fires iff a counter
+    /// entry for the page pends, and removes exactly the oldest one.
+    fn coalesce_checked(wq: &mut WriteQueue, page: u64, stats: &mut Stats) {
+        let target = WqTarget::Counter(PageId(page));
+        let seqs = |wq: &WriteQueue| -> Vec<u64> {
+            wq.pending()
+                .filter(|&(t, _)| t == target)
+                .map(|(_, s)| s)
+                .collect()
+        };
+        let before = seqs(wq);
+        let merged = wq.coalesce_counter(PageId(page), stats);
+        assert_eq!(
+            merged.is_some(),
+            !before.is_empty(),
+            "CWC fires iff one pends"
+        );
+        if let Some(victim) = merged {
+            let oldest = *before.iter().min().expect("non-empty");
+            assert_eq!(victim, oldest, "CWC reports the oldest as victim");
+            let after = seqs(wq);
+            assert!(!after.contains(&oldest), "CWC drops the oldest");
+            assert_eq!(after.len(), before.len() - 1);
+        }
+    }
+
+    /// Runs one op sequence and returns the final store, stats, and the
+    /// event stream. After every op the index and scheduler invariants
+    /// must hold, the incremental pick (slot and start) must equal the
+    /// linear-scan reference, and forwarding must match a scan.
+    fn run_sched_ops(ops: &[SchedOp], fast_forward: bool) -> (NvmStore, Stats, Vec<Event>) {
+        let mut wq = WriteQueue::new(8, true);
+        wq.set_fast_forward(fast_forward);
+        let mut b = banks(SCHED_BANKS);
+        let mut store = NvmStore::new();
+        let mut stats = Stats::new(SCHED_BANKS);
+        let mut probes = Probes::default();
+        probes.attach(Box::new(EventTape::default()));
+        for op in ops {
+            match op {
+                SchedOp::Queue(QOp::AppendData { line, fill, ready }) => {
+                    wq.wait_for_slots(1, *ready, &mut b, &mut store, &mut stats, &mut probes);
+                    let bank = (*line / 64) as usize % SCHED_BANKS;
+                    wq.append(
+                        WqTarget::Data(LineAddr(*line)),
+                        bank,
+                        [*fill; 64],
+                        None,
+                        *ready,
+                    );
+                }
+                SchedOp::Queue(QOp::AppendCounter { page, fill, ready }) => {
+                    wq.wait_for_slots(1, *ready, &mut b, &mut store, &mut stats, &mut probes);
+                    coalesce_checked(&mut wq, *page, &mut stats);
+                    let target = WqTarget::Counter(PageId(*page));
+                    wq.append(target, *page as usize, [*fill; 64], None, *ready);
+                }
+                SchedOp::AppendCounterUncoalesced { page, fill, ready } => {
+                    wq.wait_for_slots(1, *ready, &mut b, &mut store, &mut stats, &mut probes);
+                    let target = WqTarget::Counter(PageId(*page));
+                    wq.append(target, *page as usize, [*fill; 64], None, *ready);
+                }
+                SchedOp::Queue(QOp::Drain { until }) => {
+                    wq.drain_until(*until, &mut b, &mut store, &mut stats, &mut probes);
+                }
+                SchedOp::DemandRead { bank, at } => {
+                    b[*bank].issue(OpKind::Read, *at);
+                }
+                SchedOp::ResetBank { bank } => b[*bank].reset(),
+                SchedOp::Extract { page } => {
+                    wq.extract_page_entries(PageId(*page), SCHED_PAGE_BYTES);
+                }
+            }
+            wq.assert_index_matches_linear_scan();
+            let reference = wq.linear_scan_pick(&b);
+            assert_eq!(
+                wq.next_issuable(&b),
+                reference,
+                "pick diverged after {op:?}"
+            );
+            // Forwarding vs oracle over the whole address domain,
+            // including targets with nothing pending (must be None).
+            for line in 0..16u64 {
+                let addr = LineAddr(line * 64);
+                let scan = wq
+                    .pending()
+                    .filter(|&(t, _)| t == WqTarget::Data(addr))
+                    .map(|(_, s)| s)
+                    .max();
+                assert_eq!(wq.forward_data(addr).map(|e| e.seq), scan);
+            }
+            for page in 0..4u64 {
+                let scan = wq
+                    .pending()
+                    .filter(|&(t, _)| t == WqTarget::Counter(PageId(page)))
+                    .map(|(_, s)| s)
+                    .max();
+                assert_eq!(wq.forward_counter(PageId(page)).map(|e| e.seq), scan);
+            }
+        }
+        wq.drain_all(0, &mut b, &mut store, &mut stats, &mut probes);
+        wq.assert_index_matches_linear_scan();
+        assert!(wq.is_empty(), "drain_all empties the queue");
+        assert_eq!(wq.next_issuable(&b), None);
+        let tape = probes
+            .take()
+            .pop()
+            .and_then(|mut obs| {
+                obs.as_any_mut()
+                    .downcast_mut::<EventTape>()
+                    .map(std::mem::take)
+            })
+            .expect("the attached tape");
+        (store, stats, tape.into_events())
+    }
+
+    /// The auxiliary target index and the per-bank scheduler must stay
+    /// in lockstep with a linear scan of the slot slab under arbitrary
+    /// append / CWC coalesce / page extraction / partial drain
+    /// sequences interleaved with demand reads and bank resets that move
+    /// the timers: after every op the incremental pick equals the
+    /// linear-scan pick, forwarding returns exactly what a scan for the
+    /// max-seq matching entry would, and CWC fires iff a counter entry
+    /// for the page is pending — removing exactly the oldest one. With
+    /// the bank-candidate cache on and off, the same ops produce the
+    /// same store, statistics, and event stream.
     #[test]
     fn index_agrees_with_linear_scan_oracle() {
         let mut rng = SplitMix64::new(0x1D0C);
         for _ in 0..64 {
-            let ops: Vec<QOp> = (0..rng.next_range(1, 150))
-                .map(|_| random_qop(&mut rng))
+            let ops: Vec<SchedOp> = (0..rng.next_range(1, 200))
+                .map(|_| random_sched_op(&mut rng))
                 .collect();
-            let mut wq = WriteQueue::new(8, true);
-            let mut b = banks(2);
-            let mut store = NvmStore::new();
-            let mut stats = Stats::new(2);
-            for op in &ops {
-                match op {
-                    QOp::AppendData { line, fill, ready } => {
-                        wq.wait_for_slots(
-                            1,
-                            *ready,
-                            &mut b,
-                            &mut store,
-                            &mut stats,
-                            &mut Probes::default(),
-                        );
-                        wq.append(
-                            WqTarget::Data(LineAddr(*line)),
-                            (*line / 64 % 2) as usize,
-                            [*fill; 64],
-                            None,
-                            *ready,
-                        );
-                    }
-                    QOp::AppendCounter { page, fill, ready } => {
-                        wq.wait_for_slots(
-                            1,
-                            *ready,
-                            &mut b,
-                            &mut store,
-                            &mut stats,
-                            &mut Probes::default(),
-                        );
-                        let target = WqTarget::Counter(PageId(*page));
-                        let before: Vec<u64> = wq
-                            .pending()
-                            .filter(|&(t, _)| t == target)
-                            .map(|(_, s)| s)
-                            .collect();
-                        let merged = wq.coalesce_counter(PageId(*page), &mut stats);
-                        assert_eq!(
-                            merged.is_some(),
-                            !before.is_empty(),
-                            "CWC fires iff one pends"
-                        );
-                        if let Some(victim) = merged {
-                            let oldest = *before.iter().min().expect("non-empty");
-                            assert_eq!(victim, oldest, "CWC reports the oldest as victim");
-                            let after: Vec<u64> = wq
-                                .pending()
-                                .filter(|&(t, _)| t == target)
-                                .map(|(_, s)| s)
-                                .collect();
-                            assert!(!after.contains(&oldest), "CWC drops the oldest");
-                            assert_eq!(after.len(), before.len() - 1);
-                        }
-                        wq.append(target, (*page % 2) as usize, [*fill; 64], None, *ready);
-                    }
-                    QOp::Drain { until } => {
-                        wq.drain_until(
-                            *until,
-                            &mut b,
-                            &mut store,
-                            &mut stats,
-                            &mut Probes::default(),
-                        );
-                    }
-                }
-                wq.assert_index_matches_linear_scan();
-                // Forwarding vs oracle over the whole address domain,
-                // including targets with nothing pending (must be None).
-                for line in 0..16u64 {
-                    let addr = LineAddr(line * 64);
-                    let scan = wq
-                        .pending()
-                        .filter(|&(t, _)| t == WqTarget::Data(addr))
-                        .map(|(_, s)| s)
-                        .max();
-                    assert_eq!(wq.forward_data(addr).map(|e| e.seq), scan);
-                }
-                for page in 0..4u64 {
-                    let scan = wq
-                        .pending()
-                        .filter(|&(t, _)| t == WqTarget::Counter(PageId(page)))
-                        .map(|(_, s)| s)
-                        .max();
-                    assert_eq!(wq.forward_counter(PageId(page)).map(|e| e.seq), scan);
-                }
-            }
-            wq.drain_all(0, &mut b, &mut store, &mut stats, &mut Probes::default());
-            wq.assert_index_matches_linear_scan();
-            assert!(wq.is_empty(), "drain_all empties the queue");
+            let cached = run_sched_ops(&ops, true);
+            let reference = run_sched_ops(&ops, false);
+            assert!(cached == reference, "fast_forward changed the outcome");
         }
     }
 
