@@ -10,7 +10,8 @@ use std::process::ExitCode;
 
 use supermem::memctrl::{ChannelSet, MemoryController};
 use supermem::nvm::addr::LineAddr;
-use supermem::sim::Config;
+use supermem::nvm::NvmStore;
+use supermem::sim::{Config, SplitMix64};
 use supermem::workloads::WorkloadKind;
 use supermem::{run_single, RunConfig, Scheme};
 use supermem_bench::guard::{check, extract_after_ns, tolerance, GuardCheck};
@@ -134,6 +135,25 @@ fn main() -> ExitCode {
             let (data, done) = mc.read_line(black_box(line), t);
             t = done;
             data
+        });
+    }
+    {
+        // The NVM store alone, in steady-write's access shape: every
+        // line of a 32 MiB region already written, then a write and a
+        // checked read per iteration in seeded random line order.
+        const LINES: u64 = (32 << 20) / 64;
+        let mut store = NvmStore::new();
+        for i in 0..LINES {
+            store.write_data(LineAddr(i * 64), [i as u8; 64]);
+        }
+        let mut order: Vec<u64> = (0..LINES).collect();
+        SplitMix64::new(0x5EED).shuffle(&mut order);
+        let mut i = 0usize;
+        h.bench("nvm_store/32MiB", || {
+            let line = LineAddr(order[i % order.len()] * 64);
+            i += 1;
+            store.write_data(black_box(line), [i as u8; 64]);
+            store.read_data_checked(black_box(line))
         });
     }
 

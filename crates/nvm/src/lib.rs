@@ -9,9 +9,10 @@
 //!   adjacent banks, §3.3).
 //! * [`bank`] — per-bank service timing with the PCM latencies of Table 2
 //!   (reads tRCD+tCL, writes tCWD+tWR, write→read turnaround tWTR).
-//! * [`store`] — the persistent byte contents: a sparse map of 64 B lines
-//!   holding *ciphertext* plus the counter-line region. This is what
-//!   survives a simulated crash.
+//! * [`store`] — the persistent byte contents: 64 B lines holding
+//!   *ciphertext*, the counter-line region and the tree-node lines, each
+//!   allocated a 4 KiB page at a time. This is what survives a
+//!   simulated crash.
 //! * [`fault`] — the imperfect-DIMM model: seeded torn drains, bit
 //!   flips / stuck-at cells under a SECDED ECC, transient read failures,
 //!   and fail-stopped banks, all layered over the store without
