@@ -11,9 +11,10 @@ use std::process::ExitCode;
 use supermem::memctrl::{ChannelSet, MemoryController};
 use supermem::nvm::addr::LineAddr;
 use supermem::nvm::NvmStore;
+use supermem::persist::{PMem, RecoveredMemory};
 use supermem::sim::{Config, SplitMix64};
 use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig, Scheme};
+use supermem::{run_single, RunConfig, Scheme, System};
 use supermem_bench::guard::{check, extract_after_ns, tolerance, GuardCheck};
 use supermem_bench::micro::Harness;
 use supermem_kv::{kv_run_case, KvClassification, KvTortureCase};
@@ -226,6 +227,30 @@ fn main() -> ExitCode {
                 "silent KV corruption in benchguard"
             );
             black_box(r.classification)
+        });
+    }
+
+    {
+        // One crash-image recovery in the crash-recover benchmark's
+        // shape: SuperMem with the streaming tree persisting level 1
+        // over the default 4,096-page tree, 320 pages touched (40 leaf
+        // groups), then image the machine and rebuild, audit and
+        // root-check the tree. Guards the fresh-tree template that
+        // spares every recovery the all-zero leaf derivation.
+        let cfg = Scheme::SuperMem
+            .apply(Config::default())
+            .with_integrity_tree(true)
+            .with_persisted_levels(Some(1));
+        let page = cfg.page_bytes;
+        let mut sys = System::new(cfg.clone());
+        for p in 0..320u64 {
+            sys.persist(p * page, &p.to_le_bytes());
+        }
+        h.bench("recover_image/SuperMem-L1", || {
+            let image = sys.machine_crash_now();
+            let rec = RecoveredMemory::from_machine_image_checked(black_box(&cfg), image)
+                .expect("clean image recovers");
+            black_box(rec.recovery_cycles())
         });
     }
 

@@ -29,6 +29,7 @@
 //! leaf from them (Phoenix-style recoverable counter tree,
 //! [`Bmt::set_leaf`]).
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -170,13 +171,36 @@ impl Bmt {
     /// eager mode: the persistence frontier sits at the full height, and
     /// callers fold updates with [`Bmt::update`].
     ///
+    /// A fresh tree is a pure function of `(key, pages)`, and recovery
+    /// asks for the same one at every crash. Each thread therefore
+    /// derives it once, keeps it as a template in a one-entry cache, and
+    /// hands out clones; a different `(key, pages)` replaces the entry.
+    ///
     /// # Errors
     ///
     /// [`TreeConfigError::NoLeaves`] if `pages` is zero.
     pub fn new(key: [u8; 16], pages: u64) -> Result<Self, TreeConfigError> {
+        thread_local! {
+            static FRESH: RefCell<Option<([u8; 16], Bmt)>> = const { RefCell::new(None) };
+        }
         if pages == 0 {
             return Err(TreeConfigError::NoLeaves);
         }
+        Ok(FRESH.with_borrow_mut(|cached| {
+            if let Some((k, tree)) = cached {
+                if *k == key && tree.pages() == pages {
+                    return tree.clone();
+                }
+            }
+            let tree = Self::derive_fresh(key, pages);
+            *cached = Some((key, tree.clone()));
+            tree
+        }))
+    }
+
+    /// Derives every digest of a fresh tree over `pages` (> 0) all-zero
+    /// counter lines.
+    fn derive_fresh(key: [u8; 16], pages: u64) -> Self {
         let digester = LineDigester::new(key);
         let zero = [0u8; 64];
         let leaves: Vec<u64> = (0..pages).map(|p| digester.line(p, &zero)).collect();
@@ -197,13 +221,13 @@ impl Bmt {
         }
         let root = levels[levels.len() - 1][0];
         let frontier = levels.len() - 1;
-        Ok(Self {
+        Self {
             digester,
             levels,
             root,
             frontier,
             pending: VecDeque::new(),
-        })
+        }
     }
 
     /// Builds the tree with an explicit persistence frontier
@@ -727,6 +751,114 @@ mod tests {
         }
         fresh.recompute_from_level(1);
         assert_eq!(fresh.root(), b.root());
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
+mod template {
+    //! The per-thread fresh-tree template behind [`Bmt::new`].
+    use super::*;
+    use supermem_sim::SplitMix64;
+
+    fn assert_same(got: &Bmt, want: &Bmt, what: &str) {
+        assert_eq!(got.levels, want.levels, "{what}: levels");
+        assert_eq!(got.root, want.root, "{what}: root");
+        assert_eq!(got.frontier, want.frontier, "{what}: frontier");
+        assert_eq!(got.pending_len(), 0, "{what}: pending");
+    }
+
+    fn random_key(rng: &mut SplitMix64) -> [u8; 16] {
+        let mut key = [0u8; 16];
+        key[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
+        key[8..].copy_from_slice(&rng.next_u64().to_le_bytes());
+        key
+    }
+
+    /// Cached builds equal a cold derivation for random geometries,
+    /// whether the template was hit, missed, or displaced by another
+    /// key or page count on the same thread.
+    #[test]
+    fn warm_builds_equal_cold_derivations() {
+        let mut rng = SplitMix64::new(0x7E3A);
+        let keys: Vec<[u8; 16]> = (0..3).map(|_| random_key(&mut rng)).collect();
+        for _ in 0..40 {
+            let key = keys[rng.next_below(3) as usize];
+            let pages = rng.next_range(1, 700);
+            let cold = Bmt::derive_fresh(key, pages);
+            let first = Bmt::new(key, pages).expect("valid");
+            assert_same(&first, &cold, "first build");
+            let warm = Bmt::new(key, pages).expect("valid");
+            assert_same(&warm, &cold, "warm build");
+            // Same page count, other key; then same key, other count.
+            let other = keys[(rng.next_below(2) as usize + 1) % 3];
+            if other != key {
+                let displacing = Bmt::new(other, pages).expect("valid");
+                assert_same(&displacing, &Bmt::derive_fresh(other, pages), "other key");
+                assert_same(&Bmt::new(key, pages).expect("valid"), &cold, "after key");
+            }
+            let displacing = Bmt::new(key, pages + 1).expect("valid");
+            assert_same(
+                &displacing,
+                &Bmt::derive_fresh(key, pages + 1),
+                "other count",
+            );
+            assert_same(&Bmt::new(key, pages).expect("valid"), &cold, "after pages");
+        }
+    }
+
+    /// Every mutator works on the caller's clone: the next build is
+    /// still the fresh tree.
+    #[test]
+    fn mutating_a_clone_never_reaches_the_template() {
+        let key = [0x42; 16];
+        let cold = Bmt::derive_fresh(key, 300);
+        let mut a = Bmt::new(key, 300).expect("valid");
+        a.update(17, &[9; 64]);
+        a.tamper_node(1, 3, 0xFFFF);
+        a.install_node_line(0, 5, &[0xAB; 64]);
+        a.set_leaf(299, &[1; 64]);
+        a.recompute_from_level(1);
+        assert_same(
+            &Bmt::new(key, 300).expect("valid"),
+            &cold,
+            "after eager mutators",
+        );
+        let mut b = Bmt::with_frontier(key, 300, 1).expect("valid");
+        b.enqueue_update(4, &[3; 64]);
+        b.propagate_pending();
+        let fresh = Bmt::new(key, 300).expect("valid");
+        assert_same(&fresh, &cold, "after streaming mutators");
+        assert_eq!(fresh.frontier(), fresh.height(), "new() is eager");
+    }
+
+    /// Each thread keeps its own template; all of them agree.
+    #[test]
+    fn spawned_threads_build_the_main_threads_tree() {
+        let geometries = [([1u8; 16], 4096u64), ([2; 16], 65), ([1; 16], 9)];
+        let here: Vec<Bmt> = geometries
+            .iter()
+            .map(|&(k, p)| Bmt::new(k, p).expect("valid"))
+            .collect();
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..3)
+                .map(|t| {
+                    s.spawn(move || {
+                        // Different visiting orders displace the
+                        // template differently on each thread.
+                        (0..geometries.len() * 2)
+                            .map(|i| (i + t) % geometries.len())
+                            .map(|g| (g, Bmt::new(geometries[g].0, geometries[g].1)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for w in workers {
+                for (g, tree) in w.join().expect("worker") {
+                    assert_same(&tree.expect("valid"), &here[g], "spawned thread");
+                }
+            }
+        });
     }
 }
 

@@ -12,9 +12,12 @@
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables, built at compile time. `TABLES[0]` is
+/// the classic bytewise table; `TABLES[k][i]` is the CRC of byte `i`
+/// followed by `k` zero bytes, so eight input bytes fold in with eight
+/// independent lookups instead of a chain of eight dependent ones.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -27,10 +30,20 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// A streaming CRC-32 hasher.
@@ -65,10 +78,24 @@ impl Crc32 {
 
     /// Folds `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = ((self.state ^ u32::from(b)) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ TABLE[idx];
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.state = crc;
     }
 
     /// The final checksum.
@@ -115,6 +142,38 @@ mod tests {
                 crc32_parts(&[&data[..split], &data[split..]]),
                 crc32(&data),
                 "split at {split}"
+            );
+        }
+    }
+
+    /// The bytewise (one table lookup per byte) reference the
+    /// slicing-by-8 loop must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_reference() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let mut rng = supermem_sim::SplitMix64::new(0xC3C3);
+        let buf: Vec<u8> = (0..320).map(|_| rng.next_u64() as u8).collect();
+        for _ in 0..400 {
+            // Random start offsets exercise every alignment of the
+            // eight-byte words against the allocation.
+            let start = rng.next_below(8) as usize;
+            let len = rng.next_below(300) as usize;
+            let data = &buf[start..start + len];
+            let want = crc32_bytewise(data);
+            assert_eq!(crc32(data), want, "len {len} at offset {start}");
+            let split = rng.next_below(len as u64 + 1) as usize;
+            assert_eq!(
+                crc32_parts(&[&data[..split], &data[split..]]),
+                want,
+                "len {len} split at {split}"
             );
         }
     }

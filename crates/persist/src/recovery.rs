@@ -1276,6 +1276,38 @@ mod tests {
         assert!(cost(&cfg2, &mut i2) < cost(&cfg0, &mut i0));
     }
 
+    /// The modeled rebuild cost is a function of the image alone: a
+    /// thread whose fresh-tree template is empty, or holds another
+    /// geometry, reports the same rebuild as one whose template is warm.
+    #[test]
+    fn tree_rebuild_report_does_not_depend_on_the_template_cache() {
+        for levels in [0, 1, 2] {
+            let (cfg, image) = streaming_image(levels);
+            let rebuild = || {
+                let mut image = image.clone();
+                match verify_image_integrity(&cfg, &mut image).expect("root present") {
+                    IntegrityVerdict::Clean { rebuild } => rebuild,
+                    IntegrityVerdict::Tampered => panic!("clean image"),
+                }
+            };
+            // This thread built the same tree for the controller above.
+            let warm = rebuild();
+            let (cold, displaced) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let cold = rebuild();
+                    supermem_integrity::Bmt::new([0x3C; 16], 9).expect("valid");
+                    (cold, rebuild())
+                })
+                .join()
+                .expect("rebuild thread")
+            });
+            assert!(warm.nodes_recomputed > 0 && warm.recovery_cycles > 0);
+            assert_eq!(cold, warm, "levels {levels}: cold template");
+            assert_eq!(displaced, warm, "levels {levels}: displaced template");
+            assert_eq!(rebuild(), warm, "levels {levels}: warm again");
+        }
+    }
+
     #[test]
     fn tampered_tree_node_line_is_detected() {
         let (cfg, mut image) = streaming_image(2);
