@@ -195,21 +195,11 @@ impl CacheHierarchy {
     /// Panics if `core` is out of range.
     pub fn flush_line(&mut self, core: usize, line: LineAddr) -> (Option<LineData>, Cycle) {
         let key = self.key(line);
-        let mut newest: Option<LineData> = None;
-        // L3 first so inner (newer) copies overwrite `newest`.
-        if self.l3.is_dirty(key) {
-            newest = self.l3.peek(key).copied();
-        }
-        self.l3.clear_dirty(key);
-        if self.l2[core].is_dirty(key) {
-            newest = self.l2[core].peek(key).copied();
-        }
-        self.l2[core].clear_dirty(key);
-        if self.l1[core].is_dirty(key) {
-            newest = self.l1[core].peek(key).copied();
-        }
-        self.l1[core].clear_dirty(key);
-        (newest, self.l1_latency)
+        // Every level is cleaned; an inner (newer) dirty copy wins.
+        let l3 = self.l3.take_dirty(key).copied();
+        let l2 = self.l2[core].take_dirty(key).copied();
+        let l1 = self.l1[core].take_dirty(key).copied();
+        (l1.or(l2).or(l3), self.l1_latency)
     }
 
     /// Drops every cached line (simulated power failure). Dirty data is
@@ -497,6 +487,65 @@ mod tests {
         let r = h.load(0, a);
         assert!(r.level >= 2, "must hit an outer level");
         assert_eq!(r.data, Some([9; 64]), "outer copy must be current");
+    }
+
+    /// `flush_line` as three probes per level (`is_dirty`, `peek`,
+    /// `clear_dirty`), the form `take_dirty` replaced (test-only).
+    fn flush_line_reference(
+        h: &mut CacheHierarchy,
+        core: usize,
+        line: LineAddr,
+    ) -> Option<LineData> {
+        let key = h.key(line);
+        let mut newest = None;
+        for c in [&mut h.l3, &mut h.l2[core], &mut h.l1[core]] {
+            if c.is_dirty(key) {
+                newest = c.peek(key).copied();
+            }
+            c.clear_dirty(key);
+        }
+        newest
+    }
+
+    #[test]
+    fn flush_line_matches_the_three_probe_reference() {
+        use supermem_sim::SplitMix64;
+        let mut rng = SplitMix64::new(0xC1B);
+        for _ in 0..32 {
+            let mut h = CacheHierarchy::new(&small_cfg());
+            let mut reference = h.clone();
+            for step in 0..300u64 {
+                let core = rng.next_below(2) as usize;
+                let line = LineAddr(rng.next_below(24) * 64);
+                match rng.next_below(4) {
+                    0 => {
+                        assert_eq!(
+                            h.fill(core, line, [step as u8; 64]),
+                            reference.fill(core, line, [step as u8; 64])
+                        );
+                    }
+                    1 => {
+                        if h.load(core, line).data.is_none() {
+                            h.fill(core, line, [0; 64]);
+                            reference.load(core, line);
+                            reference.fill(core, line, [0; 64]);
+                        } else {
+                            reference.load(core, line);
+                        }
+                        h.store(core, line, [step as u8; 64]);
+                        reference.store(core, line, [step as u8; 64]);
+                    }
+                    2 => {
+                        assert_eq!(h.load(core, line).data, reference.load(core, line).data);
+                    }
+                    _ => {
+                        let (got, _) = h.flush_line(core, line);
+                        assert_eq!(got, flush_line_reference(&mut reference, core, line));
+                    }
+                }
+            }
+            assert_eq!(h.drain_dirty(), reference.drain_dirty());
+        }
     }
 
     #[test]

@@ -237,6 +237,15 @@ impl<V> SetAssocCache<V> {
         }
     }
 
+    /// Clears a resident entry's dirty bit and returns its value if the
+    /// bit was set; `None` if `key` is absent or clean. One set scan, no
+    /// LRU side effects.
+    pub fn take_dirty(&mut self, key: u64) -> Option<&V> {
+        let set = self.set_of(key);
+        let s = self.sets[set].iter_mut().find(|s| s.key == key)?;
+        std::mem::take(&mut s.dirty).then_some(&s.value)
+    }
+
     /// Removes `key`, returning its value and dirty flag.
     pub fn remove(&mut self, key: u64) -> Option<(V, bool)> {
         let set = self.set_of(key);
@@ -313,6 +322,24 @@ mod tests {
         assert!(c.clear_dirty(4));
         assert!(!c.is_dirty(4));
         assert!(!c.mark_dirty(99), "absent keys cannot be dirtied");
+    }
+
+    #[test]
+    fn take_dirty_returns_the_value_once_and_keeps_lru() {
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2);
+        c.insert(1, 10);
+        c.insert(2, 20);
+        assert_eq!(c.take_dirty(1), None, "clean entries yield nothing");
+        assert_eq!(c.take_dirty(99), None, "absent keys yield nothing");
+        c.mark_dirty(1);
+        assert_eq!(c.take_dirty(1), Some(&10));
+        assert!(!c.is_dirty(1), "the dirty bit is cleared");
+        assert_eq!(c.take_dirty(1), None, "a second take finds it clean");
+        assert_eq!(c.peek(1), Some(&10), "the entry stays resident");
+        // 1 is still the LRU entry: take_dirty did not refresh it.
+        let ev = c.insert(3, 30).unwrap();
+        assert_eq!(ev.key, 1);
+        assert_eq!(c.hit_miss(), (0, 0), "no hit/miss accounting");
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl MemoryController {
     /// drain — and in particular skip the cross-channel state swap the
     /// [`ChannelSet`](crate::ChannelSet) performs around sibling drains.
     pub fn would_drain(&self, now: Cycle) -> bool {
-        self.wq.may_issue_by(now)
+        self.wq.may_issue_by(now, &self.banks)
     }
 
     /// Blocks (in simulated time) until `needed` queue slots are free,

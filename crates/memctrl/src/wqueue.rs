@@ -16,10 +16,12 @@
 //! target bank is free — a compact FR-FCFS-like policy. An entry's queue
 //! slot is released when its bank begins service.
 
+use std::collections::hash_map::Entry;
 use supermem_nvm::addr::{LineAddr, PageId};
 use supermem_nvm::bank::{BankTimer, OpKind};
 use supermem_nvm::fault::{tear_line, DrainTear, FaultPlan};
 use supermem_nvm::{LineData, NvmStore};
+
 use supermem_sim::{Cycle, Event, FxHashMap, Probes, Stats};
 
 /// What a write-queue entry targets.
@@ -64,53 +66,82 @@ impl WqEntry {
     }
 }
 
-/// Sentinel [`BankSched::busy`] value: the bank's cached candidate is
-/// unknown and must be recomputed against its live timer.
-const STALE: Cycle = Cycle::MAX;
+/// "No slot": the end of a same-target chain, or a bank without a
+/// candidate.
+const NIL: usize = usize::MAX;
+
+/// Packed candidate key of a bank with no eligible slot.
+const NO_CANDIDATE: u128 = u128::MAX;
+
+/// Packs an issue candidate as `start << 64 | seq`, so one integer
+/// compare orders candidates by start, then FIFO.
+fn pack(start: Cycle, seq: u64) -> u128 {
+    (u128::from(start) << 64) | u128::from(seq)
+}
+
+/// The service start of a packed candidate ([`Cycle::MAX`] for
+/// [`NO_CANDIDATE`]).
+fn start_of(key: u128) -> Cycle {
+    (key >> 64) as Cycle
+}
 
 /// The scheduling key of one occupied slot — everything the issue pick
 /// reads, kept apart from the 64-byte payloads so recomputing a bank's
-/// candidate touches only these.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// candidate touches only these — plus the slot's links in its
+/// target's age-ordered chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SlotKey {
     ready: Cycle,
     seq: u64,
     bank: usize,
-    /// The slot is the front (oldest) of its target's age-ordered list,
-    /// so no older same-target write blocks it from issuing.
-    eligible: bool,
+    /// The next older pending write to the same target, or [`NIL`] when
+    /// this slot is the chain's front (and therefore eligible).
+    older: usize,
+    /// The next younger pending write to the same target, or [`NIL`].
+    younger: usize,
 }
 
-/// Per-bank issue state: the eligible slots headed for the bank and
-/// their best `(start, seq)` under the bank timer value `busy`.
+impl Default for SlotKey {
+    fn default() -> Self {
+        Self {
+            ready: 0,
+            seq: 0,
+            bank: 0,
+            older: NIL,
+            younger: NIL,
+        }
+    }
+}
+
+/// Per-bank issue state: the best eligible write headed for the bank
+/// under the bank timer value `seen`.
 ///
 /// A write's service start is `max(ready, busy_until)`, so the best
 /// candidate is a pure function of the eligible set and `busy_until`:
 /// the cache stays exact until one of the two changes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BankSched {
-    /// Eligible slots whose entries target this bank (any order).
-    eligible: Vec<usize>,
-    /// The `busy_until` the cached `best` was computed for, or
-    /// [`STALE`] when unknown.
-    busy: Cycle,
-    /// `(start, seq, slot)` of the bank's next write under `busy`.
-    best: Option<(Cycle, u64, usize)>,
+    /// The bank's `busy_until` when the queue last read its timer.
+    seen: Cycle,
+    /// Packed `(start, seq)` of the bank's next write under `seen`
+    /// ([`NO_CANDIDATE`] when none is eligible); meaningful only while
+    /// `fresh`.
+    best: u128,
+    /// The slot holding `best` ([`NIL`] when there is none).
+    best_slot: usize,
+    /// `best` is exact for `seen`. Cleared when the best slot leaves;
+    /// the next pick recomputes the bank against its live timer.
+    fresh: bool,
 }
 
 impl BankSched {
-    /// Recomputes `best` over the eligible set under `busy`.
-    fn recompute(&mut self, keys: &[SlotKey], busy: Cycle) {
-        self.busy = busy;
-        self.best = self
-            .eligible
-            .iter()
-            .map(|&slot| {
-                let k = keys[slot];
-                (k.ready.max(busy), k.seq, slot)
-            })
-            .min();
-    }
+    /// A bank the queue has not seen yet: idle timer, no candidate.
+    const NEW: Self = Self {
+        seen: 0,
+        best: NO_CANDIDATE,
+        best_slot: NIL,
+        fresh: true,
+    };
 }
 
 /// The memory controller's write queue.
@@ -128,18 +159,31 @@ impl BankSched {
 pub struct WriteQueue {
     /// Slab of `capacity` slots; `None` slots are free.
     slots: Vec<Option<WqEntry>>,
-    /// Schedule key of each occupied slot (left over in free slots).
+    /// Schedule key and chain links of each occupied slot (left over in
+    /// free slots).
     keys: Vec<SlotKey>,
     /// Free slot indices (reuse order is irrelevant to results).
     free: Vec<usize>,
-    /// Target → occupied slots in age (seq) order. Appends push at the
-    /// back, so the front is always the oldest pending write to that
-    /// target — which makes CWC, read forwarding, and the same-address
-    /// ordering rule (only a list front is eligible) O(1) per entry
-    /// instead of a queue scan.
-    index: FxHashMap<WqTarget, Vec<usize>>,
+    /// Target → `(oldest, newest)` slot of its pending writes, which
+    /// are threaded oldest to newest through [`SlotKey::younger`]. The
+    /// front is the oldest pending write to the target, which makes
+    /// CWC, read forwarding, and the same-address ordering rule (only a
+    /// chain front is eligible) O(1) per entry, with no per-target
+    /// allocation.
+    index: FxHashMap<WqTarget, (usize, usize)>,
     /// Per-bank candidates, indexed by channel-local bank.
     sched: Vec<BankSched>,
+    /// Per-bank eligible-slot bitsets, `words` `u64`s per bank: bit `s`
+    /// of bank `b` is set iff slot `s` fronts its chain and targets `b`.
+    eligible: Vec<u64>,
+    /// Bitset words per bank (`capacity.div_ceil(64)`).
+    words: usize,
+    /// A lower bound on `max(ready, seen)` over every eligible slot
+    /// (with `seen` its bank's [`BankSched::seen`]); [`Cycle::MAX`] when
+    /// nothing is eligible. A full pick sets it exactly and a newly
+    /// eligible slot lowers it, so while no bank timer has moved below
+    /// its `seen`, nothing can start before it.
+    floor: Cycle,
     capacity: usize,
     cwc: bool,
     seq: u64,
@@ -149,8 +193,8 @@ pub struct WriteQueue {
     /// fields stay channel-local (they index the channel's bank timers).
     bank_base: usize,
     /// When false, the issue pick ignores the cached bank candidates and
-    /// recomputes every bank on every call (the reference behavior the
-    /// equivalence tests A/B against).
+    /// recomputes every bank on every call, and no drain is skipped (the
+    /// reference behavior the equivalence tests A/B against).
     fast_forward: bool,
 }
 
@@ -169,6 +213,9 @@ impl WriteQueue {
             free: (0..capacity).rev().collect(),
             index: FxHashMap::default(),
             sched: Vec::new(),
+            eligible: Vec::new(),
+            words: capacity.div_ceil(64),
+            floor: Cycle::MAX,
             capacity,
             cwc,
             seq: 0,
@@ -177,45 +224,36 @@ impl WriteQueue {
         }
     }
 
-    /// Enables or disables the cached bank candidates (on by default).
-    /// The cache is exact — a bank is recomputed whenever its eligible
-    /// set or its timer moved — so this knob exists for A/B equivalence
-    /// tests and for ruling the cache out while debugging.
+    /// Enables or disables the cached bank candidates and the drain gate
+    /// (on by default). Both are exact — a bank is recomputed whenever
+    /// its eligible set or its timer moved, and a drain is skipped only
+    /// when nothing can issue — so this knob exists for A/B equivalence
+    /// tests and for ruling them out while debugging.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
 
-    /// A lower bound on the next entry's service start: the minimum of
-    /// the cached bank candidates. `None` when the queue is empty, the
-    /// cache is disabled, or some bank with eligible entries has not
-    /// been recomputed since it changed.
+    /// Whether a drain at `now` against `banks` could issue anything. A
+    /// `false` answer is exact (the queue is empty, or every pending
+    /// entry provably starts after `now`), so callers may skip the drain
+    /// outright; a `true` answer is conservative and merely means
+    /// "drain needed".
     ///
-    /// The bound holds because a write's start is `max(ready,
-    /// busy_until)` and `busy_until` only increases on a live
-    /// controller: a candidate cached under an older timer value can
-    /// only have moved later since.
-    pub fn next_issue_bound(&self) -> Option<Cycle> {
-        if !self.fast_forward {
-            return None;
-        }
-        let mut bound = None;
-        for s in &self.sched {
-            if s.busy == STALE && !s.eligible.is_empty() {
-                return None;
-            }
-            if let Some((start, _, _)) = s.best {
-                bound = Some(bound.map_or(start, |b: Cycle| b.min(start)));
-            }
-        }
-        bound
-    }
-
-    /// Whether a drain at `now` could issue anything. A `false` answer
-    /// is exact (the queue is empty, or every pending entry provably
-    /// starts after `now`), so callers may skip the drain outright; a
-    /// `true` answer is conservative and merely means "drain needed".
-    pub fn may_issue_by(&self, now: Cycle) -> bool {
-        !self.is_empty() && self.next_issue_bound().is_none_or(|bound| bound <= now)
+    /// O(1) plus one compare per bank: the answer is `false` when the
+    /// queue's floor is after `now` and no bank timer has moved below
+    /// the value the floor was computed with. Timers only move forward
+    /// on a live controller (which only delays a write), but
+    /// [`BankTimer::reset`] moves one backwards, and then the floor is
+    /// no longer a bound until the next pick recomputes it.
+    pub fn may_issue_by(&self, now: Cycle, banks: &[BankTimer]) -> bool {
+        !self.is_empty()
+            && (!self.fast_forward
+                || self.floor <= now
+                || self
+                    .sched
+                    .iter()
+                    .zip(banks)
+                    .any(|(s, timer)| timer.busy_until() < s.seen))
     }
 
     /// Sets the global-bank offset reported in stats and events (a
@@ -257,84 +295,103 @@ impl WriteQueue {
             .filter_map(|(i, s)| s.as_ref().map(|e| (i, e)))
     }
 
-    /// Removes and returns the entry in `slot`, maintaining the index.
+    /// Removes and returns the entry in `slot`, unlinking it from its
+    /// target chain (from any position).
     ///
     /// # Panics
     ///
     /// Panics if the slot is free (a queue-internal sequencing bug).
     // Justified panics: the `expect`s below are the documented sequencing
-    // invariant above — slot, index, and list entries move together.
+    // invariant above — slot, index, and chain links move together.
     #[allow(clippy::disallowed_methods)]
     fn remove_slot(&mut self, slot: usize) -> WqEntry {
         let e = self.slots[slot].take().expect("slot occupied");
         self.free.push(slot);
-        let list = self
-            .index
-            .get_mut(&e.target)
-            .expect("indexed target for occupied slot");
-        let pos = list
-            .iter()
-            .position(|&s| s == slot)
-            .expect("slot present in its target list");
-        list.remove(pos);
-        let successor = list.first().copied();
-        if list.is_empty() {
-            self.index.remove(&e.target);
+        let SlotKey { older, younger, .. } = self.keys[slot];
+        if older != NIL {
+            self.keys[older].younger = younger;
         }
-        // Only a list front is eligible; when it leaves, the next write
+        if younger != NIL {
+            self.keys[younger].older = older;
+        }
+        // Only a chain's ends are recorded in the index.
+        if older == NIL && younger == NIL {
+            self.index.remove(&e.target);
+        } else if older == NIL || younger == NIL {
+            let ends = self
+                .index
+                .get_mut(&e.target)
+                .expect("indexed target for occupied slot");
+            if older == NIL {
+                ends.0 = younger;
+            } else {
+                ends.1 = older;
+            }
+        }
+        // Only a chain front is eligible; when it leaves, the next write
         // to the same target (if any) is unblocked.
-        if self.keys[slot].eligible {
+        if older == NIL {
             self.make_ineligible(slot);
-            if let Some(next) = successor {
-                self.make_eligible(next);
+            if younger != NIL {
+                self.make_eligible(younger);
             }
         }
         e
     }
 
-    /// Marks `slot` (now the front of its target list) issuable and
-    /// folds it into its bank's cached candidate.
+    /// Marks `slot` (now the front of its target chain) issuable: sets
+    /// its bank bit, folds it into the bank's cached candidate, and
+    /// lowers the floor to its start under the bank's last-seen timer.
     fn make_eligible(&mut self, slot: usize) {
-        let key = &mut self.keys[slot];
-        key.eligible = true;
-        let key = *key;
+        let key = self.keys[slot];
         if key.bank >= self.sched.len() {
-            self.sched.resize_with(key.bank + 1, || BankSched {
-                eligible: Vec::new(),
-                busy: STALE,
-                best: None,
-            });
+            self.sched.resize(key.bank + 1, BankSched::NEW);
+            self.eligible.resize(self.sched.len() * self.words, 0);
         }
+        self.eligible[key.bank * self.words + slot / 64] |= 1 << (slot % 64);
         let bank = &mut self.sched[key.bank];
-        bank.eligible.push(slot);
-        if bank.busy != STALE {
-            let cand = (key.ready.max(bank.busy), key.seq, slot);
-            if bank.best.is_none_or(|best| cand < best) {
-                bank.best = Some(cand);
-            }
+        let start = key.ready.max(bank.seen);
+        let cand = pack(start, key.seq);
+        if bank.fresh && cand < bank.best {
+            bank.best = cand;
+            bank.best_slot = slot;
         }
+        self.floor = self.floor.min(start);
     }
 
     /// Drops `slot` from its bank's eligible set. Losing the bank's
     /// best candidate leaves the bank stale until the next pick
     /// recomputes it against the live timer — on the issue path that
-    /// timer is about to move anyway.
-    // Justified panic: an eligible slot is always in its bank's list.
-    #[allow(clippy::disallowed_methods)]
+    /// timer is about to move anyway. The floor stays a lower bound.
     fn make_ineligible(&mut self, slot: usize) {
-        let key = &mut self.keys[slot];
-        key.eligible = false;
-        let bank = &mut self.sched[key.bank];
-        let pos = bank
-            .eligible
-            .iter()
-            .position(|&s| s == slot)
-            .expect("eligible slot present in its bank list");
-        bank.eligible.swap_remove(pos);
-        if bank.best.is_some_and(|(_, _, s)| s == slot) {
-            bank.busy = STALE;
-            bank.best = None;
+        let bank = self.keys[slot].bank;
+        self.eligible[bank * self.words + slot / 64] &= !(1 << (slot % 64));
+        let s = &mut self.sched[bank];
+        if s.best_slot == slot {
+            s.fresh = false;
+            s.best = NO_CANDIDATE;
+            s.best_slot = NIL;
         }
+    }
+
+    /// The best `(packed candidate, slot)` among `bank`'s eligible slots
+    /// under timer value `busy`: one pass over the bank's bitset.
+    fn bank_best(&self, bank: usize, busy: Cycle) -> (u128, usize) {
+        let mut best = (NO_CANDIDATE, NIL);
+        let words = &self.eligible[bank * self.words..(bank + 1) * self.words];
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let k = &self.keys[slot];
+                let cand = pack(k.ready.max(busy), k.seq);
+                if cand < best.0 {
+                    best = (cand, slot);
+                }
+            }
+        }
+        best
     }
 
     /// Pending entries as `(target, seq)` pairs, in queue (age) order
@@ -367,8 +424,7 @@ impl WriteQueue {
         // The flag bit restricts the lookup to counter entries; at most
         // one can be pending because this very rule keeps them unique
         // per page.
-        let list = self.index.get(&WqTarget::Counter(page))?;
-        let oldest = list[0];
+        let &(oldest, _) = self.index.get(&WqTarget::Counter(page))?;
         let victim = self.remove_slot(oldest);
         stats.counter_writes_coalesced += 1;
         Some(victim.seq)
@@ -421,24 +477,34 @@ impl WriteQueue {
             ready,
             seq: self.seq,
         });
-        self.keys[slot] = SlotKey {
+        let mut key = SlotKey {
             ready,
             seq: self.seq,
             bank,
-            eligible: false,
+            older: NIL,
+            younger: NIL,
         };
-        let list = self.index.entry(target).or_default();
-        list.push(slot);
-        if list.len() == 1 {
-            self.make_eligible(slot);
+        match self.index.entry(target) {
+            Entry::Occupied(mut ends) => {
+                // Thread the slot behind the target's newest write; an
+                // older write still blocks it from issuing.
+                let newest = std::mem::replace(&mut ends.get_mut().1, slot);
+                self.keys[newest].younger = slot;
+                key.older = newest;
+                self.keys[slot] = key;
+            }
+            Entry::Vacant(v) => {
+                v.insert((slot, slot));
+                self.keys[slot] = key;
+                self.make_eligible(slot);
+            }
         }
         self.seq
     }
 
-    /// The newest pending entry for `target` (back of its age-ordered
-    /// slot list).
+    /// The newest pending entry for `target` (back of its chain).
     fn newest(&self, target: WqTarget) -> Option<&WqEntry> {
-        let &slot = self.index.get(&target)?.last()?;
+        let &(_, slot) = self.index.get(&target)?;
         self.slots[slot].as_ref()
     }
 
@@ -463,24 +529,34 @@ impl WriteQueue {
     /// last.
     ///
     /// The pick is the `(start, seq)` minimum over the per-bank cached
-    /// candidates. A bank is recomputed only when its timer no longer
-    /// matches the value its candidate was computed for (or, with the
-    /// cache off, always), so a call costs O(banks) plus one bank's
-    /// eligible entries per bank that changed.
+    /// candidates. A bank is recomputed only when it is stale or its
+    /// timer no longer matches the value its candidate was computed for
+    /// (or, with the cache off, always), so a call costs O(banks) plus
+    /// one bitset pass per bank that changed. The minimum becomes the
+    /// exact floor.
     fn next_issuable(&mut self, banks: &[BankTimer]) -> Option<(usize, Cycle)> {
-        let mut best: Option<(Cycle, u64, usize)> = None;
-        for (sched, timer) in self.sched.iter_mut().zip(banks) {
+        let mut best = (NO_CANDIDATE, NIL);
+        for (bank, timer) in banks.iter().enumerate().take(self.sched.len()) {
             let busy = timer.busy_until();
-            if !self.fast_forward || sched.busy != busy {
-                sched.recompute(&self.keys, busy);
-            }
-            if let Some(cand) = sched.best {
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
+            let s = self.sched[bank];
+            let cand = if !self.fast_forward || !s.fresh || s.seen != busy {
+                let (cand, slot) = self.bank_best(bank, busy);
+                self.sched[bank] = BankSched {
+                    seen: busy,
+                    best: cand,
+                    best_slot: slot,
+                    fresh: true,
+                };
+                (cand, slot)
+            } else {
+                (s.best, s.best_slot)
+            };
+            if cand.0 < best.0 {
+                best = cand;
             }
         }
-        best.map(|(start, _, slot)| (slot, start))
+        self.floor = start_of(best.0);
+        (best.1 != NIL).then_some((best.1, self.floor))
     }
 
     fn issue_at(
@@ -559,7 +635,7 @@ impl WriteQueue {
         stats: &mut Stats,
         probes: &mut Probes,
     ) {
-        if self.is_empty() {
+        if !self.may_issue_by(now, banks) {
             return;
         }
         while let Some((idx, start)) = self.next_issuable(banks) {
@@ -723,14 +799,18 @@ impl WriteQueue {
         }
     }
 
-    /// The issue pick by a linear scan of the slab, probing the target
-    /// index per entry — the reference the per-bank scheduler must match
-    /// exactly (test-only).
+    /// The issue pick by a linear scan of the slab: an entry is
+    /// eligible iff no occupied slot holds an older write to its target
+    /// — the reference the per-bank scheduler must match exactly
+    /// (test-only).
     #[cfg(test)]
     pub(crate) fn linear_scan_pick(&self, banks: &[BankTimer]) -> Option<(usize, Cycle)> {
         let mut best: Option<(usize, Cycle, u64)> = None;
         for (i, e) in self.entries() {
-            if self.index[&e.target][0] != i {
+            if self
+                .entries()
+                .any(|(_, o)| o.target == e.target && o.seq < e.seq)
+            {
                 continue; // an older write to the same target pends
             }
             let start = banks[e.bank].earliest_start(OpKind::Write, e.ready);
@@ -742,45 +822,41 @@ impl WriteQueue {
         best.map(|(i, s, _)| (i, s))
     }
 
-    /// Test-only invariant check: the target index must agree with a
-    /// linear scan of the slot slab — every occupied slot appears in
-    /// exactly its target's list, lists are age (seq) ordered,
-    /// free-list accounting matches, and forwarding answers equal the
-    /// max-seq entry a scan would find. The scheduler state must agree
-    /// too: keys mirror their entries, a slot is eligible iff it fronts
-    /// its target list, each bank lists exactly its eligible slots, and
-    /// every non-stale bank candidate equals a recomputation under the
-    /// timer value it was cached for.
+    /// Test-only invariant check against a linear scan of the slot slab.
+    ///
+    /// * Chains: walking each indexed chain oldest to newest through the
+    ///   `younger` links (checking every `older` back link and the
+    ///   recorded newest end) yields exactly the target's occupied slots
+    ///   in age (seq) order; no free slot is linked in.
+    /// * Free-list accounting matches, and forwarding answers equal the
+    ///   max-seq entry a scan would find.
+    /// * Scheduler: keys mirror their entries; a bank bit is set iff the
+    ///   slot is occupied, targets that bank and fronts its chain; every
+    ///   fresh bank candidate equals a recomputation under the timer
+    ///   value it was cached for; and the floor is at most every eligible
+    ///   slot's start under its bank's last-seen timer.
     #[cfg(test)]
     pub(crate) fn assert_index_matches_linear_scan(&self) {
-        for (slot, e) in self.entries() {
-            let k = self.keys[slot];
-            assert_eq!((k.ready, k.seq, k.bank), (e.ready, e.seq, e.bank));
-            let front = self.index[&e.target][0] == slot;
-            assert_eq!(k.eligible, front, "eligible bit of slot {slot}");
-            let listed = self.sched[e.bank].eligible.contains(&slot);
-            assert_eq!(listed, front, "bank list membership of slot {slot}");
-        }
-        for (bank, s) in self.sched.iter().enumerate() {
-            for &slot in &s.eligible {
-                assert!(self.slots[slot].is_some(), "free slot {slot} listed");
-                assert_eq!(self.keys[slot].bank, bank, "slot {slot} in wrong bank");
-            }
-            if s.busy == STALE {
-                assert_eq!(s.best, None, "stale bank {bank} keeps a candidate");
-            } else {
-                let mut fresh = s.clone();
-                fresh.recompute(&self.keys, s.busy);
-                assert_eq!(s.best, fresh.best, "bank {bank} candidate drifted");
-            }
-        }
         let mut occupied: Vec<(usize, &WqEntry)> = self.entries().collect();
         occupied.sort_by_key(|&(_, e)| e.seq);
         let mut oracle: FxHashMap<WqTarget, Vec<usize>> = FxHashMap::default();
         for &(slot, e) in &occupied {
             oracle.entry(e.target).or_default().push(slot);
         }
-        assert_eq!(self.index, oracle, "index diverged from slot scan");
+        let mut chains: FxHashMap<WqTarget, Vec<usize>> = FxHashMap::default();
+        for (&target, &(oldest, newest)) in &self.index {
+            let mut chain = Vec::new();
+            let (mut prev, mut slot) = (NIL, oldest);
+            while slot != NIL {
+                assert!(chain.len() < self.capacity, "chain of {target:?} loops");
+                assert_eq!(self.keys[slot].older, prev, "back link of slot {slot}");
+                chain.push(slot);
+                (prev, slot) = (slot, self.keys[slot].younger);
+            }
+            assert_eq!(prev, newest, "newest end of {target:?}");
+            chains.insert(target, chain);
+        }
+        assert_eq!(chains, oracle, "chains diverged from slot scan");
         assert_eq!(
             self.free.len() + occupied.len(),
             self.capacity,
@@ -789,17 +865,43 @@ impl WriteQueue {
         for &slot in &self.free {
             assert!(self.slots[slot].is_none(), "free slot {slot} is occupied");
         }
-        for target in oracle.keys() {
-            let newest_scan = occupied
-                .iter()
-                .filter(|(_, e)| e.target == *target)
-                .max_by_key(|(_, e)| e.seq)
-                .map(|&(_, e)| e.seq);
+        for (target, chain) in &oracle {
+            let newest_scan = chain.last().and_then(|&s| self.slots[s].as_ref());
             assert_eq!(
                 self.newest(*target).map(|e| e.seq),
-                newest_scan,
+                newest_scan.map(|e| e.seq),
                 "forwarding answer diverged from linear scan for {target:?}"
             );
+        }
+        for &(slot, e) in &occupied {
+            let k = self.keys[slot];
+            assert_eq!((k.ready, k.seq, k.bank), (e.ready, e.seq, e.bank));
+        }
+        assert_eq!(self.eligible.len(), self.sched.len() * self.words);
+        for (bank, s) in self.sched.iter().enumerate() {
+            for slot in 0..self.capacity {
+                let bit = self.eligible[bank * self.words + slot / 64] >> (slot % 64) & 1 == 1;
+                let front = self.slots[slot]
+                    .as_ref()
+                    .is_some_and(|e| e.bank == bank && oracle[&e.target][0] == slot);
+                assert_eq!(bit, front, "bank {bank} eligible bit of slot {slot}");
+                if front {
+                    let start = self.keys[slot].ready.max(s.seen);
+                    assert!(self.floor <= start, "floor above slot {slot}");
+                }
+            }
+            if s.fresh {
+                assert_eq!(
+                    (s.best, s.best_slot),
+                    self.bank_best(bank, s.seen),
+                    "bank {bank} candidate drifted"
+                );
+            } else {
+                assert_eq!((s.best, s.best_slot), (NO_CANDIDATE, NIL));
+            }
+        }
+        for &(slot, e) in &occupied {
+            assert!(e.bank < self.sched.len(), "slot {slot} bank unknown");
         }
     }
 
@@ -1128,6 +1230,124 @@ mod tests {
         );
     }
 
+    /// The drain gate after a bank timer moved backwards: the floor was
+    /// computed under a busy bank, the reset makes the write issuable
+    /// early, and the drain must see it exactly as the gate-free
+    /// reference does.
+    #[test]
+    fn drain_after_a_timer_reset_issues_like_the_reference() {
+        let run = |fast_forward: bool| {
+            let mut wq = WriteQueue::new(4, false);
+            wq.set_fast_forward(fast_forward);
+            let mut b = banks(1);
+            let mut store = NvmStore::new();
+            let mut stats = Stats::new(1);
+            let mut probes = Probes::default();
+            assert_eq!(
+                b[0].issue(OpKind::Read, 874),
+                1000,
+                "bank 0 busy until 1000"
+            );
+            wq.append(WqTarget::Data(LineAddr(0)), 0, [7; 64], None, 10);
+            wq.drain_until(20, &mut b, &mut store, &mut stats, &mut probes);
+            assert_eq!(wq.len(), 1, "the bank is busy until 1000");
+            assert_eq!(wq.may_issue_by(100, &b), !fast_forward);
+            b[0].reset();
+            assert!(wq.may_issue_by(100, &b), "the reset bank frees the write");
+            wq.drain_until(100, &mut b, &mut store, &mut stats, &mut probes);
+            assert_eq!(wq.len(), 0, "the write issues at 10 on the reset bank");
+            assert_eq!(b[0].busy_until(), 10 + 626);
+            assert_eq!(store.read_data(LineAddr(0)), [7; 64]);
+            stats
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn drain_gate_skips_only_what_cannot_issue() {
+        let mut wq = WriteQueue::new(4, false);
+        let mut b = banks(2);
+        let mut store = NvmStore::new();
+        let mut stats = Stats::new(2);
+        let mut probes = Probes::default();
+        assert!(
+            !wq.may_issue_by(Cycle::MAX, &b),
+            "an empty queue never drains"
+        );
+        wq.append(WqTarget::Data(LineAddr(0)), 0, [1; 64], None, 500);
+        assert!(
+            !wq.may_issue_by(499, &b),
+            "a new entry lowers the floor to 500"
+        );
+        assert!(wq.may_issue_by(500, &b));
+        wq.drain_until(499, &mut b, &mut store, &mut stats, &mut probes);
+        assert_eq!(wq.len(), 1);
+        // A write to an idle bank with an earlier ready reopens the gate.
+        wq.append(WqTarget::Data(LineAddr(4096)), 1, [2; 64], None, 100);
+        assert!(!wq.may_issue_by(99, &b));
+        assert!(wq.may_issue_by(100, &b));
+        // A demand read only delays writes: the gate stays exact.
+        b[0].issue(OpKind::Read, 0);
+        wq.drain_until(100, &mut b, &mut store, &mut stats, &mut probes);
+        assert_eq!(wq.len(), 1);
+        assert!(!wq.may_issue_by(499, &b));
+        wq.set_fast_forward(false);
+        assert!(
+            wq.may_issue_by(0, &b),
+            "the gate is off without fast-forward"
+        );
+    }
+
+    /// Same-target chains are threaded through the slots, so a chain
+    /// can be cut at its front, in its middle or at its back, and its
+    /// slots need not be in age order.
+    #[test]
+    fn threaded_chains_survive_cuts_anywhere() {
+        let mut wq = WriteQueue::new(8, true);
+        let mut stats = Stats::new(2);
+        let line = WqTarget::Data(LineAddr(0));
+        // Slot 0 first holds a write to page 1, so the chain's second
+        // entry reuses it: the chain runs slot 1 -> 0 -> 2 -> 3.
+        wq.append(WqTarget::Data(LineAddr(4096)), 1, [9; 64], None, 0);
+        let a = wq.append(line, 0, [1; 64], None, 0);
+        assert_eq!(wq.extract_page_entries(PageId(1), 4096).len(), 1);
+        let b = wq.append(line, 0, [2; 64], None, 0);
+        let c = wq.append(line, 0, [3; 64], None, 0);
+        let d = wq.append(line, 0, [4; 64], None, 0);
+        assert_eq!(wq.slots[0].as_ref().map(|e| e.seq), Some(b));
+        wq.assert_index_matches_linear_scan();
+        // Middle cut: the front keeps issuing first, forwarding is intact.
+        assert_eq!(wq.remove_slot(0).seq, b);
+        wq.assert_index_matches_linear_scan();
+        assert_eq!(wq.forward_data(LineAddr(0)).map(|e| e.seq), Some(d));
+        // Back cut: forwarding falls back to the new newest.
+        assert_eq!(wq.remove_slot(3).seq, d);
+        wq.assert_index_matches_linear_scan();
+        assert_eq!(wq.forward_data(LineAddr(0)).map(|e| e.seq), Some(c));
+        // Front cut: the successor becomes eligible.
+        assert_eq!(wq.remove_slot(1).seq, a);
+        wq.assert_index_matches_linear_scan();
+        assert_eq!(wq.keys[2].older, NIL);
+        // A counter chain three deep, cut by CWC at its front.
+        let ctr = WqTarget::Counter(PageId(0));
+        let seqs: Vec<u64> = (1..=3u8)
+            .map(|fill| wq.append(ctr, 1, [fill; 64], None, 0))
+            .collect();
+        wq.assert_index_matches_linear_scan();
+        assert_eq!(wq.coalesce_counter(PageId(0), &mut stats), Some(seqs[0]));
+        wq.assert_index_matches_linear_scan();
+        assert_eq!(wq.forward_counter(PageId(0)).map(|e| e.seq), Some(seqs[2]));
+        // Extraction takes what is left of both chains, in age order.
+        let got: Vec<u64> = wq
+            .extract_page_entries(PageId(0), 4096)
+            .iter()
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(got, vec![c, seqs[1], seqs[2]]);
+        wq.assert_index_matches_linear_scan();
+        assert!(wq.is_empty() && wq.index.is_empty());
+    }
+
     #[test]
     fn oldest_first_among_equal_starts() {
         let mut wq = WriteQueue::new(4, false);
@@ -1164,10 +1384,12 @@ mod randomized {
         Drain { until: u64 },
     }
 
-    fn random_qop(rng: &mut SplitMix64) -> QOp {
+    /// A random queue op over the first `lines` data lines, draining to
+    /// a cycle below `drain_max`.
+    fn random_qop(rng: &mut SplitMix64, lines: u64, drain_max: u64) -> QOp {
         match rng.next_below(3) {
             0 => QOp::AppendData {
-                line: rng.next_below(16) * 64,
+                line: rng.next_below(lines) * 64,
                 fill: rng.next_u64() as u8,
                 ready: rng.next_below(10_000),
             },
@@ -1177,7 +1399,7 @@ mod randomized {
                 ready: rng.next_below(10_000),
             },
             _ => QOp::Drain {
-                until: rng.next_below(100_000),
+                until: rng.next_below(drain_max),
             },
         }
     }
@@ -1191,7 +1413,7 @@ mod randomized {
         let mut rng = SplitMix64::new(0x90EE);
         for _ in 0..64 {
             let ops: Vec<QOp> = (0..rng.next_range(1, 150))
-                .map(|_| random_qop(&mut rng))
+                .map(|_| random_qop(&mut rng, 16, 100_000))
                 .collect();
             let mut wq = WriteQueue::new(8, true);
             let mut b = banks(2);
@@ -1294,19 +1516,57 @@ mod randomized {
     /// Small pages so the 16-line data domain spans the 4 counter pages.
     const SCHED_PAGE_BYTES: u64 = 256;
 
-    fn random_sched_op(rng: &mut SplitMix64) -> SchedOp {
-        match rng.next_below(9) {
-            0..=3 => SchedOp::Queue(random_qop(rng)),
-            4 => SchedOp::AppendCounterUncoalesced {
+    /// The shape of one randomized scheduler campaign.
+    #[derive(Debug, Clone, Copy)]
+    struct Shape {
+        capacity: usize,
+        /// Data appends target the first `lines` lines; fewer lines make
+        /// deeper same-target chains.
+        lines: u64,
+        /// Drains target a cycle below this; a small value lets a large
+        /// queue fill up.
+        drain_max: u64,
+        /// Relative weights of queue ops, uncoalesced counter appends,
+        /// demand reads, bank resets and page extractions.
+        mix: [u64; 5],
+        /// Every case opens by making all banks busy until cycle 90,126
+        /// and appending this many data writes (ready at 0), which fills
+        /// a queue of this capacity.
+        prefill: usize,
+    }
+
+    /// The original campaign: an 8-entry queue over 16 lines.
+    const SMALL: Shape = Shape {
+        capacity: 8,
+        lines: 16,
+        drain_max: 100_000,
+        mix: [4, 1, 2, 1, 1],
+        prefill: 0,
+    };
+
+    fn random_sched_op(rng: &mut SplitMix64, shape: Shape) -> SchedOp {
+        let pick = rng.next_below(shape.mix.iter().sum());
+        let kind = shape
+            .mix
+            .iter()
+            .scan(0, |end, &w| {
+                *end += w;
+                Some(*end)
+            })
+            .position(|end| pick < end)
+            .expect("pick < total weight");
+        match kind {
+            0 => SchedOp::Queue(random_qop(rng, shape.lines, shape.drain_max)),
+            1 => SchedOp::AppendCounterUncoalesced {
                 page: rng.next_below(4),
                 fill: rng.next_u64() as u8,
                 ready: rng.next_below(10_000),
             },
-            5 | 6 => SchedOp::DemandRead {
+            2 => SchedOp::DemandRead {
                 bank: rng.next_below(SCHED_BANKS as u64) as usize,
                 at: rng.next_below(100_000),
             },
-            7 => SchedOp::ResetBank {
+            3 => SchedOp::ResetBank {
                 bank: rng.next_below(SCHED_BANKS as u64) as usize,
             },
             _ => SchedOp::Extract {
@@ -1317,7 +1577,8 @@ mod randomized {
 
     /// Checks the CWC contract on one coalesce: it fires iff a counter
     /// entry for the page pends, and removes exactly the oldest one.
-    fn coalesce_checked(wq: &mut WriteQueue, page: u64, stats: &mut Stats) {
+    /// Returns how many counter entries for the page pended before.
+    fn coalesce_checked(wq: &mut WriteQueue, page: u64, stats: &mut Stats) -> usize {
         let target = WqTarget::Counter(PageId(page));
         let seqs = |wq: &WriteQueue| -> Vec<u64> {
             wq.pending()
@@ -1339,20 +1600,66 @@ mod randomized {
             assert!(!after.contains(&oldest), "CWC drops the oldest");
             assert_eq!(after.len(), before.len() - 1);
         }
+        before.len()
     }
 
-    /// Runs one op sequence and returns the final store, stats, and the
-    /// event stream. After every op the index and scheduler invariants
-    /// must hold, the incremental pick (slot and start) must equal the
-    /// linear-scan reference, and forwarding must match a scan.
-    fn run_sched_ops(ops: &[SchedOp], fast_forward: bool) -> (NvmStore, Stats, Vec<Event>) {
-        let mut wq = WriteQueue::new(8, true);
+    /// The deepest same-target chain among pending entries that `hit`
+    /// selects.
+    fn deepest_chain(wq: &WriteQueue, hit: impl Fn(WqTarget) -> bool) -> usize {
+        let mut depth: HashMap<WqTarget, usize> = HashMap::new();
+        for (t, _) in wq.pending().filter(|&(t, _)| hit(t)) {
+            *depth.entry(t).or_default() += 1;
+        }
+        depth.into_values().max().unwrap_or(0)
+    }
+
+    /// What one campaign exercised, so a test can insist its cases
+    /// actually reach the structures they are meant to cover.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Coverage {
+        /// Deepest same-target chain seen.
+        max_chain: usize,
+        /// Page extractions that removed part of a chain >= 3 deep.
+        deep_extracts: usize,
+        /// CWC merges that cut a counter chain >= 3 deep.
+        deep_merges: usize,
+        /// Highest slot index ever eligible (>= 64 means a bank bitset
+        /// used its second word).
+        max_eligible_slot: usize,
+        /// Drains skipped by the gate.
+        gated_drains: usize,
+    }
+
+    /// The outcome of one op sequence: the final store, statistics and
+    /// event stream, plus after every op the queue length and whether a
+    /// drain at each of [`PROBES`] would issue (computed by the linear
+    /// scan).
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        store: NvmStore,
+        stats: Stats,
+        events: Vec<Event>,
+        trace: Vec<(usize, [bool; PROBES.len()])>,
+    }
+
+    /// Cycles at which the queue's drain gate is checked after every op.
+    const PROBES: [Cycle; 5] = [0, 2_000, 10_000, 50_000, 200_000];
+
+    /// Runs one op sequence. After every op the index and scheduler
+    /// invariants must hold, the incremental pick (slot and start) must
+    /// equal the linear-scan reference, forwarding must match a scan, and
+    /// `may_issue_by` must answer `true` whenever a drain would issue
+    /// (and, with the gate off, whenever the queue is non-empty).
+    fn run_sched_ops(ops: &[SchedOp], shape: Shape, fast_forward: bool) -> (Outcome, Coverage) {
+        let mut wq = WriteQueue::new(shape.capacity, true);
         wq.set_fast_forward(fast_forward);
         let mut b = banks(SCHED_BANKS);
         let mut store = NvmStore::new();
         let mut stats = Stats::new(SCHED_BANKS);
         let mut probes = Probes::default();
         probes.attach(Box::new(EventTape::default()));
+        let mut cov = Coverage::default();
+        let mut trace = Vec::with_capacity(ops.len());
         for op in ops {
             match op {
                 SchedOp::Queue(QOp::AppendData { line, fill, ready }) => {
@@ -1368,7 +1675,9 @@ mod randomized {
                 }
                 SchedOp::Queue(QOp::AppendCounter { page, fill, ready }) => {
                     wq.wait_for_slots(1, *ready, &mut b, &mut store, &mut stats, &mut probes);
-                    coalesce_checked(&mut wq, *page, &mut stats);
+                    if coalesce_checked(&mut wq, *page, &mut stats) >= 3 {
+                        cov.deep_merges += 1;
+                    }
                     let target = WqTarget::Counter(PageId(*page));
                     wq.append(target, *page as usize, [*fill; 64], None, *ready);
                 }
@@ -1378,40 +1687,69 @@ mod randomized {
                     wq.append(target, *page as usize, [*fill; 64], None, *ready);
                 }
                 SchedOp::Queue(QOp::Drain { until }) => {
+                    if !wq.may_issue_by(*until, &b) {
+                        cov.gated_drains += 1;
+                    }
                     wq.drain_until(*until, &mut b, &mut store, &mut stats, &mut probes);
+                    // The drain's last pick leaves the floor exact.
+                    assert!(!fast_forward || !wq.may_issue_by(*until, &b));
                 }
                 SchedOp::DemandRead { bank, at } => {
                     b[*bank].issue(OpKind::Read, *at);
                 }
                 SchedOp::ResetBank { bank } => b[*bank].reset(),
                 SchedOp::Extract { page } => {
+                    let in_page = |t: WqTarget| match t {
+                        WqTarget::Data(line) => line.0 / SCHED_PAGE_BYTES == *page,
+                        WqTarget::Counter(p) => p.0 == *page,
+                        WqTarget::Tree(_) => false,
+                    };
+                    if deepest_chain(&wq, in_page) >= 3 {
+                        cov.deep_extracts += 1;
+                    }
                     wq.extract_page_entries(PageId(*page), SCHED_PAGE_BYTES);
                 }
             }
             wq.assert_index_matches_linear_scan();
             let reference = wq.linear_scan_pick(&b);
+            let mut issuable = [false; PROBES.len()];
+            for (i, &now) in PROBES.iter().enumerate() {
+                issuable[i] = reference.is_some_and(|(_, start)| start <= now);
+                let may = wq.may_issue_by(now, &b);
+                assert!(
+                    may || !issuable[i],
+                    "gate skips an issuable drain at {now} after {op:?}"
+                );
+                if !fast_forward {
+                    assert_eq!(may, !wq.is_empty(), "the gate is off without fast-forward");
+                }
+            }
+            trace.push((wq.len(), issuable));
+            cov.max_chain = cov.max_chain.max(deepest_chain(&wq, |_| true));
+            cov.max_eligible_slot = (0..wq.capacity)
+                .filter(|&s| wq.slots[s].is_some() && wq.keys[s].older == NIL)
+                .fold(cov.max_eligible_slot, usize::max);
+            // Picked on a clone: a pick refreshes the bank candidates and
+            // the floor, and the run must keep the state the ops left.
             assert_eq!(
-                wq.next_issuable(&b),
+                wq.clone().next_issuable(&b),
                 reference,
                 "pick diverged after {op:?}"
             );
             // Forwarding vs oracle over the whole address domain,
             // including targets with nothing pending (must be None).
-            for line in 0..16u64 {
+            let mut newest: HashMap<WqTarget, u64> = HashMap::new();
+            for (_, e) in wq.entries() {
+                let seq = newest.entry(e.target).or_default();
+                *seq = e.seq.max(*seq);
+            }
+            for line in 0..shape.lines {
                 let addr = LineAddr(line * 64);
-                let scan = wq
-                    .pending()
-                    .filter(|&(t, _)| t == WqTarget::Data(addr))
-                    .map(|(_, s)| s)
-                    .max();
+                let scan = newest.get(&WqTarget::Data(addr)).copied();
                 assert_eq!(wq.forward_data(addr).map(|e| e.seq), scan);
             }
             for page in 0..4u64 {
-                let scan = wq
-                    .pending()
-                    .filter(|&(t, _)| t == WqTarget::Counter(PageId(page)))
-                    .map(|(_, s)| s)
-                    .max();
+                let scan = newest.get(&WqTarget::Counter(PageId(page))).copied();
                 assert_eq!(wq.forward_counter(PageId(page)).map(|e| e.seq), scan);
             }
         }
@@ -1428,29 +1766,103 @@ mod randomized {
                     .map(std::mem::take)
             })
             .expect("the attached tape");
-        (store, stats, tape.into_events())
+        let outcome = Outcome {
+            store,
+            stats,
+            events: tape.into_events(),
+            trace,
+        };
+        (outcome, cov)
     }
 
-    /// The auxiliary target index and the per-bank scheduler must stay
+    /// Runs `cases` seeded op sequences of `shape` with the scheduler
+    /// cache and drain gate on and off; both must produce the same
+    /// outcome. Returns the summed coverage of the cached runs.
+    fn sched_campaign(seed: u64, shape: Shape, cases: usize, max_ops: u64) -> Coverage {
+        let mut rng = SplitMix64::new(seed);
+        let mut total = Coverage::default();
+        for _ in 0..cases {
+            let busy = (0..SCHED_BANKS).map(|bank| SchedOp::DemandRead { bank, at: 90_000 });
+            let fill = (0..shape.prefill as u64).map(|i| {
+                SchedOp::Queue(QOp::AppendData {
+                    line: i % shape.lines * 64,
+                    fill: i as u8,
+                    ready: 0,
+                })
+            });
+            let prefix: Vec<SchedOp> = if shape.prefill > 0 {
+                busy.chain(fill).collect()
+            } else {
+                Vec::new()
+            };
+            let ops: Vec<SchedOp> = prefix
+                .into_iter()
+                .chain((0..rng.next_range(1, max_ops)).map(|_| random_sched_op(&mut rng, shape)))
+                .collect();
+            let (cached, cov) = run_sched_ops(&ops, shape, true);
+            let (reference, _) = run_sched_ops(&ops, shape, false);
+            if let Some(op) = (0..ops.len()).find(|&i| cached.trace[i] != reference.trace[i]) {
+                panic!(
+                    "fast_forward changed the queue after op {op}: {:?}",
+                    ops[op]
+                );
+            }
+            assert!(cached == reference, "fast_forward changed the outcome");
+            total.max_chain = total.max_chain.max(cov.max_chain);
+            total.deep_extracts += cov.deep_extracts;
+            total.deep_merges += cov.deep_merges;
+            total.max_eligible_slot = total.max_eligible_slot.max(cov.max_eligible_slot);
+            total.gated_drains += cov.gated_drains;
+        }
+        total
+    }
+
+    /// The threaded target chains and the per-bank scheduler must stay
     /// in lockstep with a linear scan of the slot slab under arbitrary
     /// append / CWC coalesce / page extraction / partial drain
     /// sequences interleaved with demand reads and bank resets that move
     /// the timers: after every op the incremental pick equals the
     /// linear-scan pick, forwarding returns exactly what a scan for the
-    /// max-seq matching entry would, and CWC fires iff a counter entry
-    /// for the page is pending — removing exactly the oldest one. With
-    /// the bank-candidate cache on and off, the same ops produce the
-    /// same store, statistics, and event stream.
+    /// max-seq matching entry would, CWC fires iff a counter entry for
+    /// the page is pending — removing exactly the oldest one — and the
+    /// drain gate never hides an issuable write. With the bank-candidate
+    /// cache and the gate on and off, the same ops produce the same queue
+    /// length after every op, store, statistics and event stream.
     #[test]
     fn index_agrees_with_linear_scan_oracle() {
-        let mut rng = SplitMix64::new(0x1D0C);
-        for _ in 0..64 {
-            let ops: Vec<SchedOp> = (0..rng.next_range(1, 200))
-                .map(|_| random_sched_op(&mut rng))
-                .collect();
-            let cached = run_sched_ops(&ops, true);
-            let reference = run_sched_ops(&ops, false);
-            assert!(cached == reference, "fast_forward changed the outcome");
+        let cov = sched_campaign(0x1D0C, SMALL, 64, 200);
+        assert!(cov.gated_drains > 0, "the gate skipped no drain: {cov:?}");
+    }
+
+    /// Few lines, so chains run deep: extraction and CWC cut chains at
+    /// least 3 long.
+    #[test]
+    fn deep_chains_agree_with_linear_scan_oracle() {
+        let shape = Shape { lines: 6, ..SMALL };
+        let cov = sched_campaign(0xC4A1, shape, 64, 200);
+        assert!(cov.max_chain >= 3, "{cov:?}");
+        assert!(
+            cov.deep_extracts > 0,
+            "no extraction cut a deep chain: {cov:?}"
+        );
+        assert!(cov.deep_merges > 0, "no CWC cut a deep chain: {cov:?}");
+    }
+
+    /// Capacities past one bitset word: 65 (one slot in the second
+    /// word) and 128 (two full words), run until the queue fills.
+    #[test]
+    fn wide_queues_agree_with_linear_scan_oracle() {
+        for (seed, capacity) in [(0x65, 65), (0x128, 128)] {
+            let shape = Shape {
+                capacity,
+                lines: 32,
+                drain_max: 12_000,
+                mix: [8, 2, 2, 1, 1],
+                prefill: capacity,
+            };
+            let cov = sched_campaign(seed, shape, 12, 400);
+            assert!(cov.max_eligible_slot >= 64, "capacity {capacity}: {cov:?}");
+            assert!(cov.max_chain >= 3, "capacity {capacity}: {cov:?}");
         }
     }
 
