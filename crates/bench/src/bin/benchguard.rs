@@ -8,6 +8,7 @@
 use std::hint::black_box;
 use std::process::ExitCode;
 
+use supermem::campaign::{Case, Fault, Verdict};
 use supermem::memctrl::{ChannelSet, MemoryController};
 use supermem::nvm::addr::LineAddr;
 use supermem::nvm::NvmStore;
@@ -17,7 +18,7 @@ use supermem::workloads::WorkloadKind;
 use supermem::{run_single, RunConfig, Scheme, System};
 use supermem_bench::guard::{check, extract_after_ns, tolerance, GuardCheck};
 use supermem_bench::micro::Harness;
-use supermem_kv::{kv_run_case, KvClassification, KvTortureCase};
+use supermem_kv::kv_campaign;
 use supermem_lincheck::{lincheck, LincheckConfig};
 use supermem_serve::{run_serve, ServeConfig, StructureKind};
 
@@ -213,20 +214,20 @@ fn main() -> ExitCode {
         // recovery (paranoid double pass), and classify against the
         // oracle. The full 1,764-injection kvtorture figure and the CI
         // kv job both rest on this staying in the low milliseconds.
-        let case = KvTortureCase {
-            scheme: Scheme::SuperMem,
-            class: None,
+        let campaign = kv_campaign(&[Scheme::SuperMem], &[1]);
+        let case = Case {
+            cell: campaign.cells[0].clone(),
+            fault: Fault::None,
             point: 15,
             seed: 1,
-            channels: 1,
         };
         h.bench("kv/recover-case", || {
-            let r = kv_run_case(black_box(&case));
+            let r = campaign.run_case(black_box(&case));
             assert!(
-                r.classification != KvClassification::Silent,
+                r.verdict != Verdict::Silent,
                 "silent KV corruption in benchguard"
             );
-            black_box(r.classification)
+            black_box(r.verdict)
         });
     }
 

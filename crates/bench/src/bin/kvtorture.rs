@@ -23,82 +23,75 @@
 //! reproduces the table byte for byte, at any `SUPERMEM_THREADS` or
 //! `SUPERMEM_RUN_THREADS`.
 
+use supermem::campaign::{Fault, Subject, Verdict};
 use supermem::metrics::TextTable;
-use supermem::nvm::FaultClass;
 use supermem_bench::Report;
-use supermem_kv::torture::KV_TORTURE_SCHEMES;
-use supermem_kv::{kv_crash_points, kv_run_torture, KvClassification, KvTortureConfig};
+use supermem_kv::kv_campaign;
+use supermem_kv::torture::{KV_TORTURE_KEYSPACE, KV_TORTURE_SCHEMES, KV_TORTURE_SNAPSHOT_EVERY};
+
+/// The table columns after `cases`, in order.
+const COLUMNS: [Verdict; 4] = [
+    Verdict::New,
+    Verdict::Old,
+    Verdict::Detected,
+    Verdict::Silent,
+];
 
 fn main() {
-    let cfg = KvTortureConfig::default();
-    let report = kv_run_torture(&cfg);
+    let campaign = kv_campaign(&KV_TORTURE_SCHEMES, &[1]);
+    let report = campaign.run();
+    let label = |v| campaign.subject.label(v).to_owned();
+    let headers = |lead: &[&str]| {
+        let mut h: Vec<String> = lead.iter().map(|&s| s.to_owned()).collect();
+        h.push("cases".into());
+        h.extend(COLUMNS[..3].iter().map(|&v| label(v)));
+        h.push("silent".into());
+        h
+    };
 
     let mut by_scheme = TextTable::new(
-        [
-            "scheme",
-            "cases",
-            "recovered-committed",
-            "lost-unacked-tail",
-            "detected",
-            "silent",
-            "verdict",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
+        headers(&["scheme"])
+            .into_iter()
+            .chain(["verdict".to_owned()])
+            .collect(),
     );
-    for s in report.by_scheme() {
-        by_scheme.row(vec![
-            s.scheme.name().to_owned(),
-            s.cases.to_string(),
-            s.committed.to_string(),
-            s.lost_tail.to_string(),
-            s.detected.to_string(),
-            s.silent.to_string(),
-            s.verdict().to_owned(),
-        ]);
+    for (scheme, s) in report.tally_by(|r| r.case.cell.label.clone()) {
+        let mut row = vec![scheme, s.cases.to_string()];
+        row.extend(COLUMNS.map(|v| s.of(v).to_string()));
+        row.push(s.verdict().to_owned());
+        by_scheme.row(row);
     }
 
-    let mut by_class = TextTable::new(
-        [
-            "fault",
-            "scheme",
-            "cases",
-            "recovered-committed",
-            "lost-unacked-tail",
-            "detected",
-            "silent",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
-    );
-    for class in cfg.classes.iter().copied() {
+    let mut by_class = TextTable::new(headers(&["fault", "scheme"]));
+    let cells = report.tally_by(|r| (r.case.fault, r.case.cell.label.clone()));
+    for &fault in &campaign.faults {
         for scheme in KV_TORTURE_SCHEMES {
-            let cell = |c| report.count_cell(scheme, class, c);
-            let cases = cell(KvClassification::RecoveredCommitted)
-                + cell(KvClassification::LostUnackedTail)
-                + cell(KvClassification::Detected)
-                + cell(KvClassification::Silent);
-            by_class.row(vec![
-                class
-                    .map_or("none (crash only)", FaultClass::name)
-                    .to_owned(),
+            let s = cells
+                .iter()
+                .find(|((f, l), _)| *f == fault && l == scheme.name())
+                .map(|(_, s)| *s)
+                .unwrap_or_default();
+            let mut row = vec![
+                if fault == Fault::None {
+                    "none (crash only)".to_owned()
+                } else {
+                    fault.name().to_owned()
+                },
                 scheme.name().to_owned(),
-                cases.to_string(),
-                cell(KvClassification::RecoveredCommitted).to_string(),
-                cell(KvClassification::LostUnackedTail).to_string(),
-                cell(KvClassification::Detected).to_string(),
-                cell(KvClassification::Silent).to_string(),
-            ]);
+                s.cases.to_string(),
+            ];
+            row.extend(COLUMNS.map(|v| s.of(v).to_string()));
+            by_class.row(row);
         }
     }
 
-    let points: Vec<String> = cfg
+    let points: Vec<String> = campaign
         .seeds
         .iter()
         .map(|&seed| {
             format!(
                 "seed {seed}: {}",
-                kv_crash_points(KV_TORTURE_SCHEMES[0], 1, seed, cfg.ops)
+                campaign.crash_points(&campaign.cells[0], seed)
             )
         })
         .collect();
@@ -117,12 +110,12 @@ fn main() {
          checkpoint every {} mutations, one epoch rotation) is a crash point; crash points per \
          dry run ({}); {} fault classes + crash-only; seeds {:?}",
         report.total(),
-        cfg.ops,
-        supermem_kv::torture::KV_TORTURE_KEYSPACE,
-        supermem_kv::torture::KV_TORTURE_SNAPSHOT_EVERY,
+        campaign.subject.ops,
+        KV_TORTURE_KEYSPACE,
+        KV_TORTURE_SNAPSHOT_EVERY,
         points.join(", "),
-        cfg.classes.len() - 1,
-        cfg.seeds,
+        campaign.faults.len() - 1,
+        campaign.seeds,
     ));
     rep.footnote(
         "(silent = acknowledged data wrong with no typed error, no damage in the recovery \

@@ -21,38 +21,25 @@
 //!   undecryptable (Figure 6).
 //! * `WB w/o battery` loses dirty counters wholesale and is
 //!   unrecoverable once data is mutated (Table 1's "No" rows).
+//!
+//! Both experiments are crash-only campaigns ([`supermem::campaign`])
+//! over labelled machine rows; "unrecoverable" counts every case that
+//! recovered neither state (detected + silent).
 
+use supermem::campaign::{Campaign, Case, Fault, Judgement, Machine, Subject, Verdict};
 use supermem::metrics::TextTable;
-use supermem::persist::{recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager};
+use supermem::persist::{DirectMem, PMem, RecoveredMemory};
 use supermem::sim::{Config, CounterCacheBacking, CounterCacheMode};
-use supermem::{sweep, Scheme};
+use supermem::torture::TxnSubject;
+use supermem::Scheme;
 use supermem_bench::Report;
 
 const DATA_ADDR: u64 = 0x2000;
-const LOG_ADDR: u64 = 0x10_0000;
-const DATA_LEN: usize = 256;
 
 const OLD_WORD: u64 = 0x1111_1111_1111_1111;
 const NEW_WORD: u64 = 0x2222_2222_2222_2222;
 
 const SCHEMES: [&str; 4] = ["Unsec", "SuperMem", "WT w/o register", "WB w/o battery"];
-
-#[derive(Debug, Default)]
-struct Tally {
-    old: u64,
-    new: u64,
-    unrecoverable: u64,
-}
-
-impl Tally {
-    fn verdict(&self) -> &'static str {
-        if self.unrecoverable == 0 {
-            "recoverable at every stage"
-        } else {
-            "UNRECOVERABLE windows"
-        }
-    }
-}
 
 fn scheme_config(name: &str) -> Config {
     match name {
@@ -73,131 +60,97 @@ fn scheme_config(name: &str) -> Config {
     }
 }
 
-/// Sweeps one mutation routine over every append-boundary crash point.
-fn crash_sweep(
-    cfg: &Config,
-    base: &DirectMem,
-    mutate: impl Fn(&mut DirectMem),
-    classify: impl Fn(&mut RecoveredMemory) -> Option<bool>,
-) -> (u64, Tally) {
-    let mut dry = base.clone();
-    let before = dry.controller().append_events();
-    mutate(&mut dry);
-    dry.shutdown();
-    let total = dry.controller().append_events() - before;
+/// Experiment 2's workload: one bare 8-byte persist, no log.
+struct InPlaceUpdate;
 
-    let mut tally = Tally::default();
-    for k in 1..=total {
-        let mut mem = base.clone();
-        mem.controller_mut().arm_crash_after_appends(k);
-        mutate(&mut mem);
-        let image = mem
-            .controller_mut()
-            .take_crash_image()
-            .expect("armed crash must fire");
-        let mut rec = RecoveredMemory::from_image(cfg, image);
-        match classify(&mut rec) {
-            Some(false) => tally.old += 1,
-            Some(true) => tally.new += 1,
-            None => tally.unrecoverable += 1,
+impl Subject for InPlaceUpdate {
+    type Cell = Machine;
+    type State = ();
+    type Evidence = ();
+
+    fn config(&self, cell: &Machine) -> Config {
+        cell.cfg.clone()
+    }
+
+    fn base(&self, cfg: &Config, _: &Machine, _: u64) -> (DirectMem, ()) {
+        let mut base = DirectMem::new(cfg);
+        base.persist(DATA_ADDR, &OLD_WORD.to_le_bytes());
+        base.shutdown();
+        (base, ())
+    }
+
+    fn workload(&self, mem: &mut DirectMem, (): &mut ()) {
+        mem.persist(DATA_ADDR, &NEW_WORD.to_le_bytes());
+    }
+
+    fn judge(&self, rec: &mut RecoveredMemory, (): &(), _: u64) -> Judgement<()> {
+        match rec.read_u64(DATA_ADDR) {
+            OLD_WORD => Judgement::of(Verdict::Old, "old word".into()),
+            NEW_WORD => Judgement::of(Verdict::New, "new word".into()),
+            w => Judgement::wrong(false, format!("read {w:#018x}")),
         }
     }
-    (total, tally)
+
+    fn repro(&self, case: &Case<Machine>) -> String {
+        format!(
+            "table1 in-place update on {} crashed after {} appends",
+            case.cell.label, case.point
+        )
+    }
+}
+
+/// Sweeps `subject` crash-only over every append-boundary crash point
+/// of every scheme row.
+fn crash_table<S: Subject<Cell = Machine>>(subject: S) -> TextTable {
+    let campaign = Campaign {
+        subject,
+        cells: SCHEMES
+            .iter()
+            .map(|name| Machine::new(name, scheme_config(name)))
+            .collect(),
+        faults: vec![Fault::None],
+        seeds: vec![1],
+        point: None,
+    };
+    let mut t = TextTable::new(
+        [
+            "scheme",
+            "crash points",
+            "consistent(old)",
+            "consistent(new)",
+            "unrecoverable",
+            "verdict",
+        ]
+        .map(str::to_owned)
+        .to_vec(),
+    );
+    for (label, s) in campaign.run().tally_by(|r| r.case.cell.label.clone()) {
+        t.row(vec![
+            label,
+            s.cases.to_string(),
+            s.old.to_string(),
+            s.new.to_string(),
+            s.unrecoverable().to_string(),
+            if s.unrecoverable() == 0 {
+                "recoverable at every stage"
+            } else {
+                "UNRECOVERABLE windows"
+            }
+            .into(),
+        ]);
+    }
+    t
 }
 
 fn main() {
-    let headers = vec![
-        "scheme".into(),
-        "crash points".into(),
-        "consistent(old)".into(),
-        "consistent(new)".into(),
-        "unrecoverable".into(),
-        "verdict".into(),
-    ];
-
-    // --- Experiment 1: durable transaction (Table 1). Each scheme's
-    // crash-point sweep is independent, so schemes run in parallel.
-    let t1_rows = sweep(&SCHEMES, |name| {
-        let cfg = scheme_config(name);
-        let mut base = DirectMem::new(&cfg);
-        base.persist(DATA_ADDR, &[0x11; DATA_LEN]);
-        base.shutdown();
-        let (total, tally) = crash_sweep(
-            &cfg,
-            &base,
-            |mem| {
-                let mut txm = TxnManager::new(LOG_ADDR, 4096);
-                let mut txn = txm.begin();
-                txn.write(DATA_ADDR, vec![0x22; DATA_LEN]);
-                txn.commit(mem).expect("commit");
-            },
-            |rec| {
-                if recover_transactions(rec, LOG_ADDR).is_err() {
-                    return None;
-                }
-                let mut data = [0u8; DATA_LEN];
-                rec.read(DATA_ADDR, &mut data);
-                match data {
-                    d if d == [0x11; DATA_LEN] => Some(false),
-                    d if d == [0x22; DATA_LEN] => Some(true),
-                    _ => None,
-                }
-            },
-        );
-        vec![
-            (*name).into(),
-            total.to_string(),
-            tally.old.to_string(),
-            tally.new.to_string(),
-            tally.unrecoverable.to_string(),
-            tally.verdict().into(),
-        ]
-    });
-    let mut t1 = TextTable::new(headers.clone());
-    for row in t1_rows {
-        t1.row(row);
-    }
-
-    // --- Experiment 2: atomic in-place update (Figure 6).
-    let t2_rows = sweep(&SCHEMES, |name| {
-        let cfg = scheme_config(name);
-        let mut base = DirectMem::new(&cfg);
-        base.persist(DATA_ADDR, &OLD_WORD.to_le_bytes());
-        base.shutdown();
-        let (total, tally) = crash_sweep(
-            &cfg,
-            &base,
-            |mem| {
-                mem.persist(DATA_ADDR, &NEW_WORD.to_le_bytes());
-            },
-            |rec| match rec.read_u64(DATA_ADDR) {
-                OLD_WORD => Some(false),
-                NEW_WORD => Some(true),
-                _ => None,
-            },
-        );
-        vec![
-            (*name).into(),
-            total.to_string(),
-            tally.old.to_string(),
-            tally.new.to_string(),
-            tally.unrecoverable.to_string(),
-            tally.verdict().into(),
-        ]
-    });
-    let mut t2 = TextTable::new(headers);
-    for row in t2_rows {
-        t2.row(row);
-    }
-
     let mut rep = Report::new("table1");
     rep.section(
         "Table 1: durable transaction (undo log), crash at every append boundary",
-        t1,
+        crash_table(TxnSubject::DATA),
     );
     rep.section(
         "Figure 6 scenario: atomic 8-byte in-place update (no log)",
-        t2,
+        crash_table(InPlaceUpdate),
     );
     rep.footnote("(old = pre-mutation state; new = mutation visible)");
     rep.emit();

@@ -1,27 +1,24 @@
 //! Command implementations.
 
+use supermem::campaign::{shrink, Campaign, Case, Fault, Machine, Subject, SubjectReport, Verdict};
 use supermem::metrics::TextTable;
 use supermem::nvm::FaultClass;
-use supermem::persist::{
-    recover_osiris, recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager,
-};
+use supermem::persist::DirectMem;
 use supermem::scheme::FIGURE_SCHEMES;
 use supermem::sim::{CounterPlacement, Mutation};
-use supermem::torture::{self, TortureConfig};
+use supermem::torture::{
+    scheme_machines, torture_campaign, tree_campaign, TxnSubject, TORTURE_SCHEMES,
+};
 use supermem::verify::{check_run, check_run_trace, run_mutant_sharded, CheckReport};
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::Workload;
 use supermem::workloads::WorkloadKind;
 use supermem::{sweep, Experiment, RunConfig, RunResult, Scheme};
 use supermem_bench::Report;
-use supermem_kv::{
-    kv_crash_points, kv_run_case, kv_run_torture, kv_shrink_point, KvLayout, KvTortureCase,
-    KvTortureConfig, KvWorkload,
-};
+use supermem_kv::torture::KV_TORTURE_SCHEMES;
+use supermem_kv::{kv_campaign, KvLayout, KvWorkload};
 use supermem_lincheck::{find_minimal, lincheck, CrashMode, LincheckConfig, Mutant};
-use supermem_serve::{
-    run_serve, run_serve_torture, ServeConfig, ServeTortureConfig, StructureKind, TrafficSpec,
-};
+use supermem_serve::{run_serve, serve_campaign, ServeConfig, StructureKind, TrafficSpec};
 
 use crate::args::{parse_run_flags, parse_scheme, ArgError, Parsed};
 
@@ -282,107 +279,27 @@ pub fn cmd_profile(argv: &[String]) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Sweeps a crash over every append boundary of one durable transaction
-/// under `scheme`, classifying each recovery. Returns
-/// `(total, rolled_back, committed, unrecoverable)`.
-fn crash_sweep_scheme(scheme: Scheme, channels: usize) -> Result<(u64, u64, u64, u64), String> {
-    const DATA: u64 = 0x2000;
-    const LOG: u64 = 0x10_0000;
-    let cfg = scheme
-        .apply(supermem::sim::Config::default())
-        .with_channels(channels);
-    let mut base = DirectMem::new(&cfg);
-    base.persist(DATA, &[0x11; 256]);
-    base.shutdown();
-
-    let run_txn = |mem: &mut DirectMem| {
-        let mut txm = TxnManager::new(LOG, 4096);
-        let mut txn = txm.begin();
-        txn.write(DATA, vec![0x22; 256]);
-        txn.commit(mem).expect("commit");
-    };
-    let mut dry = base.clone();
-    let before = dry.controller().append_events();
-    run_txn(&mut dry);
-    dry.shutdown();
-    let total = dry.controller().append_events() - before;
-
-    let (mut old, mut new, mut bad) = (0u64, 0u64, 0u64);
-    for k in 1..=total {
-        let mut mem = base.clone();
-        mem.controller_mut().arm_crash_after_appends(k);
-        run_txn(&mut mem);
-        let Some(machine) = mem.controller_mut().take_machine_crash_image() else {
-            return Err(format!(
-                "{scheme}: crash armed after {k} appends never fired \
-                 (the transaction issued only {total})"
-            ));
-        };
-        // Osiris-style schemes reconstruct stale counters from ECC tags
-        // before the log scan; strict schemes go straight to recovery.
-        // On this clean (un-faulted) media a recovery error still means
-        // the scheme lost state it needed — count it as unrecoverable.
-        let rec = if cfg.osiris_window.is_some() {
-            recover_osiris(&cfg, machine.merged())
-                .map(|(rec, _)| rec)
-                .ok()
-        } else {
-            Some(RecoveredMemory::from_machine_image(&cfg, machine))
-        };
-        let Some(mut rec) = rec else {
-            bad += 1;
-            continue;
-        };
-        if recover_transactions(&mut rec, LOG).is_err() {
-            bad += 1;
-            continue;
-        }
-        let mut buf = [0u8; 256];
-        rec.read(DATA, &mut buf);
-        match buf {
-            b if b == [0x11; 256] => old += 1,
-            b if b == [0x22; 256] => new += 1,
-            _ => bad += 1,
-        }
-    }
-    Ok((total, old, new, bad))
-}
-
 /// `supermem crash [--scheme S] [--channels N] [--json]`: sweep a
 /// crash over every append boundary of one durable transaction — under
 /// every scheme by default, or just the named one.
 pub fn cmd_crash(argv: &[String]) -> Result<(), ArgError> {
-    let mut only: Option<Scheme> = None;
-    let mut channels = 1usize;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scheme" => {
-                let s = it
-                    .next()
-                    .ok_or_else(|| ArgError("--scheme needs a value".into()))?;
-                only = Some(parse_scheme(s)?);
-            }
-            "--channels" => {
-                channels = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| ArgError("invalid --channels".into()))?;
-                if channels == 0 || !channels.is_power_of_two() {
-                    return Err(ArgError("--channels must be a power of two".into()));
-                }
-            }
-            "--json" => {} // Report::emit picks this up from the process args.
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
+    let flags = CampaignFlags::parse(argv, false, |arg, _| match arg {
+        "--fault" | "--point" | "--seed" | "--seeds" => {
+            Err(ArgError(format!("unknown flag `{arg}`")))
         }
-    }
-    let schemes: Vec<Scheme> = match only {
-        Some(s) => vec![s],
-        None => ALL_SCHEMES.to_vec(),
-    };
+        _ => Ok(false),
+    })?;
+    let schemes = flags.scheme.map_or(ALL_SCHEMES.to_vec(), |s| vec![s]);
 
-    // Each scheme's crash-point sweep is independent: fan out.
-    let rows = sweep(&schemes, |&scheme| crash_sweep_scheme(scheme, channels));
+    // Crash-only: every case recovers an oracle state or it does not.
+    let campaign = Campaign {
+        subject: TxnSubject::DATA,
+        cells: scheme_machines(&schemes, &[flags.channels.unwrap_or(1)]),
+        faults: vec![Fault::None],
+        seeds: vec![1],
+        point: None,
+    };
+    let report = campaign.run();
 
     let mut t = TextTable::new(
         [
@@ -396,15 +313,14 @@ pub fn cmd_crash(argv: &[String]) -> Result<(), ArgError> {
         .map(str::to_owned)
         .to_vec(),
     );
-    for (scheme, row) in schemes.iter().zip(rows) {
-        let (total, old, new, bad) = row.map_err(ArgError)?;
+    for (label, s) in report.tally_by(|r| r.case.cell.label.clone()) {
         t.row(vec![
-            scheme.name().to_owned(),
-            total.to_string(),
-            old.to_string(),
-            new.to_string(),
-            bad.to_string(),
-            if bad == 0 {
+            label,
+            s.cases.to_string(),
+            s.old.to_string(),
+            s.new.to_string(),
+            s.unrecoverable().to_string(),
+            if s.unrecoverable() == 0 {
                 "recoverable at every crash point"
             } else {
                 "UNRECOVERABLE windows"
@@ -422,6 +338,174 @@ pub fn cmd_crash(argv: &[String]) -> Result<(), ArgError> {
     Ok(())
 }
 
+/// The flags every crash-campaign command shares:
+/// `--scheme/--fault/--point/--seed/--seeds/--channels` (and `--json`,
+/// which `Report::emit` reads from the process args).
+#[derive(Default)]
+struct CampaignFlags {
+    scheme: Option<Scheme>,
+    faults: Option<Vec<Fault>>,
+    point: Option<u64>,
+    seeds: Option<Vec<u64>>,
+    channels: Option<usize>,
+}
+
+impl CampaignFlags {
+    /// Parses `argv`. Each flag is offered to `extra` first, which
+    /// consumes the command's own flags (returning `true`); `tamper`
+    /// admits `--fault tamper`.
+    fn parse(
+        argv: &[String],
+        tamper: bool,
+        mut extra: impl FnMut(&str, &mut std::slice::Iter<String>) -> Result<bool, ArgError>,
+    ) -> Result<Self, ArgError> {
+        let mut f = Self::default();
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            if extra(arg, &mut it)? {
+                continue;
+            }
+            match arg.as_str() {
+                "--scheme" => f.scheme = Some(parse_scheme(&flag_value(&mut it, arg)?)?),
+                "--fault" => {
+                    let name = flag_value(&mut it, arg)?;
+                    f.faults = Some(vec![parse_fault(&name, tamper)?]);
+                }
+                "--point" => f.point = Some(flag_number(&mut it, arg)?),
+                "--seed" => f.seeds = Some(vec![flag_number(&mut it, arg)?]),
+                "--seeds" => {
+                    let n: u64 = flag_number(&mut it, arg)?;
+                    if n == 0 {
+                        return Err(ArgError("--seeds must be at least 1".into()));
+                    }
+                    f.seeds = Some((1..=n).collect());
+                }
+                "--channels" => {
+                    let n: usize = flag_number(&mut it, arg)?;
+                    if n == 0 || !n.is_power_of_two() {
+                        return Err(ArgError("--channels must be a power of two".into()));
+                    }
+                    f.channels = Some(n);
+                }
+                "--json" => {}
+                other => return Err(ArgError(format!("unknown flag `{other}`"))),
+            }
+        }
+        Ok(f)
+    }
+
+    /// Narrows `campaign` to the named faults, seeds and crash point.
+    fn narrow<S: Subject>(&self, campaign: &mut Campaign<S>) {
+        if let Some(faults) = &self.faults {
+            campaign.faults.clone_from(faults);
+        }
+        if let Some(seeds) = &self.seeds {
+            campaign.seeds.clone_from(seeds);
+        }
+        campaign.point = self.point;
+    }
+}
+
+fn flag_value(it: &mut std::slice::Iter<String>, flag: &str) -> Result<String, ArgError> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| ArgError(format!("{flag} needs a value")))
+}
+
+fn flag_number<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<String>,
+    flag: &str,
+) -> Result<T, ArgError> {
+    let raw = flag_value(it, flag)?;
+    raw.parse()
+        .map_err(|_| ArgError(format!("invalid {flag} `{raw}`")))
+}
+
+fn parse_fault(name: &str, tamper: bool) -> Result<Fault, ArgError> {
+    if name.eq_ignore_ascii_case("none") {
+        return Ok(Fault::None);
+    }
+    if tamper && name.eq_ignore_ascii_case("tamper") {
+        return Ok(Fault::Tamper);
+    }
+    FaultClass::parse(name).map(Fault::Media).ok_or_else(|| {
+        ArgError(format!(
+            "unknown fault `{name}` (expected {}one of: {})",
+            if tamper {
+                "none, tamper, or "
+            } else {
+                "none or "
+            },
+            FaultClass::ALL.map(FaultClass::name).join(" ")
+        ))
+    })
+}
+
+/// The tally table of a campaign: one row per `key` (column `header`),
+/// then the cases, the subject's two oracle-state columns in `states`
+/// order, detected and silent, and (with `verdict`) the fail-safe
+/// verdict.
+fn tally_table<S: Subject>(
+    campaign: &Campaign<S>,
+    report: &SubjectReport<S>,
+    header: &str,
+    key: impl Fn(&Case<S::Cell>) -> String,
+    states: [Verdict; 2],
+    verdict: bool,
+) -> TextTable {
+    let mut headers = vec![header.to_owned(), "cases".to_owned()];
+    headers.extend(
+        [states[0], states[1], Verdict::Detected].map(|v| campaign.subject.label(v).to_owned()),
+    );
+    headers.push("silent".to_owned());
+    if verdict {
+        headers.push("verdict".to_owned());
+    }
+    let mut t = TextTable::new(headers);
+    for (k, s) in report.tally_by(|r| key(&r.case)) {
+        let mut row = vec![k, s.cases.to_string()];
+        row.extend(
+            [states[0], states[1], Verdict::Detected, Verdict::Silent].map(|v| s.of(v).to_string()),
+        );
+        if verdict {
+            row.push(s.verdict().to_owned());
+        }
+        t.row(row);
+    }
+    t
+}
+
+/// Prints every silent case with its minimal reproducer and fails the
+/// command; a campaign without one passes.
+fn fail_on_silent<S: Subject>(
+    campaign: &Campaign<S>,
+    report: &SubjectReport<S>,
+) -> Result<(), ArgError> {
+    let silent = report.silent();
+    if silent.is_empty() {
+        return Ok(());
+    }
+    for r in &silent {
+        eprintln!();
+        eprintln!("silent corruption: {}", campaign.subject.repro(&r.case));
+        eprintln!("  {}", r.detail);
+        let min = Case {
+            point: campaign.shrink_point(&r.case),
+            ..r.case.clone()
+        };
+        eprintln!("  minimal repro: {}", campaign.subject.repro(&min));
+    }
+    Err(ArgError(format!(
+        "silent corruption in {} of {} injections",
+        silent.len(),
+        report.total()
+    )))
+}
+
+fn machine_label(case: &Case<Machine>) -> String {
+    case.cell.label.clone()
+}
+
 /// `supermem torture [--scheme S] [--fault F|none] [--point K]
 /// [--seed N] [--seeds COUNT] [--channels N] [--json]`: the differential crash-torture
 /// campaign — media faults injected at crash time, every recovered
@@ -431,90 +515,21 @@ pub fn cmd_torture(argv: &[String]) -> Result<(), ArgError> {
     if argv.iter().any(|a| a == "--tree") {
         return cmd_tree_torture(argv);
     }
-    let mut cfg = TortureConfig::default();
-    let mut it = argv.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, ArgError> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| ArgError(format!("{flag} needs a value")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scheme" => cfg.schemes = vec![parse_scheme(&value(&mut it, "--scheme")?)?],
-            "--fault" => {
-                let f = value(&mut it, "--fault")?;
-                cfg.classes = if f.eq_ignore_ascii_case("none") {
-                    vec![None]
-                } else {
-                    vec![Some(FaultClass::parse(&f).ok_or_else(|| {
-                        ArgError(format!(
-                            "unknown fault `{f}` (expected none or one of: {})",
-                            FaultClass::ALL.map(FaultClass::name).join(" ")
-                        ))
-                    })?)]
-                };
-            }
-            "--point" => {
-                cfg.point = Some(
-                    value(&mut it, "--point")?
-                        .parse()
-                        .map_err(|_| ArgError("invalid --point".into()))?,
-                );
-            }
-            "--seed" => {
-                cfg.seeds = vec![value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seed".into()))?];
-            }
-            "--seeds" => {
-                let n: u64 = value(&mut it, "--seeds")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seeds".into()))?;
-                if n == 0 {
-                    return Err(ArgError("--seeds must be at least 1".into()));
-                }
-                cfg.seeds = (1..=n).collect();
-            }
-            "--channels" => {
-                let n: usize = value(&mut it, "--channels")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --channels".into()))?;
-                if n == 0 || !n.is_power_of_two() {
-                    return Err(ArgError("--channels must be a power of two".into()));
-                }
-                cfg.channels = vec![n];
-            }
-            "--json" => {} // Report::emit picks this up from the process args.
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
+    let flags = CampaignFlags::parse(argv, false, |_, _| Ok(false))?;
+    let schemes = flags.scheme.map_or(TORTURE_SCHEMES.to_vec(), |s| vec![s]);
+    let channels = flags.channels.map_or(vec![1, 2], |n| vec![n]);
+    let mut campaign = torture_campaign(&schemes, &channels);
+    flags.narrow(&mut campaign);
+    let report = campaign.run();
 
-    let report = torture::run_torture(&cfg);
-
-    let mut t = TextTable::new(
-        [
-            "scheme",
-            "cases",
-            "recovered-old",
-            "recovered-new",
-            "detected",
-            "silent",
-            "verdict",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
+    let t = tally_table(
+        &campaign,
+        &report,
+        "scheme",
+        machine_label,
+        [Verdict::Old, Verdict::New],
+        true,
     );
-    for s in report.by_scheme() {
-        t.row(vec![
-            s.scheme.name().to_owned(),
-            s.cases.to_string(),
-            s.recovered_old.to_string(),
-            s.recovered_new.to_string(),
-            s.detected.to_string(),
-            s.silent.to_string(),
-            s.verdict().to_owned(),
-        ]);
-    }
     let mut rep = Report::new("torture");
     rep.section(
         "Differential crash torture: crash point x fault class x seed",
@@ -523,30 +538,13 @@ pub fn cmd_torture(argv: &[String]) -> Result<(), ArgError> {
     rep.footnote(&format!(
         "{} injections across {} scheme(s), {} fault class(es), {} seed(s)",
         report.total(),
-        cfg.schemes.len(),
-        cfg.classes.len(),
-        cfg.seeds.len()
+        schemes.len(),
+        campaign.faults.len(),
+        campaign.seeds.len()
     ));
     rep.footnote("(detected = degraded but flagged by ECC/poison/dirty-shutdown or a typed error)");
     rep.emit();
-
-    let silent = report.silent();
-    if silent.is_empty() {
-        return Ok(());
-    }
-    for r in &silent {
-        eprintln!();
-        eprintln!("silent corruption: {}", r.case.repro());
-        eprintln!("  {}", r.detail);
-        let mut min = r.case;
-        min.point = torture::shrink_point(&r.case);
-        eprintln!("  minimal repro: {}", min.repro());
-    }
-    Err(ArgError(format!(
-        "silent corruption in {} of {} injections",
-        silent.len(),
-        report.total()
-    )))
+    fail_on_silent(&campaign, &report)
 }
 
 /// `supermem torture --tree [--persisted-levels L] [--fault F|tamper|none]
@@ -554,121 +552,36 @@ pub fn cmd_torture(argv: &[String]) -> Result<(), ArgError> {
 /// campaign: media faults and ECC-clean tampering aimed at the persisted
 /// tree-node region of a streaming-tree SuperMem machine.
 fn cmd_tree_torture(argv: &[String]) -> Result<(), ArgError> {
-    use supermem::torture::{run_tree_torture, TreeFault, TreeTortureConfig};
-
-    let mut cfg = TreeTortureConfig::default();
-    let mut it = argv.iter();
-    let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, ArgError> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| ArgError(format!("{flag} needs a value")))
-    };
-    while let Some(arg) = it.next() {
-        #[allow(clippy::match_same_arms)] // `--tree` routed us here; `--json` is read elsewhere
-        match arg.as_str() {
-            "--tree" => {}
-            "--persisted-levels" => {
-                let n: u32 = value(&mut it, "--persisted-levels")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --persisted-levels".into()))?;
-                if n == 0 {
-                    return Err(ArgError(
-                        "--persisted-levels must be at least 1 (level 0 persists \
-                         nothing and leaves no tree region to torture)"
-                            .into(),
-                    ));
-                }
-                cfg.levels = vec![n];
+    let mut levels = vec![1, 2];
+    let flags = CampaignFlags::parse(argv, true, |arg, it| match arg {
+        "--tree" => Ok(true),
+        "--persisted-levels" => {
+            let n: u32 = flag_number(it, arg)?;
+            if n == 0 {
+                return Err(ArgError(
+                    "--persisted-levels must be at least 1 (level 0 persists \
+                     nothing and leaves no tree region to torture)"
+                        .into(),
+                ));
             }
-            "--fault" => {
-                let f = value(&mut it, "--fault")?;
-                cfg.faults = if f.eq_ignore_ascii_case("none") {
-                    vec![TreeFault::None]
-                } else if f.eq_ignore_ascii_case("tamper") {
-                    vec![TreeFault::Tamper]
-                } else {
-                    vec![TreeFault::Media(FaultClass::parse(&f).ok_or_else(
-                        || {
-                            ArgError(format!(
-                                "unknown fault `{f}` (expected none, tamper, or one of: {})",
-                                FaultClass::ALL.map(FaultClass::name).join(" ")
-                            ))
-                        },
-                    )?)]
-                };
-            }
-            "--point" => {
-                cfg.point = Some(
-                    value(&mut it, "--point")?
-                        .parse()
-                        .map_err(|_| ArgError("invalid --point".into()))?,
-                );
-            }
-            "--seed" => {
-                cfg.seeds = vec![value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seed".into()))?];
-            }
-            "--seeds" => {
-                let n: u64 = value(&mut it, "--seeds")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seeds".into()))?;
-                if n == 0 {
-                    return Err(ArgError("--seeds must be at least 1".into()));
-                }
-                cfg.seeds = (1..=n).collect();
-            }
-            "--json" => {} // Report::emit picks this up from the process args.
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
+            levels = vec![n];
+            Ok(true)
         }
-    }
+        "--scheme" | "--channels" => Err(ArgError(format!("unknown flag `{arg}`"))),
+        _ => Ok(false),
+    })?;
+    let mut campaign = tree_campaign(&levels).map_err(|e| ArgError(e.to_string()))?;
+    flags.narrow(&mut campaign);
+    let report = campaign.run();
 
-    let report = run_tree_torture(&cfg);
-
-    let mut t = TextTable::new(
-        [
-            "frontier",
-            "cases",
-            "recovered-old",
-            "recovered-new",
-            "detected",
-            "silent",
-            "verdict",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
+    let t = tally_table(
+        &campaign,
+        &report,
+        "frontier",
+        machine_label,
+        [Verdict::Old, Verdict::New],
+        true,
     );
-    for &levels in &cfg.levels {
-        let rows: Vec<_> = report
-            .results
-            .iter()
-            .filter(|r| r.case.levels == levels)
-            .collect();
-        let tally = |c| {
-            rows.iter()
-                .filter(|r| r.classification == c)
-                .count()
-                .to_string()
-        };
-        let silent = rows
-            .iter()
-            .filter(|r| r.classification == torture::Classification::Silent)
-            .count();
-        t.row(vec![
-            format!("L{levels}"),
-            rows.len().to_string(),
-            tally(torture::Classification::RecoveredOld),
-            tally(torture::Classification::RecoveredNew),
-            tally(torture::Classification::Detected),
-            silent.to_string(),
-            if silent > 0 {
-                "SILENT CORRUPTION"
-            } else {
-                "fail-safe"
-            }
-            .to_owned(),
-        ]);
-    }
     let mut rep = Report::new("tree-torture");
     rep.section(
         "Integrity-tree torture: crash point x tree fault x seed (SuperMem, streaming tree)",
@@ -677,29 +590,15 @@ fn cmd_tree_torture(argv: &[String]) -> Result<(), ArgError> {
     rep.footnote(&format!(
         "{} injections across {} frontier(s), {} fault(s), {} seed(s)",
         report.total(),
-        cfg.levels.len(),
-        cfg.faults.len(),
-        cfg.seeds.len()
+        levels.len(),
+        campaign.faults.len(),
+        campaign.seeds.len()
     ));
     rep.footnote(
         "(tamper = ECC-clean node-line forgery; only the recovery-time tree audit can catch it)",
     );
     rep.emit();
-
-    let silent = report.silent();
-    if silent.is_empty() {
-        return Ok(());
-    }
-    for r in &silent {
-        eprintln!();
-        eprintln!("silent corruption: {}", r.case.repro());
-        eprintln!("  {}", r.detail);
-    }
-    Err(ArgError(format!(
-        "silent corruption in {} of {} injections",
-        silent.len(),
-        report.total()
-    )))
+    fail_on_silent(&campaign, &report)
 }
 
 /// `supermem serve [--structure S] [--scheme S] [--cores N] [--requests N]
@@ -710,13 +609,10 @@ fn cmd_tree_torture(argv: &[String]) -> Result<(), ArgError> {
 /// [--fault F|none] [--point K] [--seed N] [--seeds COUNT] [--json]` —
 /// the CAS-window crash campaign.
 pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
+    if argv.iter().any(|a| a == "--torture") {
+        return cmd_serve_torture(argv);
+    }
     let mut cfg = ServeConfig::default();
-    let mut torture = false;
-    let mut fault: Option<Vec<Option<FaultClass>>> = None;
-    let mut point: Option<u64> = None;
-    let mut seeds: Option<Vec<u64>> = None;
-    let mut structure_named = false;
-    let mut seed_named = false;
     let mut it = argv.iter();
     let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, ArgError> {
         it.next()
@@ -728,7 +624,6 @@ pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--torture" => torture = true,
             "--structure" => {
                 let s = value(&mut it, "--structure")?;
                 cfg.structure = StructureKind::parse(&s).ok_or_else(|| {
@@ -736,7 +631,6 @@ pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
                         "unknown structure `{s}` (expected stack|queue|hash)"
                     ))
                 })?;
-                structure_named = true;
             }
             "--scheme" => cfg.scheme = parse_scheme(&value(&mut it, "--scheme")?)?,
             "--cores" => cfg.cores = parse_num(value(&mut it, "--cores")?, "--cores")? as usize,
@@ -756,17 +650,7 @@ pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
             "--buckets" => {
                 cfg.hash_buckets = parse_num(value(&mut it, "--buckets")?, "--buckets")?;
             }
-            "--seed" => {
-                cfg.seed = parse_num(value(&mut it, "--seed")?, "--seed")?;
-                seed_named = true;
-            }
-            "--seeds" => {
-                let n = parse_num(value(&mut it, "--seeds")?, "--seeds")?;
-                if n == 0 {
-                    return Err(ArgError("--seeds must be at least 1".into()));
-                }
-                seeds = Some((1..=n).collect());
-            }
+            "--seed" => cfg.seed = parse_num(value(&mut it, "--seed")?, "--seed")?,
             "--channels" => {
                 cfg.channels = parse_num(value(&mut it, "--channels")?, "--channels")? as usize;
                 if cfg.channels == 0 || !cfg.channels.is_power_of_two() {
@@ -784,33 +668,14 @@ pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
                 cfg.degraded_bank =
                     Some(parse_num(value(&mut it, "--degraded")?, "--degraded")? as usize);
             }
-            "--fault" => {
-                let f = value(&mut it, "--fault")?;
-                fault = Some(if f.eq_ignore_ascii_case("none") {
-                    vec![None]
-                } else {
-                    vec![Some(FaultClass::parse(&f).ok_or_else(|| {
-                        ArgError(format!(
-                            "unknown fault `{f}` (expected none or one of: {})",
-                            FaultClass::ALL.map(FaultClass::name).join(" ")
-                        ))
-                    })?)]
-                });
+            "--fault" | "--point" | "--seeds" => {
+                return Err(ArgError(
+                    "--fault/--point/--seeds only apply with --torture".into(),
+                ))
             }
-            "--point" => point = Some(parse_num(value(&mut it, "--point")?, "--point")?),
             "--json" => {} // Report::emit picks this up from the process args.
             other => return Err(ArgError(format!("unknown flag `{other}`"))),
         }
-    }
-
-    if torture {
-        if seeds.is_none() && seed_named {
-            seeds = Some(vec![cfg.seed]);
-        }
-        return cmd_serve_torture(&cfg, structure_named, fault, point, seeds);
-    }
-    if fault.is_some() || point.is_some() {
-        return Err(ArgError("--fault/--point only apply with --torture".into()));
     }
 
     cfg.validate().map_err(|e| ArgError(e.to_string()))?;
@@ -878,65 +743,34 @@ pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
 }
 
 /// The `--torture` arm of `cmd_serve`.
-fn cmd_serve_torture(
-    cfg: &ServeConfig,
-    structure_named: bool,
-    fault: Option<Vec<Option<FaultClass>>>,
-    point: Option<u64>,
-    seeds: Option<Vec<u64>>,
-) -> Result<(), ArgError> {
-    use supermem::torture::Classification;
+fn cmd_serve_torture(argv: &[String]) -> Result<(), ArgError> {
+    let mut structures = StructureKind::ALL.to_vec();
+    let flags = CampaignFlags::parse(argv, false, |arg, it| match arg {
+        "--torture" => Ok(true),
+        "--structure" => {
+            let s = flag_value(it, arg)?;
+            structures = vec![StructureKind::parse(&s).ok_or_else(|| {
+                ArgError(format!(
+                    "unknown structure `{s}` (expected stack|queue|hash)"
+                ))
+            })?];
+            Ok(true)
+        }
+        _ => Ok(false),
+    })?;
+    let scheme = flags.scheme.unwrap_or(ServeConfig::default().scheme);
+    let mut campaign = serve_campaign(&[scheme], &structures);
+    flags.narrow(&mut campaign);
+    let report = campaign.run();
 
-    let mut tc = ServeTortureConfig {
-        schemes: vec![cfg.scheme],
-        point,
-        ..ServeTortureConfig::default()
-    };
-    if structure_named {
-        tc.structures = vec![cfg.structure];
-    }
-    if let Some(classes) = fault {
-        tc.classes = classes;
-    }
-    if let Some(s) = seeds {
-        tc.seeds = s;
-    }
-
-    let report = run_serve_torture(&tc);
-    let mut t = TextTable::new(
-        [
-            "structure",
-            "cases",
-            "recovered-old",
-            "recovered-new",
-            "detected",
-            "silent",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
+    let t = tally_table(
+        &campaign,
+        &report,
+        "structure",
+        |c| c.cell.1.to_string(),
+        [Verdict::Old, Verdict::New],
+        false,
     );
-    for &structure in &tc.structures {
-        let of = |c: Classification| {
-            report
-                .results
-                .iter()
-                .filter(|r| r.case.structure == structure && r.classification == c)
-                .count()
-        };
-        t.row(vec![
-            structure.to_string(),
-            report
-                .results
-                .iter()
-                .filter(|r| r.case.structure == structure)
-                .count()
-                .to_string(),
-            of(Classification::RecoveredOld).to_string(),
-            of(Classification::RecoveredNew).to_string(),
-            of(Classification::Detected).to_string(),
-            of(Classification::Silent).to_string(),
-        ]);
-    }
     let mut rep = Report::new("serve-torture");
     rep.section(
         "CAS-window crash torture: crash point x fault class x seed",
@@ -945,27 +779,13 @@ fn cmd_serve_torture(
     rep.footnote(&format!(
         "{} injections across {} structure(s), {} fault class(es), {} seed(s)",
         report.total(),
-        tc.structures.len(),
-        tc.classes.len(),
-        tc.seeds.len()
+        structures.len(),
+        campaign.faults.len(),
+        campaign.seeds.len()
     ));
     rep.footnote("(crash points land between announce, node persist, linearizing CAS, completion)");
     rep.emit();
-
-    let silent = report.silent();
-    if silent.is_empty() {
-        return Ok(());
-    }
-    for r in &silent {
-        eprintln!();
-        eprintln!("silent corruption: {}", r.case.repro());
-        eprintln!("  {}", r.detail);
-    }
-    Err(ArgError(format!(
-        "silent corruption in {} of {} injections",
-        silent.len(),
-        report.total()
-    )))
+    fail_on_silent(&campaign, &report)
 }
 
 /// One named figure configuration the checker sweeps: a batch of runs
@@ -1125,28 +945,6 @@ fn check_one(cc: &CheckConfig) -> Result<CheckReport, ArgError> {
     Ok(merged)
 }
 
-/// Finds the smallest transaction count (halving from `txns`) at which
-/// `cc` still reports a violation — the minimal reproducer.
-fn shrink_repro(cc: &CheckConfig, txns: u64) -> u64 {
-    let mut best = txns;
-    let mut t = txns / 2;
-    while t >= 1 {
-        let smaller = CheckConfig {
-            name: cc.name,
-            runs: cc.runs.iter().map(|rc| rc.clone().with_txns(t)).collect(),
-            trace: cc.trace,
-        };
-        match check_one(&smaller) {
-            Ok(r) if !r.is_clean() => {
-                best = t;
-                t /= 2;
-            }
-            _ => break,
-        }
-    }
-    best
-}
-
 /// `supermem check [--json] [--txns N] [--config NAME] [--channels N]
 /// [--mutate M]`: run the persistency-ordering checker over the figure
 /// configurations (or prove a rule fires under an injected mutation).
@@ -1267,7 +1065,16 @@ pub fn cmd_check(argv: &[String]) -> Result<(), ArgError> {
                 eprintln!("    #{ord} {ev}");
             }
         }
-        let min = shrink_repro(cc, txns);
+        // The smallest transaction count (halving from `txns`) at which
+        // the configuration still reports a violation.
+        let min = shrink(txns, |t| {
+            let smaller = CheckConfig {
+                name: cc.name,
+                runs: cc.runs.iter().map(|rc| rc.clone().with_txns(t)).collect(),
+                trace: cc.trace,
+            };
+            check_one(&smaller).is_ok_and(|r| !r.is_clean())
+        });
         let ch = if channels == 1 {
             String::new()
         } else {
@@ -1498,17 +1305,6 @@ pub fn cmd_kv(argv: &[String]) -> Result<(), ArgError> {
     }
 }
 
-fn kv_value(it: &mut std::slice::Iter<String>, flag: &str) -> Result<String, ArgError> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| ArgError(format!("{flag} needs a value")))
-}
-
-fn kv_parse<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, ArgError> {
-    raw.parse()
-        .map_err(|_| ArgError(format!("invalid {flag} `{raw}`")))
-}
-
 fn cmd_kv_run(argv: &[String]) -> Result<(), ArgError> {
     let mut scheme = Scheme::SuperMem;
     let mut requests: u64 = 2000;
@@ -1517,26 +1313,25 @@ fn cmd_kv_run(argv: &[String]) -> Result<(), ArgError> {
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scheme" => scheme = parse_scheme(&kv_value(&mut it, "--scheme")?)?,
-            "--requests" => requests = kv_parse(&kv_value(&mut it, "--requests")?, "--requests")?,
+            "--scheme" => scheme = parse_scheme(&flag_value(&mut it, "--scheme")?)?,
+            "--requests" => requests = flag_number(&mut it, "--requests")?,
             "--read-pct" => {
-                spec.read_pct = kv_parse(&kv_value(&mut it, "--read-pct")?, "--read-pct")?;
+                spec.read_pct = flag_number(&mut it, "--read-pct")?;
                 if spec.read_pct > 100 {
                     return Err(ArgError("--read-pct must be 0..=100".into()));
                 }
             }
-            "--zipf" => spec.zipf_theta = kv_parse(&kv_value(&mut it, "--zipf")?, "--zipf")?,
+            "--zipf" => spec.zipf_theta = flag_number(&mut it, "--zipf")?,
             "--keyspace" => {
-                spec.keyspace = kv_parse(&kv_value(&mut it, "--keyspace")?, "--keyspace")?;
+                spec.keyspace = flag_number(&mut it, "--keyspace")?;
                 if spec.keyspace == 0 {
                     return Err(ArgError("--keyspace must be at least 1".into()));
                 }
             }
             "--snapshot-every" => {
-                snapshot_every =
-                    kv_parse(&kv_value(&mut it, "--snapshot-every")?, "--snapshot-every")?;
+                snapshot_every = flag_number(&mut it, "--snapshot-every")?;
             }
-            "--seed" => spec.seed = kv_parse(&kv_value(&mut it, "--seed")?, "--seed")?,
+            "--seed" => spec.seed = flag_number(&mut it, "--seed")?,
             "--json" => {}
             other => return Err(ArgError(format!("unknown flag `{other}`"))),
         }
@@ -1601,103 +1396,37 @@ fn cmd_kv_run(argv: &[String]) -> Result<(), ArgError> {
 }
 
 fn cmd_kv_torture(argv: &[String]) -> Result<(), ArgError> {
-    let mut cfg = KvTortureConfig::default();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scheme" => cfg.schemes = vec![parse_scheme(&kv_value(&mut it, "--scheme")?)?],
-            "--fault" => {
-                let f = kv_value(&mut it, "--fault")?;
-                cfg.classes = if f.eq_ignore_ascii_case("none") {
-                    vec![None]
-                } else {
-                    vec![Some(FaultClass::parse(&f).ok_or_else(|| {
-                        ArgError(format!(
-                            "unknown fault `{f}` (expected none or one of: {})",
-                            FaultClass::ALL.map(FaultClass::name).join(" ")
-                        ))
-                    })?)]
-                };
-            }
-            "--point" => cfg.point = Some(kv_parse(&kv_value(&mut it, "--point")?, "--point")?),
-            "--seed" => cfg.seeds = vec![kv_parse(&kv_value(&mut it, "--seed")?, "--seed")?],
-            "--seeds" => {
-                let n: u64 = kv_parse(&kv_value(&mut it, "--seeds")?, "--seeds")?;
-                if n == 0 {
-                    return Err(ArgError("--seeds must be at least 1".into()));
-                }
-                cfg.seeds = (1..=n).collect();
-            }
-            "--channels" => {
-                let n: usize = kv_parse(&kv_value(&mut it, "--channels")?, "--channels")?;
-                if n == 0 || !n.is_power_of_two() {
-                    return Err(ArgError("--channels must be a power of two".into()));
-                }
-                cfg.channels = vec![n];
-            }
-            "--json" => {}
-            other => return Err(ArgError(format!("unknown flag `{other}`"))),
-        }
-    }
+    let flags = CampaignFlags::parse(argv, false, |_, _| Ok(false))?;
+    let schemes = flags
+        .scheme
+        .map_or(KV_TORTURE_SCHEMES.to_vec(), |s| vec![s]);
+    let mut campaign = kv_campaign(&schemes, &[flags.channels.unwrap_or(1)]);
+    flags.narrow(&mut campaign);
+    let report = campaign.run();
 
-    let report = kv_run_torture(&cfg);
-
-    let mut t = TextTable::new(
-        [
-            "scheme",
-            "cases",
-            "recovered-committed",
-            "lost-unacked-tail",
-            "detected",
-            "silent",
-            "verdict",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
+    let t = tally_table(
+        &campaign,
+        &report,
+        "scheme",
+        machine_label,
+        [Verdict::New, Verdict::Old],
+        true,
     );
-    for s in report.by_scheme() {
-        t.row(vec![
-            s.scheme.name().to_owned(),
-            s.cases.to_string(),
-            s.committed.to_string(),
-            s.lost_tail.to_string(),
-            s.detected.to_string(),
-            s.silent.to_string(),
-            s.verdict().to_owned(),
-        ]);
-    }
     let mut rep = Report::new("kvtorture");
     rep.section("KV crash torture: crash point x fault class x seed", t);
     rep.footnote(&format!(
         "{} injections across {} scheme(s), {} fault class(es), {} seed(s)",
         report.total(),
-        cfg.schemes.len(),
-        cfg.classes.len(),
-        cfg.seeds.len()
+        schemes.len(),
+        campaign.faults.len(),
+        campaign.seeds.len()
     ));
     rep.footnote(
         "(lost-unacked-tail = only never-acknowledged ops missing; detected = degraded but \
          flagged by a typed error, the recovery report, or ECC/poison/dirty-shutdown)",
     );
     rep.emit();
-
-    let silent = report.silent();
-    if silent.is_empty() {
-        return Ok(());
-    }
-    for r in &silent {
-        eprintln!();
-        eprintln!("silent corruption: {}", r.case.repro());
-        eprintln!("  {}", r.detail);
-        let mut min = r.case;
-        min.point = kv_shrink_point(&r.case);
-        eprintln!("  minimal repro: {}", min.repro());
-    }
-    Err(ArgError(format!(
-        "silent corruption in {} of {} injections",
-        silent.len(),
-        report.total()
-    )))
+    fail_on_silent(&campaign, &report)
 }
 
 fn cmd_kv_recover(argv: &[String]) -> Result<(), ArgError> {
@@ -1707,29 +1436,32 @@ fn cmd_kv_recover(argv: &[String]) -> Result<(), ArgError> {
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scheme" => scheme = parse_scheme(&kv_value(&mut it, "--scheme")?)?,
-            "--seed" => seed = kv_parse(&kv_value(&mut it, "--seed")?, "--seed")?,
-            "--point" => point = Some(kv_parse(&kv_value(&mut it, "--point")?, "--point")?),
+            "--scheme" => scheme = parse_scheme(&flag_value(&mut it, "--scheme")?)?,
+            "--seed" => seed = flag_number(&mut it, "--seed")?,
+            "--point" => point = Some(flag_number(&mut it, "--point")?),
             "--json" => {}
             other => return Err(ArgError(format!("unknown flag `{other}`"))),
         }
     }
 
-    let total = kv_crash_points(scheme, 1, seed, KvTortureConfig::default().ops);
+    let campaign = kv_campaign(&[scheme], &[1]);
+    let cell = &campaign.cells[0];
+    let total = campaign.crash_points(cell, seed);
     let point = point.unwrap_or(total / 2).clamp(1, total);
-    let case = KvTortureCase {
-        scheme,
-        class: None,
+    let r = campaign.run_case(&Case {
+        cell: cell.clone(),
+        fault: Fault::None,
         point,
         seed,
-        channels: 1,
-    };
-    let r = kv_run_case(&case);
+    });
 
     let mut t = TextTable::new(["field", "value"].map(str::to_owned).to_vec());
     t.row(vec!["crash point".into(), format!("{point} of {total}")]);
-    t.row(vec!["classification".into(), r.classification.to_string()]);
-    match &r.recovery {
+    t.row(vec![
+        "classification".into(),
+        campaign.subject.label(r.verdict).into(),
+    ]);
+    match &r.evidence {
         Some(rec) => {
             t.row(vec![
                 "snapshot".into(),

@@ -140,6 +140,33 @@ fn crash_reports_a_verdict() {
     let (ok, stdout, _) = run(&["crash", "--scheme", "supermem"]);
     assert!(ok);
     assert!(stdout.contains("recoverable at every crash point"));
+
+    // The full table, pinned: every scheme has 12 crash points, 11 rolled
+    // back and 1 committed — except SCA, whose unpersisted counters
+    // leave 5 windows unrecoverable.
+    let (ok, stdout, _) = run(&["crash"]);
+    assert!(ok);
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .skip(3)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().take(5).collect())
+        .collect();
+    let expected: Vec<Vec<&str>> = [
+        "Unsec",
+        "WB",
+        "WT",
+        "WT+CWC",
+        "WT+XBank",
+        "SuperMem",
+        "WT+SameBank",
+        "Osiris",
+    ]
+    .iter()
+    .map(|&s| vec![s, "12", "11", "1", "0"])
+    .chain([vec!["SCA", "12", "7", "0", "5"]])
+    .collect();
+    assert_eq!(rows, expected);
 }
 
 #[test]
@@ -147,6 +174,12 @@ fn unknown_flags_fail_with_guidance() {
     let (ok, _, stderr) = run(&["run", "--bogus", "1"]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag"));
+    assert!(stderr.contains("usage:"));
+
+    // Out-of-range campaign input is an error with guidance, not a panic.
+    let (ok, _, stderr) = run(&["torture", "--tree", "--persisted-levels", "99"]);
+    assert!(!ok);
+    assert!(stderr.contains("exceeds integrity-tree height"), "{stderr}");
     assert!(stderr.contains("usage:"));
 }
 

@@ -55,11 +55,14 @@
 //! * [`verify`] — checked runs: the persistency-ordering checker
 //!   (`supermem-check`) attached to an experiment's probe stream, plus
 //!   the mutant harness proving each invariant fires.
-//! * [`torture`] — the differential crash-torture engine: media faults
-//!   injected at crash time, every recovered image checked against a
-//!   shadow oracle, silent corruption shrunk to a minimal reproducer.
+//! * [`campaign`] — the crash-campaign engine: crash after every
+//!   write-queue append, inject a media fault, recover, judge against a
+//!   subject's oracle, shrink silent corruption to a minimal reproducer.
+//! * [`torture`] — the undo-logged transaction as a campaign subject
+//!   (`supermem torture`, `torture --tree`, `crash`, `table1`).
 #![deny(missing_docs)]
 
+pub mod campaign;
 pub mod experiment;
 pub mod metrics;
 pub mod runner;
@@ -70,6 +73,7 @@ pub mod system;
 pub mod torture;
 pub mod verify;
 
+pub use campaign::{Campaign, Fault, Verdict};
 pub use experiment::{ConfigError, Experiment};
 pub use metrics::RunResult;
 pub use runner::{
@@ -80,10 +84,7 @@ pub use sca::ScaSystem;
 pub use scheme::Scheme;
 pub use sweep::{run_batch, sweep, thread_budget, worker_count};
 pub use system::{System, SystemBuilder};
-pub use torture::{
-    run_torture, run_tree_torture, Classification, TortureCase, TortureConfig, TortureReport,
-    TreeFault, TreeTortureCase, TreeTortureConfig, TreeTortureReport, TORTURE_SCHEMES,
-};
+pub use torture::{torture_campaign, tree_campaign, TxnSubject, TORTURE_SCHEMES};
 pub use verify::{
     check_run, check_run_trace, run_mutant, run_mutant_sharded, CheckReport, Checker, CheckerMode,
     Rule,

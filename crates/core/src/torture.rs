@@ -1,56 +1,42 @@
-//! Differential crash-torture engine (robustness campaign).
+//! The undo-logged transaction as a crash-campaign [`Subject`].
 //!
-//! Every scheme claims some crash-consistency story; this module attacks
-//! those claims with *media faults* layered on top of the crash model:
+//! Every scheme claims some crash-consistency story; these campaigns
+//! attack those claims with *media faults* layered on the crash model:
 //! torn write-queue drains, bit flips under a SECDED ECC model, stuck-at
-//! cells, transient read failures, and whole-bank fail-stops (see
-//! [`supermem_nvm::fault`]). A torture campaign sweeps
-//! crash-point × fault-class × seed across schemes in parallel (via
-//! [`mod@crate::sweep`]), recovers every resulting image, and differentially
-//! checks the recovered bytes against a shadow oracle holding the only
-//! two legal states — the pre-transaction and post-transaction images.
+//! cells, transient read failures and whole-bank fail-stops (see
+//! [`supermem_nvm::fault`]). The workload is one durable undo-logged
+//! transaction flipping [`DATA_LEN`] bytes from an old to a new image;
+//! recovery is [`recover_transactions`]; the oracle holds the only two
+//! legal states, the pre- and post-transaction images. The engine
+//! ([`crate::campaign`]) does everything else.
 //!
-//! Each case is classified ([`Classification`]):
+//! Two campaigns use the subject:
 //!
-//! * **recovered-old / recovered-new** — the data matches one oracle
-//!   state exactly: crash consistency held.
-//! * **detected** — recovery refused (a typed
-//!   [`RecoveryError`](supermem_persist::RecoveryError)) or the data is
-//!   wrong *and* a hardware-observable signal fired: an ECC detection, a
-//!   poisoned read, an Osiris unrecoverable line, or the NVDIMM
-//!   dirty-shutdown flag (real DIMMs latch a "last shutdown state" bit
-//!   when the ADR drain does not complete; torn or dropped drain entries
-//!   set the modeled equivalent). Degraded but honest.
-//! * **silent** — the data is neither oracle state and nothing noticed.
-//!   This is silent corruption, the one unacceptable outcome; the
-//!   campaign fails and [`shrink_point`] produces a minimal reproducer.
-//!
-//! The application-level companion campaign lives in
-//! `supermem_kv::torture`: the same crash arming, fault planning, and
-//! image capture, but judged against a KV store's shadow oracle of
-//! acknowledged operations (`supermem kv torture`).
+//! * [`torture_campaign`] — scheme rows, faults striking data lines
+//!   (`supermem torture`); `supermem crash` and `table1` run the same
+//!   subject crash-only.
+//! * [`tree_campaign`] — SuperMem with the streaming integrity tree
+//!   persisted to each frontier, faults (and ECC-clean tampering) aimed
+//!   at the persisted tree-node lines (`supermem torture --tree`).
 //!
 //! # Examples
 //!
 //! ```
-//! use supermem::torture::{run_torture, Classification, TortureConfig};
+//! use supermem::torture::torture_campaign;
+//! use supermem::Scheme;
 //!
-//! let mut cfg = TortureConfig::default();
-//! cfg.schemes = vec![supermem::Scheme::SuperMem];
-//! cfg.seeds = vec![1];
-//! let report = run_torture(&cfg);
+//! let mut campaign = torture_campaign(&[Scheme::SuperMem], &[1]);
+//! campaign.seeds = vec![1];
+//! let report = campaign.run();
 //! assert!(report.silent().is_empty(), "no silent corruption");
 //! assert!(report.total() > 0);
 //! ```
 
-use supermem_nvm::{FaultClass, FaultSpec};
-use supermem_persist::{
-    recover_osiris, recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager,
-};
-use supermem_sim::Config;
+use supermem_persist::{recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager};
+use supermem_sim::{Config, ConfigError};
 
+use crate::campaign::{Campaign, Case, Fault, Judgement, Machine, Subject, Target, Verdict};
 use crate::scheme::Scheme;
-use crate::sweep::sweep;
 
 /// Address of the data region the tortured transaction mutates.
 pub const DATA_ADDR: u64 = 0x2000;
@@ -59,8 +45,8 @@ pub const LOG_ADDR: u64 = 0x10_0000;
 /// Bytes mutated per transaction.
 pub const DATA_LEN: usize = 256;
 
-const OLD_BYTE: u8 = 0x11;
-const NEW_BYTE: u8 = 0x22;
+const OLD_IMAGE: [u8; DATA_LEN] = [0x11; DATA_LEN];
+const NEW_IMAGE: [u8; DATA_LEN] = [0x22; DATA_LEN];
 
 /// Schemes the campaign sweeps by default: every evaluated configuration
 /// except SCA, which by design does not persist its counters (the paper
@@ -78,715 +64,188 @@ pub const TORTURE_SCHEMES: [Scheme; 8] = [
     Scheme::Osiris,
 ];
 
-/// What a torture case amounted to after recovery and the differential
-/// check.
+/// One durable undo-logged transaction from the old to the new image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Classification {
-    /// The pre-transaction state survived intact (rollback or early
-    /// crash).
-    RecoveredOld,
-    /// The post-transaction state survived intact (commit completed).
-    RecoveredNew,
-    /// The state is degraded but the damage was *detected*: recovery
-    /// returned a typed error, or a hardware-observable fault signal
-    /// (ECC detection, poisoned read, dirty-shutdown flag) fired.
-    Detected,
-    /// Wrong data with no error and no detection signal: silent
-    /// corruption. A campaign containing one of these fails.
-    Silent,
+pub struct TxnSubject {
+    /// Where media faults strike: data lines (scheme rows) or the
+    /// persisted tree-node lines (frontier rows).
+    pub target: Target,
 }
 
-impl Classification {
-    /// Stable display spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Classification::RecoveredOld => "recovered-old",
-            Classification::RecoveredNew => "recovered-new",
-            Classification::Detected => "detected",
-            Classification::Silent => "SILENT",
-        }
+impl TxnSubject {
+    /// The data-line campaign of `supermem torture`, `crash` and `table1`.
+    pub const DATA: Self = Self {
+        target: Target::Data,
+    };
+    /// The tree-node campaign of `supermem torture --tree`.
+    pub const TREE: Self = Self {
+        target: Target::TreeNodes,
+    };
+}
+
+impl Subject for TxnSubject {
+    type Cell = Machine;
+    type State = ();
+    type Evidence = ();
+
+    fn config(&self, cell: &Machine) -> Config {
+        cell.cfg.clone()
     }
-}
 
-impl std::fmt::Display for Classification {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+    fn base(&self, cfg: &Config, _: &Machine, _: u64) -> (DirectMem, ()) {
+        let mut base = DirectMem::new(cfg);
+        base.persist(DATA_ADDR, &OLD_IMAGE);
+        base.shutdown();
+        (base, ())
     }
-}
 
-/// One fully determined torture case: scheme, optional fault (None is
-/// the no-fault baseline), crash point, and injection seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TortureCase {
-    /// Scheme under torture.
-    pub scheme: Scheme,
-    /// Fault class to inject, or `None` for the crash-only baseline.
-    pub class: Option<FaultClass>,
-    /// Crash after this many write-queue appends (1-based,
-    /// machine-wide across channels).
-    pub point: u64,
-    /// Seed fixing every choice the injection makes.
-    pub seed: u64,
-    /// Interleaved memory channels (power of two; 1 = the paper's
-    /// single controller).
-    pub channels: usize,
-}
-
-impl TortureCase {
-    /// The CLI invocation reproducing exactly this case.
-    pub fn repro(&self) -> String {
-        let mut line = format!(
-            "supermem torture --scheme {} --fault {} --point {} --seed {}",
-            self.scheme.name().to_ascii_lowercase(),
-            self.class.map_or("none", FaultClass::name),
-            self.point,
-            self.seed
-        );
-        if self.channels != 1 {
-            line.push_str(&format!(" --channels {}", self.channels));
-        }
-        line
+    fn workload(&self, mem: &mut DirectMem, (): &mut ()) {
+        let mut txm = TxnManager::new(LOG_ADDR, 4096);
+        let mut txn = txm.begin();
+        txn.write(DATA_ADDR, NEW_IMAGE.to_vec());
+        txn.commit(mem).expect("commit");
     }
-}
 
-/// The outcome of one executed [`TortureCase`].
-#[derive(Debug, Clone)]
-pub struct CaseResult {
-    /// The case that ran.
-    pub case: TortureCase,
-    /// How it was classified.
-    pub classification: Classification,
-    /// Human-readable evidence for the classification.
-    pub detail: String,
-}
-
-/// Per-scheme tally of classifications.
-#[derive(Debug, Clone, Copy)]
-pub struct SchemeSummary {
-    /// The scheme being summarized.
-    pub scheme: Scheme,
-    /// Total cases run against it.
-    pub cases: u64,
-    /// Cases classified [`Classification::RecoveredOld`].
-    pub recovered_old: u64,
-    /// Cases classified [`Classification::RecoveredNew`].
-    pub recovered_new: u64,
-    /// Cases classified [`Classification::Detected`].
-    pub detected: u64,
-    /// Cases classified [`Classification::Silent`].
-    pub silent: u64,
-}
-
-impl SchemeSummary {
-    /// One-word verdict for the summary table.
-    pub fn verdict(&self) -> &'static str {
-        if self.silent > 0 {
-            "SILENT CORRUPTION"
+    fn judge(&self, rec: &mut RecoveredMemory, (): &(), _: u64) -> Judgement<()> {
+        let outcome = match recover_transactions(rec, LOG_ADDR) {
+            Ok(o) => o,
+            Err(e) => return Judgement::of(Verdict::Detected, format!("log recovery failed: {e}")),
+        };
+        let mut buf = [0u8; DATA_LEN];
+        rec.read(DATA_ADDR, &mut buf);
+        if buf == OLD_IMAGE {
+            Judgement::of(Verdict::Old, format!("old state intact after {outcome:?}"))
+        } else if buf == NEW_IMAGE {
+            Judgement::of(Verdict::New, format!("new state intact after {outcome:?}"))
         } else {
-            "fail-safe"
-        }
-    }
-}
-
-/// Everything a torture campaign produced.
-#[derive(Debug, Clone)]
-pub struct TortureReport {
-    /// Every executed case, in sweep (input) order.
-    pub results: Vec<CaseResult>,
-}
-
-impl TortureReport {
-    /// Total number of injections executed.
-    pub fn total(&self) -> u64 {
-        self.results.len() as u64
-    }
-
-    /// The silent-corruption cases (a passing campaign has none).
-    pub fn silent(&self) -> Vec<&CaseResult> {
-        self.results
-            .iter()
-            .filter(|r| r.classification == Classification::Silent)
-            .collect()
-    }
-
-    /// Count of cases with the given classification.
-    pub fn count(&self, c: Classification) -> u64 {
-        self.results
-            .iter()
-            .filter(|r| r.classification == c)
-            .count() as u64
-    }
-
-    /// Per-scheme tallies, in first-seen order.
-    pub fn by_scheme(&self) -> Vec<SchemeSummary> {
-        let mut out: Vec<SchemeSummary> = Vec::new();
-        for r in &self.results {
-            if !out.iter().any(|s| s.scheme == r.case.scheme) {
-                out.push(SchemeSummary {
-                    scheme: r.case.scheme,
-                    cases: 0,
-                    recovered_old: 0,
-                    recovered_new: 0,
-                    detected: 0,
-                    silent: 0,
-                });
-            }
-            let entry = out
-                .iter_mut()
-                .find(|s| s.scheme == r.case.scheme)
-                .expect("present by construction");
-            entry.cases += 1;
-            match r.classification {
-                Classification::RecoveredOld => entry.recovered_old += 1,
-                Classification::RecoveredNew => entry.recovered_new += 1,
-                Classification::Detected => entry.detected += 1,
-                Classification::Silent => entry.silent += 1,
-            }
-        }
-        out
-    }
-}
-
-/// Campaign shape: which schemes, which fault classes (with `None` as
-/// the crash-only baseline), which seeds, and optionally a single fixed
-/// crash point instead of the full sweep.
-#[derive(Debug, Clone)]
-pub struct TortureConfig {
-    /// Schemes to torture.
-    pub schemes: Vec<Scheme>,
-    /// Fault classes; `None` entries run the crash-only baseline.
-    pub classes: Vec<Option<FaultClass>>,
-    /// Injection seeds; each (scheme, class, point) runs once per seed.
-    pub seeds: Vec<u64>,
-    /// Restrict the sweep to this single crash point, if set.
-    pub point: Option<u64>,
-    /// Channel counts to sweep. Channel counts above 1 run only the
-    /// schemes whose multi-channel behavior the campaign certifies
-    /// (SuperMem and WriteThrough) when more than one count is listed.
-    pub channels: Vec<usize>,
-}
-
-impl Default for TortureConfig {
-    fn default() -> Self {
-        let mut classes: Vec<Option<FaultClass>> = vec![None];
-        classes.extend(FaultClass::ALL.into_iter().map(Some));
-        Self {
-            schemes: TORTURE_SCHEMES.to_vec(),
-            classes,
-            seeds: vec![1, 2],
-            point: None,
-            channels: vec![1, 2],
-        }
-    }
-}
-
-fn old_image() -> [u8; DATA_LEN] {
-    [OLD_BYTE; DATA_LEN]
-}
-
-fn new_image() -> [u8; DATA_LEN] {
-    [NEW_BYTE; DATA_LEN]
-}
-
-/// Builds the pre-transaction system: the old data durably persisted,
-/// queues drained.
-fn base_system(cfg: &Config) -> DirectMem {
-    let mut base = DirectMem::new(cfg);
-    base.persist(DATA_ADDR, &old_image());
-    base.shutdown();
-    base
-}
-
-/// The tortured workload: one durable undo-logged transaction flipping
-/// the data region from the old to the new oracle state.
-fn run_txn(mem: &mut DirectMem) {
-    let mut txm = TxnManager::new(LOG_ADDR, 4096);
-    let mut txn = txm.begin();
-    txn.write(DATA_ADDR, new_image().to_vec());
-    txn.commit(mem).expect("commit");
-}
-
-/// Number of write-queue append boundaries the torture transaction
-/// crosses under `scheme` with `channels` interleaved controllers —
-/// i.e. how many distinct crash points the sweep visits (a dry run, no
-/// faults).
-pub fn crash_points(scheme: Scheme, channels: usize) -> u64 {
-    let cfg = scheme.apply(Config::default()).with_channels(channels);
-    crash_points_for(&cfg)
-}
-
-fn crash_points_for(cfg: &Config) -> u64 {
-    let base = base_system(cfg);
-    let mut dry = base.clone();
-    let before = dry.controller().append_events();
-    run_txn(&mut dry);
-    dry.shutdown();
-    dry.controller().append_events() - before
-}
-
-/// Executes one torture case end to end: establish the old state, arm
-/// the crash, inject the fault, run the transaction, recover the image,
-/// and classify the result against the shadow oracle.
-pub fn run_case(tc: &TortureCase) -> CaseResult {
-    let cfg = tc
-        .scheme
-        .apply(Config::default())
-        .with_channels(tc.channels);
-    let spec = tc.class.map(|class| FaultSpec {
-        class,
-        seed: tc.seed,
-    });
-
-    let base = base_system(&cfg);
-    let mut mem = base.clone();
-    mem.controller_mut().arm_crash_after_appends(tc.point);
-    if let Some(spec) = spec {
-        if spec.class.is_power_event() {
-            // Torn drains and bank fail-stops happen *at* the power
-            // event, inside the controller's crash snapshot.
-            mem.controller_mut().set_fault_plan(spec);
-        }
-    }
-    run_txn(&mut mem);
-
-    let mut machine = if let Some(m) = mem.controller_mut().take_machine_crash_image() {
-        m
-    } else {
-        // The armed point lies beyond the final append: the
-        // transaction completed. Finish cleanly and image that.
-        mem.shutdown();
-        mem.machine_crash_now()
-    };
-    if let Some(spec) = spec {
-        if !spec.class.is_power_event() {
-            // Media strikes (flips, stuck cells, transients) land on
-            // the settled image, after the dust of the crash — on one
-            // seed-chosen channel, mirroring the single fault plan a
-            // power event leaves behind.
-            let ch = (tc.seed as usize) % machine.channels.len();
-            machine.channels[ch].store.strike_faults(spec);
+            Judgement::wrong(false, format!("after {outcome:?}"))
         }
     }
 
-    classify(tc, &cfg, machine)
-}
-
-fn classify(
-    tc: &TortureCase,
-    cfg: &Config,
-    machine: supermem_memctrl::MachineCrashImage,
-) -> CaseResult {
-    let (classification, detail) = classify_image(cfg, machine);
-    CaseResult {
-        case: *tc,
-        classification,
-        detail,
-    }
-}
-
-/// Recovers `machine` and judges the result against the shadow oracle —
-/// the scheme-agnostic core shared by the main campaign and the
-/// integrity-tree campaign.
-fn classify_image(
-    cfg: &Config,
-    machine: supermem_memctrl::MachineCrashImage,
-) -> (Classification, String) {
-    let done = |classification, detail| (classification, detail);
-
-    // Recover counters first (Osiris trial decryption where the scheme
-    // relaxes counter persistence, integrity-checked rebuild otherwise),
-    // then replay/roll back the transaction log.
-    let (mut rec, osiris_unrecoverable) = if cfg.osiris_window.is_some() {
-        match recover_osiris(cfg, machine.merged()) {
-            Ok((rec, report)) => (rec, report.unrecoverable_lines),
-            Err(e) => {
-                return done(
-                    Classification::Detected,
-                    format!("osiris counter recovery refused: {e}"),
-                )
-            }
-        }
-    } else {
-        match RecoveredMemory::from_machine_image_checked(cfg, machine) {
-            Ok(rec) => (rec, 0),
-            Err(e) => {
-                return done(
-                    Classification::Detected,
-                    format!("image rebuild refused: {e}"),
-                )
-            }
-        }
-    };
-    let outcome = match recover_transactions(&mut rec, LOG_ADDR) {
-        Ok(o) => o,
-        Err(e) => {
-            return done(
-                Classification::Detected,
-                format!("log recovery failed: {e}"),
-            )
-        }
-    };
-
-    // Differential check against the shadow oracle: the only two legal
-    // states are the pre- and post-transaction images.
-    let mut buf = [0u8; DATA_LEN];
-    rec.read(DATA_ADDR, &mut buf);
-    if buf == old_image() {
-        return done(
-            Classification::RecoveredOld,
-            format!("old state intact after {outcome:?}"),
-        );
-    }
-    if buf == new_image() {
-        return done(
-            Classification::RecoveredNew,
-            format!("new state intact after {outcome:?}"),
-        );
-    }
-
-    // Wrong data: acceptable only if something noticed. `any_detected`
-    // covers ECC detections, poisoned/lost reads, and transient
-    // exhaustion; torn or dropped drain entries latch the modeled
-    // NVDIMM dirty-shutdown flag.
-    let fc = rec.store().fault_counters();
-    let dirty_shutdown = fc.torn_entries > 0 || fc.dropped_writes > 0;
-    if fc.any_detected() || dirty_shutdown || rec.media_failures() > 0 || osiris_unrecoverable > 0 {
-        return done(
-            Classification::Detected,
-            format!(
-                "degraded data with detection signals after {outcome:?}: \
-                 ecc_detections={} lost_reads={} transient_failures={} \
-                 torn_entries={} dropped_writes={} media_failures={} \
-                 osiris_unrecoverable={}",
-                fc.ecc_detections,
-                fc.lost_reads,
-                fc.transient_failures,
-                fc.torn_entries,
-                fc.dropped_writes,
-                rec.media_failures(),
-                osiris_unrecoverable
+    fn repro(&self, case: &Case<Machine>) -> String {
+        match self.target {
+            Target::Data => case.scheme_repro("torture"),
+            Target::TreeNodes => format!(
+                "supermem torture --tree --persisted-levels {} --fault {} --point {} --seed {}",
+                case.cell.cfg.persisted_levels.unwrap_or(0),
+                case.fault,
+                case.point,
+                case.seed
             ),
-        );
-    }
-    done(
-        Classification::Silent,
-        format!("data is neither oracle state and nothing detected it (after {outcome:?})"),
-    )
-}
-
-/// Shrinks a failing case to the smallest crash point that still
-/// reproduces its classification — the torture analogue of the checker's
-/// transaction-count shrinking. Returns the minimal point.
-pub fn shrink_point(tc: &TortureCase) -> u64 {
-    let target = run_case(tc).classification;
-    let mut best = tc.point;
-    let mut probe = tc.point / 2;
-    while probe >= 1 {
-        let mut smaller = *tc;
-        smaller.point = probe;
-        if run_case(&smaller).classification == target {
-            best = probe;
-            probe /= 2;
-        } else {
-            break;
         }
     }
-    best
+
+    fn target(&self) -> Target {
+        self.target
+    }
 }
 
-/// Runs the full campaign: for every scheme the crash points are counted
-/// with a dry run, then every (class, point, seed) combination fans out
-/// over the parallel sweep engine. Results come back in input order.
-pub fn run_torture(cfg: &TortureConfig) -> TortureReport {
-    let mut cases: Vec<TortureCase> = Vec::new();
-    for &channels in &cfg.channels {
-        for &scheme in &cfg.schemes {
-            // In matrix mode the multi-channel columns certify only the
-            // schemes whose sharded behavior the campaign pins down.
-            if channels != 1
-                && cfg.channels.len() > 1
+/// The scheme rows of a torture campaign, channel count outermost. When
+/// more than one channel count is listed (matrix mode), the
+/// multi-channel columns certify only the schemes whose sharded
+/// behaviour the campaign pins down: SuperMem and WriteThrough.
+pub fn scheme_machines(schemes: &[Scheme], channels: &[usize]) -> Vec<Machine> {
+    let mut rows = Vec::new();
+    for &ch in channels {
+        for &scheme in schemes {
+            if ch != 1
+                && channels.len() > 1
                 && !matches!(scheme, Scheme::SuperMem | Scheme::WriteThrough)
             {
                 continue;
             }
-            let total = crash_points(scheme, channels);
-            let points: Vec<u64> = match cfg.point {
-                Some(p) => vec![p.clamp(1, total)],
-                None => (1..=total).collect(),
-            };
-            for &class in &cfg.classes {
-                for &point in &points {
-                    for &seed in &cfg.seeds {
-                        cases.push(TortureCase {
-                            scheme,
-                            class,
-                            point,
-                            seed,
-                            channels,
-                        });
-                    }
-                }
-            }
+            rows.push(Machine::scheme(scheme, ch));
         }
     }
-    let results = sweep(&cases, run_case);
-    TortureReport { results }
+    rows
 }
 
-// ---------------------------------------------------------------------
-// Integrity-tree torture: media faults and active tampering aimed at the
-// persisted tree-node region of a streaming-tree machine.
-// ---------------------------------------------------------------------
-
-/// What the integrity-tree campaign injects into a crash image whose
-/// machine ran with the streaming tree armed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeFault {
-    /// Crash-only baseline: the streaming tree armed, nothing injected.
-    None,
-    /// A media fault. Power-event classes (torn drain, bank fail-stop)
-    /// strike *at* the crash — a fail-stopped bank takes its settled
-    /// tree-node lines with it. The others strike a seed-chosen
-    /// tree-node line on the settled image through the SECDED model.
-    Media(FaultClass),
-    /// An ECC-clean byte rewrite of one persisted node line — active
-    /// tampering that only the recovery-time tree audit can catch.
-    Tamper,
-}
-
-impl TreeFault {
-    /// Stable CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            TreeFault::None => "none",
-            TreeFault::Media(c) => c.name(),
-            TreeFault::Tamper => "tamper",
-        }
+/// `supermem torture`'s default shape over `schemes` × `channels`: the
+/// crash-only baseline plus every media fault class, seeds 1 and 2,
+/// every crash point.
+pub fn torture_campaign(schemes: &[Scheme], channels: &[usize]) -> Campaign<TxnSubject> {
+    Campaign {
+        subject: TxnSubject::DATA,
+        cells: scheme_machines(schemes, channels),
+        faults: Fault::media_grid(),
+        seeds: vec![1, 2],
+        point: None,
     }
 }
 
-impl std::fmt::Display for TreeFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One fully determined integrity-tree torture case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeTortureCase {
-    /// Persistence frontier of the tortured machine (`1..=height`;
-    /// level 0 would persist nothing and leave no tree region to hit).
-    pub levels: u32,
-    /// What to inject.
-    pub fault: TreeFault,
-    /// Crash after this many write-queue appends (1-based).
-    pub point: u64,
-    /// Seed fixing every choice the injection makes.
-    pub seed: u64,
-}
-
-impl TreeTortureCase {
-    /// The CLI invocation reproducing exactly this case.
-    pub fn repro(&self) -> String {
-        format!(
-            "supermem torture --tree --persisted-levels {} --fault {} --point {} --seed {}",
-            self.levels,
-            self.fault.name(),
-            self.point,
-            self.seed
-        )
-    }
-}
-
-/// The outcome of one executed [`TreeTortureCase`].
-#[derive(Debug, Clone)]
-pub struct TreeCaseResult {
-    /// The case that ran.
-    pub case: TreeTortureCase,
-    /// How it was classified.
-    pub classification: Classification,
-    /// Human-readable evidence for the classification.
-    pub detail: String,
-}
-
-/// Everything an integrity-tree campaign produced.
-#[derive(Debug, Clone)]
-pub struct TreeTortureReport {
-    /// Every executed case, in sweep (input) order.
-    pub results: Vec<TreeCaseResult>,
-}
-
-impl TreeTortureReport {
-    /// Total number of injections executed.
-    pub fn total(&self) -> u64 {
-        self.results.len() as u64
-    }
-
-    /// The silent-corruption cases (a passing campaign has none).
-    pub fn silent(&self) -> Vec<&TreeCaseResult> {
-        self.results
-            .iter()
-            .filter(|r| r.classification == Classification::Silent)
-            .collect()
-    }
-
-    /// Count of cases with the given classification.
-    pub fn count(&self, c: Classification) -> u64 {
-        self.results
-            .iter()
-            .filter(|r| r.classification == c)
-            .count() as u64
-    }
-}
-
-/// Campaign shape for the integrity-tree torture.
-#[derive(Debug, Clone)]
-pub struct TreeTortureConfig {
-    /// Persistence frontiers to torture (each `1..=height`).
-    pub levels: Vec<u32>,
-    /// Faults to inject; [`TreeFault::None`] is the crash-only baseline.
-    pub faults: Vec<TreeFault>,
-    /// Injection seeds.
-    pub seeds: Vec<u64>,
-    /// Restrict the sweep to this single crash point, if set.
-    pub point: Option<u64>,
-}
-
-impl Default for TreeTortureConfig {
-    fn default() -> Self {
-        let mut faults = vec![TreeFault::None, TreeFault::Tamper];
-        faults.extend(FaultClass::ALL.into_iter().map(TreeFault::Media));
-        Self {
-            levels: vec![1, 2],
-            faults,
-            seeds: vec![1, 2],
-            point: None,
-        }
-    }
-}
-
-/// The machine configuration a tree torture case runs: the full SuperMem
-/// scheme with the streaming integrity tree persisted to `levels`.
-pub fn tree_torture_config(levels: u32) -> Config {
-    let cfg = Scheme::SuperMem
-        .apply(Config::default())
-        .with_integrity_tree(true)
-        .with_persisted_levels(Some(levels));
-    #[allow(clippy::disallowed_methods)]
-    cfg.validate().expect("tree torture config is valid");
-    cfg
-}
-
-/// Executes one integrity-tree torture case end to end.
-pub fn run_tree_case(tc: &TreeTortureCase) -> TreeCaseResult {
-    let cfg = tree_torture_config(tc.levels);
-    let base = base_system(&cfg);
-    let mut mem = base.clone();
-    mem.controller_mut().arm_crash_after_appends(tc.point);
-    if let TreeFault::Media(class) = tc.fault {
-        if class.is_power_event() {
-            mem.controller_mut().set_fault_plan(FaultSpec {
-                class,
-                seed: tc.seed,
-            });
-        }
-    }
-    run_txn(&mut mem);
-
-    let mut machine = if let Some(m) = mem.controller_mut().take_machine_crash_image() {
-        m
-    } else {
-        mem.shutdown();
-        mem.machine_crash_now()
-    };
-    match tc.fault {
-        TreeFault::Media(class) if !class.is_power_event() => {
-            machine.channels[0].store.strike_tree_fault(FaultSpec {
-                class,
-                seed: tc.seed,
-            });
-        }
-        TreeFault::Tamper => {
-            machine.channels[0].store.tamper_tree_line(tc.seed);
-        }
-        _ => {}
-    }
-
-    let (classification, detail) = classify_image(&cfg, machine);
-    TreeCaseResult {
-        case: *tc,
-        classification,
-        detail,
-    }
-}
-
-/// Runs the integrity-tree campaign: crash points are counted with a dry
-/// run per frontier, then every (fault, point, seed) combination fans
-/// out over the parallel sweep engine.
-pub fn run_tree_torture(cfg: &TreeTortureConfig) -> TreeTortureReport {
-    let mut cases: Vec<TreeTortureCase> = Vec::new();
-    for &levels in &cfg.levels {
-        let total = crash_points_for(&tree_torture_config(levels));
-        let points: Vec<u64> = match cfg.point {
-            Some(p) => vec![p.clamp(1, total)],
-            None => (1..=total).collect(),
-        };
-        for &fault in &cfg.faults {
-            for &point in &points {
-                for &seed in &cfg.seeds {
-                    cases.push(TreeTortureCase {
-                        levels,
-                        fault,
-                        point,
-                        seed,
-                    });
-                }
-            }
-        }
-    }
-    let results = sweep(&cases, run_tree_case);
-    TreeTortureReport { results }
+/// `supermem torture --tree`'s default shape over the persistence
+/// frontiers `levels` (each `1..=height`; level 0 persists nothing and
+/// leaves no tree region to hit): SuperMem with the streaming integrity
+/// tree persisted to each frontier, crash-only, tamper and every media
+/// fault class, seeds 1 and 2. Rows are labelled `L1`, `L2`, ...
+///
+/// # Errors
+///
+/// The machine's [`ConfigError`] when a frontier exceeds the tree's
+/// height.
+pub fn tree_campaign(levels: &[u32]) -> Result<Campaign<TxnSubject>, ConfigError> {
+    let mut faults = vec![Fault::None, Fault::Tamper];
+    faults.extend(Fault::media_grid().into_iter().skip(1));
+    let cells = levels
+        .iter()
+        .map(|&l| {
+            let cfg = Scheme::SuperMem
+                .apply(Config::default())
+                .with_integrity_tree(true)
+                .with_persisted_levels(Some(l));
+            cfg.validate()?;
+            Ok(Machine::new(&format!("L{l}"), cfg))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Campaign {
+        subject: TxnSubject::TREE,
+        cells,
+        faults,
+        seeds: vec![1, 2],
+        point: None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{shrink, SubjectReport};
+    use supermem_nvm::FaultClass;
 
-    fn single(scheme: Scheme, class: Option<FaultClass>, seeds: &[u64]) -> TortureReport {
-        single_ch(scheme, class, seeds, 1)
+    fn single(scheme: Scheme, fault: Fault, seeds: &[u64]) -> SubjectReport<TxnSubject> {
+        single_ch(scheme, fault, seeds, 1)
     }
 
     fn single_ch(
         scheme: Scheme,
-        class: Option<FaultClass>,
+        fault: Fault,
         seeds: &[u64],
         channels: usize,
-    ) -> TortureReport {
-        let cfg = TortureConfig {
-            schemes: vec![scheme],
-            classes: vec![class],
+    ) -> SubjectReport<TxnSubject> {
+        Campaign {
+            faults: vec![fault],
             seeds: seeds.to_vec(),
-            point: None,
-            channels: vec![channels],
-        };
-        run_torture(&cfg)
+            ..torture_campaign(&[scheme], &[channels])
+        }
+        .run()
+    }
+
+    fn repro(case: &Case<Machine>) -> String {
+        TxnSubject::DATA.repro(case)
     }
 
     #[test]
     fn baseline_without_faults_always_recovers_an_oracle_state() {
-        // Satellite (c): recovery of an un-faulted crash image must never
-        // report corruption, at any crash point, under several seeds.
+        // Recovery of an un-faulted crash image must never report
+        // corruption, at any crash point, under several seeds.
         for scheme in [Scheme::SuperMem, Scheme::WriteThrough, Scheme::Osiris] {
-            let report = single(scheme, None, &[1, 2, 3]);
+            let report = single(scheme, Fault::None, &[1, 2, 3]);
             for r in &report.results {
                 assert!(
-                    matches!(
-                        r.classification,
-                        Classification::RecoveredOld | Classification::RecoveredNew
-                    ),
+                    matches!(r.verdict, Verdict::Old | Verdict::New),
                     "{}: un-faulted case must recover cleanly, got {} ({})",
-                    r.case.repro(),
-                    r.classification,
+                    repro(&r.case),
+                    r.verdict,
                     r.detail
                 );
             }
@@ -795,29 +254,30 @@ mod tests {
 
     #[test]
     fn torn_drains_never_corrupt_silently() {
-        let report = single(Scheme::SuperMem, Some(FaultClass::Torn), &[1, 2, 3, 4]);
+        let report = single(
+            Scheme::SuperMem,
+            Fault::Media(FaultClass::Torn),
+            &[1, 2, 3, 4],
+        );
         assert!(report.silent().is_empty(), "torn drain slipped through");
         // The tear must actually bite somewhere: at least one case must
-        // deviate from the clean-crash classification or carry tear
-        // evidence in its detail.
+        // deviate from the clean-crash classification.
         assert!(
-            report
-                .results
-                .iter()
-                .any(|r| r.classification == Classification::Detected),
+            report.count(Verdict::Detected) > 0,
             "no torn case was detected — the injection is not wired up"
         );
     }
 
     #[test]
     fn double_flips_are_detected_not_silent() {
-        let report = single(Scheme::SuperMem, Some(FaultClass::DoubleFlip), &[1, 2, 3]);
+        let report = single(
+            Scheme::SuperMem,
+            Fault::Media(FaultClass::DoubleFlip),
+            &[1, 2, 3],
+        );
         assert!(report.silent().is_empty());
         assert!(
-            report
-                .results
-                .iter()
-                .any(|r| r.classification == Classification::Detected),
+            report.count(Verdict::Detected) > 0,
             "an uncorrectable double flip must surface as detected"
         );
     }
@@ -827,12 +287,12 @@ mod tests {
         // SECDED corrects single wrong bits, so these classes should
         // leave recovery intact (and certainly never silent).
         for class in [FaultClass::BitFlip, FaultClass::StuckAt] {
-            let report = single(Scheme::SuperMem, Some(class), &[1, 2]);
+            let report = single(Scheme::SuperMem, Fault::Media(class), &[1, 2]);
             assert!(report.silent().is_empty(), "{class}: silent corruption");
             assert_eq!(
-                report.count(Classification::RecoveredOld)
-                    + report.count(Classification::RecoveredNew)
-                    + report.count(Classification::Detected),
+                report.count(Verdict::Old)
+                    + report.count(Verdict::New)
+                    + report.count(Verdict::Detected),
                 report.total()
             );
         }
@@ -840,77 +300,79 @@ mod tests {
 
     #[test]
     fn transient_reads_are_retried_through() {
-        let report = single(Scheme::SuperMem, Some(FaultClass::TransientRead), &[1, 2]);
+        let report = single(
+            Scheme::SuperMem,
+            Fault::Media(FaultClass::TransientRead),
+            &[1, 2],
+        );
         assert!(report.silent().is_empty());
     }
 
     #[test]
     fn bank_failures_degrade_but_never_lie() {
-        let report = single(Scheme::SuperMem, Some(FaultClass::BankFail), &[1, 2]);
+        let report = single(
+            Scheme::SuperMem,
+            Fault::Media(FaultClass::BankFail),
+            &[1, 2],
+        );
         assert!(report.silent().is_empty(), "bank loss must be detected");
         assert!(
-            report
-                .results
-                .iter()
-                .any(|r| r.classification == Classification::Detected),
+            report.count(Verdict::Detected) > 0,
             "losing a whole bank must be detected somewhere in the sweep"
         );
     }
 
     #[test]
     fn report_tallies_are_consistent() {
-        let report = single(Scheme::WriteThrough, Some(FaultClass::BitFlip), &[7]);
-        let by_scheme = report.by_scheme();
-        assert_eq!(by_scheme.len(), 1);
-        let s = by_scheme[0];
-        assert_eq!(s.cases, report.total());
-        assert_eq!(
-            s.recovered_old + s.recovered_new + s.detected + s.silent,
-            s.cases
+        let report = single(
+            Scheme::WriteThrough,
+            Fault::Media(FaultClass::BitFlip),
+            &[7],
         );
+        let by_scheme = report.tally_by(|r| r.case.cell.label.clone());
+        assert_eq!(by_scheme.len(), 1);
+        let s = by_scheme[0].1;
+        assert_eq!(s.cases, report.total());
+        assert_eq!(s.old + s.new + s.detected + s.silent, s.cases);
         assert_eq!(s.verdict(), "fail-safe");
     }
 
     #[test]
     fn repro_line_round_trips_through_the_cli_spelling() {
-        let tc = TortureCase {
-            scheme: Scheme::WtXbank,
-            class: Some(FaultClass::DoubleFlip),
-            point: 5,
-            seed: 9,
-            channels: 1,
+        let case = |scheme, fault, point, seed, channels| Case {
+            cell: Machine::scheme(scheme, channels),
+            fault,
+            point,
+            seed,
         };
+        let tc = case(
+            Scheme::WtXbank,
+            Fault::Media(FaultClass::DoubleFlip),
+            5,
+            9,
+            1,
+        );
         assert_eq!(
-            tc.repro(),
+            repro(&tc),
             "supermem torture --scheme wt+xbank --fault double-flip --point 5 --seed 9"
         );
-        let tc = TortureCase {
-            scheme: Scheme::SuperMem,
-            class: None,
-            point: 1,
-            seed: 1,
-            channels: 1,
-        };
-        assert!(tc.repro().contains("--fault none"));
-        let mut tc2 = tc;
-        tc2.channels = 2;
-        assert!(tc2.repro().ends_with("--channels 2"));
+        let tc = case(Scheme::SuperMem, Fault::None, 1, 1, 1);
+        assert!(repro(&tc).contains("--fault none"));
+        let tc2 = case(Scheme::SuperMem, Fault::None, 1, 1, 2);
+        assert!(repro(&tc2).ends_with("--channels 2"));
     }
 
     #[test]
     fn multi_channel_baseline_recovers_an_oracle_state() {
         for scheme in [Scheme::SuperMem, Scheme::WriteThrough] {
-            let report = single_ch(scheme, None, &[1, 2], 2);
+            let report = single_ch(scheme, Fault::None, &[1, 2], 2);
             for r in &report.results {
-                assert_eq!(r.case.channels, 2);
+                assert_eq!(r.case.cell.cfg.channels, 2);
                 assert!(
-                    matches!(
-                        r.classification,
-                        Classification::RecoveredOld | Classification::RecoveredNew
-                    ),
+                    matches!(r.verdict, Verdict::Old | Verdict::New),
                     "{}: un-faulted 2-channel case must recover cleanly, got {} ({})",
-                    r.case.repro(),
-                    r.classification,
+                    repro(&r.case),
+                    r.verdict,
                     r.detail
                 );
             }
@@ -919,7 +381,7 @@ mod tests {
 
     #[test]
     fn multi_channel_torn_drains_never_corrupt_silently() {
-        let report = single_ch(Scheme::SuperMem, Some(FaultClass::Torn), &[1, 2], 2);
+        let report = single_ch(Scheme::SuperMem, Fault::Media(FaultClass::Torn), &[1, 2], 2);
         assert!(
             report.silent().is_empty(),
             "torn drain slipped through at 2 channels"
@@ -928,59 +390,61 @@ mod tests {
 
     #[test]
     fn matrix_mode_limits_multi_channel_columns_to_certified_schemes() {
-        let cfg = TortureConfig {
-            schemes: vec![Scheme::SuperMem, Scheme::Osiris],
-            classes: vec![None],
+        let campaign = Campaign {
+            faults: vec![Fault::None],
             seeds: vec![1],
             point: Some(1),
-            channels: vec![1, 2],
+            ..torture_campaign(&[Scheme::SuperMem, Scheme::Osiris], &[1, 2])
         };
-        let report = run_torture(&cfg);
-        assert!(report
-            .results
-            .iter()
-            .any(|r| r.case.scheme == Scheme::Osiris && r.case.channels == 1));
-        assert!(
-            !report
+        let report = campaign.run();
+        let has = |label: &str, ch: usize| {
+            report
                 .results
                 .iter()
-                .any(|r| r.case.scheme == Scheme::Osiris && r.case.channels == 2),
+                .any(|r| r.case.cell.label == label && r.case.cell.cfg.channels == ch)
+        };
+        assert!(has("Osiris", 1));
+        assert!(
+            !has("Osiris", 2),
             "Osiris must not appear in the multi-channel column"
         );
-        assert!(report
-            .results
-            .iter()
-            .any(|r| r.case.scheme == Scheme::SuperMem && r.case.channels == 2));
+        assert!(has("SuperMem", 2));
     }
 
     #[test]
     fn shrink_finds_a_smaller_point_with_the_same_outcome() {
         // Shrinking a clean case keeps its class of outcome; the exact
-        // classification at the minimal point must match the original's.
-        let tc = TortureCase {
-            scheme: Scheme::SuperMem,
-            class: None,
-            point: crash_points(Scheme::SuperMem, 1),
+        // verdict at the minimal point must match the original's.
+        let campaign = torture_campaign(&[Scheme::SuperMem], &[1]);
+        let cell = campaign.cells[0].clone();
+        let tc = Case {
+            point: campaign.crash_points(&cell, 1),
+            cell,
+            fault: Fault::None,
             seed: 1,
-            channels: 1,
         };
-        let min = shrink_point(&tc);
+        let verdict_at = |point| {
+            campaign
+                .run_case(&Case {
+                    point,
+                    ..tc.clone()
+                })
+                .verdict
+        };
+        let target = verdict_at(tc.point);
+        let min = shrink(tc.point, |p| verdict_at(p) == target);
         assert!(min >= 1 && min <= tc.point);
-        let mut at_min = tc;
-        at_min.point = min;
-        assert_eq!(
-            run_case(&at_min).classification,
-            run_case(&tc).classification
-        );
+        assert_eq!(min, campaign.shrink_point(&tc));
+        assert_eq!(verdict_at(min), target);
     }
 
-    fn tree_single(levels: u32, fault: TreeFault, seeds: &[u64]) -> TreeTortureReport {
-        run_tree_torture(&TreeTortureConfig {
-            levels: vec![levels],
+    fn tree_single(levels: u32, fault: Fault, seeds: &[u64]) -> SubjectReport<TxnSubject> {
+        Campaign {
             faults: vec![fault],
             seeds: seeds.to_vec(),
-            point: None,
-        })
+            ..tree_campaign(&[levels]).expect("valid frontier")
+        }
+        .run()
     }
 
     #[test]
@@ -988,16 +452,13 @@ mod tests {
         // The streaming tree must not *cause* recovery failures: an
         // un-faulted crash at any point recovers one oracle state.
         for levels in [1, 2] {
-            let report = tree_single(levels, TreeFault::None, &[1, 2]);
+            let report = tree_single(levels, Fault::None, &[1, 2]);
             for r in &report.results {
                 assert!(
-                    matches!(
-                        r.classification,
-                        Classification::RecoveredOld | Classification::RecoveredNew
-                    ),
+                    matches!(r.verdict, Verdict::Old | Verdict::New),
                     "{}: un-faulted streaming-tree case must recover cleanly, got {} ({})",
-                    r.case.repro(),
-                    r.classification,
+                    TxnSubject::TREE.repro(&r.case),
+                    r.verdict,
                     r.detail
                 );
             }
@@ -1006,13 +467,13 @@ mod tests {
 
     #[test]
     fn tree_node_double_flips_are_detected_not_silent() {
-        let report = tree_single(1, TreeFault::Media(FaultClass::DoubleFlip), &[1, 2]);
+        let report = tree_single(1, Fault::Media(FaultClass::DoubleFlip), &[1, 2]);
         assert!(
             report.silent().is_empty(),
             "tree-node damage slipped through"
         );
         assert!(
-            report.count(Classification::Detected) > 0,
+            report.count(Verdict::Detected) > 0,
             "an uncorrectable tree-node flip must surface as detected"
         );
     }
@@ -1023,13 +484,13 @@ mod tests {
         // see it, and it must see it every time — the whole point of
         // persisting the frontier.
         for levels in [1, 2] {
-            let report = tree_single(levels, TreeFault::Tamper, &[1, 2, 3]);
+            let report = tree_single(levels, Fault::Tamper, &[1, 2, 3]);
             for r in &report.results {
                 assert_eq!(
-                    r.classification,
-                    Classification::Detected,
+                    r.verdict,
+                    Verdict::Detected,
                     "{}: forged node line not detected ({})",
-                    r.case.repro(),
+                    TxnSubject::TREE.repro(&r.case),
                     r.detail
                 );
             }
@@ -1038,24 +499,24 @@ mod tests {
 
     #[test]
     fn tree_bank_failure_takes_node_lines_honestly() {
-        let report = tree_single(1, TreeFault::Media(FaultClass::BankFail), &[1, 2]);
+        let report = tree_single(1, Fault::Media(FaultClass::BankFail), &[1, 2]);
         assert!(
             report.silent().is_empty(),
             "lost tree lines must be detected"
         );
-        assert!(report.count(Classification::Detected) > 0);
+        assert!(report.count(Verdict::Detected) > 0);
     }
 
     #[test]
     fn tree_repro_line_round_trips_through_the_cli_spelling() {
-        let tc = TreeTortureCase {
-            levels: 2,
-            fault: TreeFault::Tamper,
+        let tc = Case {
+            cell: tree_campaign(&[2]).expect("valid frontier").cells[0].clone(),
+            fault: Fault::Tamper,
             point: 5,
             seed: 9,
         };
         assert_eq!(
-            tc.repro(),
+            TxnSubject::TREE.repro(&tc),
             "supermem torture --tree --persisted-levels 2 --fault tamper --point 5 --seed 9"
         );
     }

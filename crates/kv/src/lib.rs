@@ -27,11 +27,12 @@
 //! * **Invariants** ([`invariants`]): R1–R6 (deterministic,
 //!   idempotent, prefix-consistent, never invents, never silently
 //!   drops, bounded degradation) as executable checks.
-//! * **Torture** ([`torture`]): crashes armed at every write-queue
-//!   append — every WAL append, snapshot write, and manifest flip —
-//!   crossed with the media fault classes, recovered, and judged
-//!   against the [`oracle`] of acknowledged operations. The campaign
-//!   passes only with zero silent-corruption cases.
+//! * **Torture** ([`torture`]): the store as a crash-campaign subject —
+//!   crashes armed at every write-queue append (every WAL append,
+//!   snapshot write, and manifest flip), crossed with the media fault
+//!   classes, recovered, and judged against the [`oracle`] of
+//!   acknowledged operations. The campaign passes only with zero
+//!   silent-corruption cases.
 //! * **Workload** ([`workload`]): the store behind the unified
 //!   `Workload` trait, driven by the serving engine's Zipfian traffic.
 //!
@@ -55,9 +56,6 @@ pub use layout::{KvLayout, LayoutError};
 pub use oracle::{op_stream, Legality, ShadowOracle};
 pub use recovery::{recover, Recovered, RecoveryError, RecoveryOptions, RecoveryResult};
 pub use store::{KvError, KvStats, KvStore};
-pub use torture::{
-    kv_crash_points, kv_run_case, kv_run_torture, kv_shrink_point, KvCaseResult, KvClassification,
-    KvTortureCase, KvTortureConfig, KvTortureReport,
-};
+pub use torture::{kv_campaign, KvSubject};
 pub use wal::KvOp;
 pub use workload::KvWorkload;

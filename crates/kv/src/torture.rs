@@ -1,43 +1,42 @@
-//! Differential crash torture for the KV store: every WAL append,
-//! snapshot write, and checkpoint-pointer flip is a crash point;
-//! every crash point is crossed with the media fault classes of
-//! [`supermem::torture`]; every recovered store is checked against the
-//! shadow oracle of acknowledged operations.
+//! The KV store as a crash-campaign subject: every WAL append,
+//! snapshot write, and checkpoint-pointer flip is a crash point; every
+//! crash point is crossed with the media fault classes; every recovered
+//! store is checked against the shadow oracle of acknowledged
+//! operations. The crash-campaign engine ([`supermem::campaign`]) runs
+//! the loop; [`KvSubject`] supplies the store, its op stream, the
+//! paranoid [`recover`] and the oracle.
 //!
-//! A case is classified ([`KvClassification`]):
+//! The campaign's verdicts read, for this subject:
 //!
-//! * **recovered-committed** — every operation issued before the crash
-//!   survived (possibly including the unacknowledged in-flight one).
-//! * **lost-unacked-tail** — all *acknowledged* operations survived;
-//!   the in-flight tail did not. This is the contract working as
-//!   designed.
+//! * **recovered-committed** ([`Verdict::New`]) — every operation issued
+//!   before the crash survived (possibly including the unacknowledged
+//!   in-flight one).
+//! * **lost-unacked-tail** ([`Verdict::Old`]) — all *acknowledged*
+//!   operations survived; the in-flight tail did not. This is the
+//!   contract working as designed.
 //! * **detected** — the recovered state is degraded, but honestly:
 //!   recovery refused with a typed [`RecoveryError`], or the damage is
 //!   visible in [`RecoveryResult`] (skipped records, rejected
 //!   snapshots) or in a hardware signal (ECC detection, poisoned read,
 //!   dirty-shutdown latch).
-//! * **SILENT** — acknowledged data is wrong and *nothing* noticed.
-//!   One of these fails the campaign; [`kv_shrink_point`] produces a
-//!   minimal reproducer.
+//! * **SILENT** — acknowledged data is wrong and *nothing* noticed, or
+//!   recovery broke its own bounded-skip contract (R6). One of these
+//!   fails the campaign.
 //!
-//! Crash points are enumerated exactly as in the PR 4 engine: a dry
-//! run counts machine-wide write-queue appends, and the campaign arms
-//! a crash after each count 1..=total. Because the KV workload's
-//! persists *are* its WAL appends, snapshot payload/header writes, and
-//! manifest flips, this sweep hits every durability edge of the store.
+//! Because the KV workload's persists *are* its WAL appends, snapshot
+//! payload/header writes, and manifest flips, a crash after every
+//! write-queue append hits every durability edge of the store.
 //!
 //! [`RecoveryError`]: crate::recovery::RecoveryError
-//! [`RecoveryResult`]: crate::recovery::RecoveryResult
 
-use supermem::memctrl::MachineCrashImage;
-use supermem::nvm::{FaultClass, FaultSpec};
+use supermem::campaign::{Campaign, Case, Fault, Judgement, Machine, Subject, Verdict};
 use supermem::persist::{DirectMem, RecoveredMemory};
 use supermem::sim::Config;
-use supermem::{sweep, Scheme};
+use supermem::Scheme;
 
 use crate::invariants::{r3_prefix_consistent, r6_bounded_skip};
 use crate::oracle::{op_stream, Legality, ShadowOracle};
-use crate::recovery::{recover, RecoveryOptions};
+use crate::recovery::{recover, RecoveryOptions, RecoveryResult};
 use crate::store::KvStore;
 use crate::wal::KvOp;
 use crate::KvLayout;
@@ -75,232 +74,33 @@ pub fn kv_torture_layout() -> KvLayout {
         .expect("torture layout constants are valid")
 }
 
-/// What one KV torture case amounted to.
+/// A seeded stream of `ops` puts and deletes against a freshly
+/// formatted store. The seed fixes the stream and every injection choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KvClassification {
-    /// Everything issued before the crash survived.
-    RecoveredCommitted,
-    /// Acknowledged data survived; the unacknowledged tail did not.
-    LostUnackedTail,
-    /// Degraded but honest: a typed refusal or a visible damage signal.
-    Detected,
-    /// Acknowledged data wrong with no signal: the unacceptable one.
-    Silent,
-}
-
-impl KvClassification {
-    /// Stable display spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            KvClassification::RecoveredCommitted => "recovered-committed",
-            KvClassification::LostUnackedTail => "lost-unacked-tail",
-            KvClassification::Detected => "detected",
-            KvClassification::Silent => "SILENT",
-        }
-    }
-}
-
-impl std::fmt::Display for KvClassification {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One fully determined case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KvTortureCase {
-    /// Scheme under torture.
-    pub scheme: Scheme,
-    /// Fault class, or `None` for the crash-only baseline.
-    pub class: Option<FaultClass>,
-    /// Crash after this many write-queue appends (1-based).
-    pub point: u64,
-    /// Seed fixing the op stream and every injection choice.
-    pub seed: u64,
-    /// Interleaved memory channels.
-    pub channels: usize,
-}
-
-impl KvTortureCase {
-    /// The CLI invocation reproducing exactly this case.
-    pub fn repro(&self) -> String {
-        let mut line = format!(
-            "supermem kv torture --scheme {} --fault {} --point {} --seed {}",
-            self.scheme.name().to_ascii_lowercase(),
-            self.class.map_or("none", FaultClass::name),
-            self.point,
-            self.seed
-        );
-        if self.channels != 1 {
-            line.push_str(&format!(" --channels {}", self.channels));
-        }
-        line
-    }
-}
-
-/// The outcome of one executed case.
-#[derive(Debug, Clone)]
-pub struct KvCaseResult {
-    /// The case that ran.
-    pub case: KvTortureCase,
-    /// How it was classified.
-    pub classification: KvClassification,
-    /// Human-readable evidence.
-    pub detail: String,
-    /// The typed recovery report, when KV recovery returned one (a
-    /// refusal with a [`RecoveryError`](crate::recovery::RecoveryError)
-    /// leaves this `None`).
-    pub recovery: Option<crate::recovery::RecoveryResult>,
-}
-
-/// Per-scheme tally.
-#[derive(Debug, Clone, Copy)]
-pub struct KvSchemeSummary {
-    /// The scheme being summarized.
-    pub scheme: Scheme,
-    /// Total cases.
-    pub cases: u64,
-    /// Cases classified recovered-committed.
-    pub committed: u64,
-    /// Cases classified lost-unacked-tail.
-    pub lost_tail: u64,
-    /// Cases classified detected.
-    pub detected: u64,
-    /// Cases classified SILENT.
-    pub silent: u64,
-}
-
-impl KvSchemeSummary {
-    /// One-word verdict.
-    pub fn verdict(&self) -> &'static str {
-        if self.silent > 0 {
-            "SILENT CORRUPTION"
-        } else {
-            "fail-safe"
-        }
-    }
-}
-
-/// Everything a campaign produced.
-#[derive(Debug, Clone)]
-pub struct KvTortureReport {
-    /// Every executed case, in sweep (input) order.
-    pub results: Vec<KvCaseResult>,
-}
-
-impl KvTortureReport {
-    /// Total injections executed.
-    pub fn total(&self) -> u64 {
-        self.results.len() as u64
-    }
-
-    /// The silent-corruption cases (a passing campaign has none).
-    pub fn silent(&self) -> Vec<&KvCaseResult> {
-        self.results
-            .iter()
-            .filter(|r| r.classification == KvClassification::Silent)
-            .collect()
-    }
-
-    /// Count of cases with the given classification.
-    pub fn count(&self, c: KvClassification) -> u64 {
-        self.results
-            .iter()
-            .filter(|r| r.classification == c)
-            .count() as u64
-    }
-
-    /// Count restricted to one (scheme, class) cell of the matrix.
-    pub fn count_cell(
-        &self,
-        scheme: Scheme,
-        class: Option<FaultClass>,
-        c: KvClassification,
-    ) -> u64 {
-        self.results
-            .iter()
-            .filter(|r| r.case.scheme == scheme && r.case.class == class && r.classification == c)
-            .count() as u64
-    }
-
-    /// Per-scheme tallies, in first-seen order.
-    pub fn by_scheme(&self) -> Vec<KvSchemeSummary> {
-        let mut out: Vec<KvSchemeSummary> = Vec::new();
-        for r in &self.results {
-            if !out.iter().any(|s| s.scheme == r.case.scheme) {
-                out.push(KvSchemeSummary {
-                    scheme: r.case.scheme,
-                    cases: 0,
-                    committed: 0,
-                    lost_tail: 0,
-                    detected: 0,
-                    silent: 0,
-                });
-            }
-            let Some(entry) = out.iter_mut().find(|s| s.scheme == r.case.scheme) else {
-                continue; // unreachable: pushed just above
-            };
-            entry.cases += 1;
-            match r.classification {
-                KvClassification::RecoveredCommitted => entry.committed += 1,
-                KvClassification::LostUnackedTail => entry.lost_tail += 1,
-                KvClassification::Detected => entry.detected += 1,
-                KvClassification::Silent => entry.silent += 1,
-            }
-        }
-        out
-    }
-}
-
-/// Campaign shape.
-#[derive(Debug, Clone)]
-pub struct KvTortureConfig {
-    /// Schemes to torture.
-    pub schemes: Vec<Scheme>,
-    /// Fault classes; `None` entries run the crash-only baseline.
-    pub classes: Vec<Option<FaultClass>>,
-    /// Seeds; each fixes one op stream plus every injection choice.
-    pub seeds: Vec<u64>,
-    /// Restrict to a single crash point, if set.
-    pub point: Option<u64>,
-    /// Channel counts to sweep.
-    pub channels: Vec<usize>,
+pub struct KvSubject {
     /// Operations per tortured run.
     pub ops: u64,
 }
 
-impl Default for KvTortureConfig {
+impl Default for KvSubject {
     fn default() -> Self {
-        let mut classes: Vec<Option<FaultClass>> = vec![None];
-        classes.extend(FaultClass::ALL.into_iter().map(Some));
-        Self {
-            schemes: KV_TORTURE_SCHEMES.to_vec(),
-            classes,
-            seeds: vec![1, 2, 3, 4],
-            point: None,
-            channels: vec![1],
-            ops: 10,
-        }
+        Self { ops: 10 }
     }
 }
 
-/// The formatted, durably shut-down starting state every case clones.
-fn base_system(cfg: &Config) -> (DirectMem, KvStore) {
-    let mut mem = DirectMem::new(cfg);
-    // Justified panic: the torture layout is statically sized for the
-    // op stream; formatting it cannot fail and a failure here would be
-    // a harness bug, not a media event.
-    #[allow(clippy::disallowed_methods)]
-    let store = KvStore::format(&mut mem, kv_torture_layout(), KV_TORTURE_SNAPSHOT_EVERY)
-        .expect("format torture store");
-    mem.shutdown();
-    (mem, store)
+/// The store positioned before the op stream, with the stream and its
+/// shadow oracle (acknowledged ops with their append counts).
+pub struct KvState {
+    store: KvStore,
+    stream: Vec<KvOp>,
+    oracle: ShadowOracle,
 }
 
 /// Runs one operation against the store.
 fn apply_op(store: &mut KvStore, mem: &mut DirectMem, op: &KvOp) {
-    // Justified panic: see `base_system` — the layout admits the whole
-    // stream by construction.
+    // Justified panic: the torture layout is statically sized for the
+    // op stream; a failure here would be a harness bug, not a media
+    // event.
     #[allow(clippy::disallowed_methods)]
     match op {
         KvOp::Put(k, v) => store.put(mem, k, v).expect("torture put"),
@@ -308,265 +108,127 @@ fn apply_op(store: &mut KvStore, mem: &mut DirectMem, op: &KvOp) {
     }
 }
 
-/// The tortured op stream for `seed`.
-fn stream(seed: u64, ops: u64) -> Vec<KvOp> {
-    op_stream(seed, ops, KV_TORTURE_KEYSPACE, KV_TORTURE_MAX_VAL)
-}
+impl Subject for KvSubject {
+    type Cell = Machine;
+    type State = KvState;
+    type Evidence = RecoveryResult;
 
-/// Dry-runs the workload to build the shadow oracle (acknowledged ops
-/// with their append counts) and count the crash points the sweep must
-/// visit (including the final shutdown drain).
-fn build_oracle(
-    cfg: &Config,
-    base: &(DirectMem, KvStore),
-    seed: u64,
-    ops: u64,
-) -> (ShadowOracle, u64) {
-    let _ = cfg;
-    let mut mem = base.0.clone();
-    let mut store = base.1.clone();
-    let before = mem.controller().append_events();
-    let mut oracle = ShadowOracle::new();
-    for op in stream(seed, ops) {
-        apply_op(&mut store, &mut mem, &op);
-        oracle.record(op, mem.controller().append_events() - before);
-    }
-    mem.shutdown();
-    (oracle, mem.controller().append_events() - before)
-}
-
-/// Number of crash points the workload crosses under `scheme` with
-/// `channels` controllers and the op stream of `seed` — every WAL
-/// append, snapshot write, and manifest flip lands in this count.
-pub fn kv_crash_points(scheme: Scheme, channels: usize, seed: u64, ops: u64) -> u64 {
-    let cfg = scheme.apply(Config::default()).with_channels(channels);
-    let base = base_system(&cfg);
-    build_oracle(&cfg, &base, seed, ops).1
-}
-
-/// Executes one case end to end: establish the base, arm the crash,
-/// inject the fault, run the op stream, image the machine, recover,
-/// and classify against the shadow oracle.
-pub fn kv_run_case(tc: &KvTortureCase) -> KvCaseResult {
-    let cfg = tc
-        .scheme
-        .apply(Config::default())
-        .with_channels(tc.channels);
-    let spec = tc.class.map(|class| FaultSpec {
-        class,
-        seed: tc.seed,
-    });
-
-    let base = base_system(&cfg);
-    let (oracle, _) = build_oracle(&cfg, &base, tc.seed, KvTortureConfig::default().ops);
-
-    let (mut mem, mut store) = base;
-    mem.controller_mut().arm_crash_after_appends(tc.point);
-    if let Some(spec) = spec {
-        if spec.class.is_power_event() {
-            mem.controller_mut().set_fault_plan(spec);
-        }
-    }
-    for op in stream(tc.seed, oracle.len() as u64) {
-        apply_op(&mut store, &mut mem, &op);
+    fn config(&self, cell: &Machine) -> Config {
+        cell.cfg.clone()
     }
 
-    let mut machine = if let Some(m) = mem.controller_mut().take_machine_crash_image() {
-        m
-    } else {
-        // The armed point lies in (or beyond) the shutdown drain: the
-        // workload completed; finish cleanly and image that.
+    /// Formats the store, shuts down durably, and dry-runs the stream on
+    /// a clone to build the oracle.
+    fn base(&self, cfg: &Config, _: &Machine, seed: u64) -> (DirectMem, KvState) {
+        let mut mem = DirectMem::new(cfg);
+        // Justified panic: see `apply_op`.
+        #[allow(clippy::disallowed_methods)]
+        let store = KvStore::format(&mut mem, kv_torture_layout(), KV_TORTURE_SNAPSHOT_EVERY)
+            .expect("format torture store");
         mem.shutdown();
-        mem.machine_crash_now()
-    };
-    if let Some(spec) = spec {
-        if !spec.class.is_power_event() {
-            let ch = (tc.seed as usize) % machine.channels.len();
-            machine.channels[ch].store.strike_faults(spec);
+        let stream = op_stream(seed, self.ops, KV_TORTURE_KEYSPACE, KV_TORTURE_MAX_VAL);
+        let (mut dry_mem, mut dry_store) = (mem.clone(), store.clone());
+        let before = dry_mem.controller().append_events();
+        let mut oracle = ShadowOracle::new();
+        for op in &stream {
+            apply_op(&mut dry_store, &mut dry_mem, op);
+            oracle.record(op.clone(), dry_mem.controller().append_events() - before);
+        }
+        let state = KvState {
+            store,
+            stream,
+            oracle,
+        };
+        (mem, state)
+    }
+
+    fn workload(&self, mem: &mut DirectMem, st: &mut KvState) {
+        for op in &st.stream {
+            apply_op(&mut st.store, mem, op);
         }
     }
 
-    classify(tc, &cfg, machine, &oracle)
-}
+    fn judge(
+        &self,
+        rec: &mut RecoveredMemory,
+        st: &KvState,
+        point: u64,
+    ) -> Judgement<RecoveryResult> {
+        let opts = RecoveryOptions {
+            paranoid: true,
+            ..RecoveryOptions::default()
+        };
+        let recovered = match recover(rec, kv_torture_layout(), &opts) {
+            Ok(r) => r,
+            Err(e) => return Judgement::of(Verdict::Detected, format!("kv recovery refused: {e}")),
+        };
+        let report = recovered.result;
 
-fn classify(
-    tc: &KvTortureCase,
-    cfg: &Config,
-    machine: MachineCrashImage,
-    oracle: &ShadowOracle,
-) -> KvCaseResult {
-    let done = |classification, detail| KvCaseResult {
-        case: *tc,
-        classification,
-        detail,
-        recovery: None,
-    };
-
-    // Counters and integrity first (Osiris trial decryption where the
-    // scheme relaxes counter persistence), exactly as in the PR 4
-    // engine.
-    let (mut rec, osiris_unrecoverable) = if cfg.osiris_window.is_some() {
-        match supermem::persist::recover_osiris(cfg, machine.merged()) {
-            Ok((rec, report)) => (rec, report.unrecoverable_lines),
-            Err(e) => {
-                return done(
-                    KvClassification::Detected,
-                    format!("osiris counter recovery refused: {e}"),
-                )
-            }
+        // R6 is recovery's own contract; a breach is a store bug the
+        // campaign must fail on, not a media outcome.
+        if let Err(msg) = r6_bounded_skip(&report, &opts) {
+            return Judgement::of(Verdict::Silent, msg).with_evidence(report);
         }
-    } else {
-        match RecoveredMemory::from_machine_image_checked(cfg, machine) {
-            Ok(rec) => (rec, 0),
-            Err(e) => {
-                return done(
-                    KvClassification::Detected,
-                    format!("image rebuild refused: {e}"),
-                )
-            }
-        }
-    };
 
-    let opts = RecoveryOptions {
-        paranoid: true,
-        ..RecoveryOptions::default()
-    };
-    let recovered = match recover(&mut rec, kv_torture_layout(), &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            return done(
-                KvClassification::Detected,
-                format!("kv recovery refused: {e}"),
-            )
-        }
-    };
-
-    let report = recovered.result;
-    let finish = |classification, detail| KvCaseResult {
-        case: *tc,
-        classification,
-        detail,
-        recovery: Some(report),
-    };
-
-    // R6 is recovery's own contract; a breach is a store bug the
-    // campaign must fail on, not a media outcome.
-    if let Err(msg) = r6_bounded_skip(&recovered.result, &opts) {
-        return finish(KvClassification::Silent, msg);
-    }
-
-    // R3: differential check against the acknowledged history.
-    match r3_prefix_consistent(oracle, tc.point, recovered.store.entries()) {
-        Ok(Legality::Committed) => finish(
-            KvClassification::RecoveredCommitted,
-            format!(
-                "all issued ops durable ({} replayed from snapshot {})",
-                recovered.result.records_replayed, recovered.result.snapshot_seq
+        // R3: differential check against the acknowledged history.
+        match r3_prefix_consistent(&st.oracle, point, recovered.store.entries()) {
+            Ok(Legality::Committed) => Judgement::of(
+                Verdict::New,
+                format!(
+                    "all issued ops durable ({} replayed from snapshot {})",
+                    report.records_replayed, report.snapshot_seq
+                ),
             ),
-        ),
-        Ok(Legality::LostUnackedTail) => finish(
-            KvClassification::LostUnackedTail,
-            format!(
-                "acked prefix intact; unacked tail cut ({})",
-                recovered.result.torn_tail_at.map_or(
-                    "no torn record; tail never reached the queue".to_owned(),
-                    |o| { format!("torn record truncated at offset {o}") }
-                )
+            Ok(Legality::LostUnackedTail) => Judgement::of(
+                Verdict::Old,
+                format!(
+                    "acked prefix intact; unacked tail cut ({})",
+                    report.torn_tail_at.map_or(
+                        "no torn record; tail never reached the queue".to_owned(),
+                        |o| format!("torn record truncated at offset {o}")
+                    )
+                ),
             ),
-        ),
-        Ok(Legality::Illegal) | Err(_) => {
-            // Wrong data: acceptable only if something noticed.
-            let fc = rec.store().fault_counters();
-            let dirty_shutdown = fc.torn_entries > 0 || fc.dropped_writes > 0;
-            let report_damage = recovered.result.damaged();
-            if fc.any_detected()
-                || dirty_shutdown
-                || rec.media_failures() > 0
-                || osiris_unrecoverable > 0
-                || report_damage
-            {
-                finish(
-                    KvClassification::Detected,
-                    format!(
-                        "degraded data with detection signals: ecc_detections={} lost_reads={} \
-                         transient_failures={} torn_entries={} dropped_writes={} \
-                         media_failures={} osiris_unrecoverable={} report_damaged={} \
-                         (skipped={} snapshots_rejected={})",
-                        fc.ecc_detections,
-                        fc.lost_reads,
-                        fc.transient_failures,
-                        fc.torn_entries,
-                        fc.dropped_writes,
-                        rec.media_failures(),
-                        osiris_unrecoverable,
-                        report_damage,
-                        recovered.result.corrupt_entries_skipped,
-                        recovered.result.snapshots_rejected,
-                    ),
-                )
-            } else {
-                finish(
-                    KvClassification::Silent,
-                    format!(
-                        "recovered state matches no acknowledged prefix and nothing detected it \
-                         ({} entries, digest {:#010x})",
-                        recovered.result.entries, recovered.result.state_digest
-                    ),
-                )
-            }
+            Ok(Legality::Illegal) | Err(_) => Judgement::wrong(
+                report.damaged(),
+                format!(
+                    "report_damaged={} (skipped={} snapshots_rejected={})",
+                    report.damaged(),
+                    report.corrupt_entries_skipped,
+                    report.snapshots_rejected,
+                ),
+            ),
+        }
+        .with_evidence(report)
+    }
+
+    fn repro(&self, case: &Case<Machine>) -> String {
+        case.scheme_repro("kv torture")
+    }
+
+    fn label(&self, verdict: Verdict) -> &'static str {
+        match verdict {
+            Verdict::New => "recovered-committed",
+            Verdict::Old => "lost-unacked-tail",
+            v => v.name(),
         }
     }
 }
 
-/// Shrinks a failing case to the smallest crash point that still
-/// reproduces its classification.
-pub fn kv_shrink_point(tc: &KvTortureCase) -> u64 {
-    let target = kv_run_case(tc).classification;
-    let mut best = tc.point;
-    let mut probe = tc.point / 2;
-    while probe >= 1 {
-        let mut smaller = *tc;
-        smaller.point = probe;
-        if kv_run_case(&smaller).classification == target {
-            best = probe;
-            probe /= 2;
-        } else {
-            break;
-        }
+/// `supermem kv torture`'s default shape over `schemes` × `channels`
+/// (channel count outermost): the 10-op stream, crash-only plus every
+/// media fault class, seeds 1–4, every crash point of each seed's stream.
+pub fn kv_campaign(schemes: &[Scheme], channels: &[usize]) -> Campaign<KvSubject> {
+    Campaign {
+        subject: KvSubject::default(),
+        cells: channels
+            .iter()
+            .flat_map(|&ch| schemes.iter().map(move |&s| Machine::scheme(s, ch)))
+            .collect(),
+        faults: Fault::media_grid(),
+        seeds: vec![1, 2, 3, 4],
+        point: None,
     }
-    best
-}
-
-/// Runs the full campaign: per (scheme, channels, seed) the crash
-/// points are counted with a dry run, then every (class, point)
-/// combination fans out over the parallel sweep engine. Results come
-/// back in input order.
-pub fn kv_run_torture(cfg: &KvTortureConfig) -> KvTortureReport {
-    let mut cases: Vec<KvTortureCase> = Vec::new();
-    for &channels in &cfg.channels {
-        for &scheme in &cfg.schemes {
-            for &seed in &cfg.seeds {
-                let total = kv_crash_points(scheme, channels, seed, cfg.ops);
-                let points: Vec<u64> = match cfg.point {
-                    Some(p) => vec![p.clamp(1, total)],
-                    None => (1..=total).collect(),
-                };
-                for &class in &cfg.classes {
-                    for &point in &points {
-                        cases.push(KvTortureCase {
-                            scheme,
-                            class,
-                            point,
-                            seed,
-                            channels,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let results = sweep(&cases, kv_run_case);
-    KvTortureReport { results }
 }
 
 #[cfg(test)]
@@ -582,8 +244,9 @@ mod tests {
 
     #[test]
     fn crash_points_are_deterministic_and_plentiful() {
-        let a = kv_crash_points(Scheme::SuperMem, 1, 1, 10);
-        let b = kv_crash_points(Scheme::SuperMem, 1, 1, 10);
+        let campaign = kv_campaign(&[Scheme::SuperMem], &[1]);
+        let a = campaign.crash_points(&campaign.cells[0], 1);
+        let b = campaign.crash_points(&campaign.cells[0], 1);
         assert_eq!(a, b);
         // The stream crosses WAL appends, light checkpoints, and a
         // rotation: well over one append per op.
@@ -594,23 +257,19 @@ mod tests {
     fn unfaulted_crashes_never_lose_acked_data() {
         // The crash-only baseline at every point, one scheme, one seed:
         // every case must land in a legal (non-detected) bucket.
-        let cfg = KvTortureConfig {
-            schemes: vec![Scheme::SuperMem],
-            classes: vec![None],
+        let campaign = Campaign {
+            faults: vec![Fault::None],
             seeds: vec![1],
-            ..KvTortureConfig::default()
+            ..kv_campaign(&[Scheme::SuperMem], &[1])
         };
-        let report = kv_run_torture(&cfg);
+        let report = campaign.run();
         assert!(report.total() > 10);
         for r in &report.results {
             assert!(
-                matches!(
-                    r.classification,
-                    KvClassification::RecoveredCommitted | KvClassification::LostUnackedTail
-                ),
+                matches!(r.verdict, Verdict::New | Verdict::Old),
                 "{}: un-faulted case must recover cleanly, got {} ({})",
-                r.case.repro(),
-                r.classification,
+                campaign.subject.repro(&r.case),
+                campaign.subject.label(r.verdict),
                 r.detail
             );
         }
@@ -618,21 +277,59 @@ mod tests {
 
     #[test]
     fn faulted_smoke_grid_has_no_silent_corruption() {
-        let cfg = KvTortureConfig {
-            schemes: vec![Scheme::SuperMem],
+        let campaign = Campaign {
             seeds: vec![1],
-            ..KvTortureConfig::default()
+            ..kv_campaign(&[Scheme::SuperMem], &[1])
         };
-        let report = kv_run_torture(&cfg);
+        let report = campaign.run();
         let silent = report.silent();
         assert!(
             silent.is_empty(),
             "SILENT: {}",
             silent
                 .iter()
-                .map(|r| format!("{} ({})", r.case.repro(), r.detail))
+                .map(|r| format!("{} ({})", campaign.subject.repro(&r.case), r.detail))
                 .collect::<Vec<_>>()
                 .join("; ")
         );
+    }
+
+    #[test]
+    fn the_last_counted_point_commits_the_whole_stream() {
+        // A campaign tortures the stream it counted: at the last counted
+        // point (the shutdown drain's final append) every one of its
+        // `ops` operations is durable, whatever `ops` is.
+        for (ops, seed) in [(8, 2), (8, 3), (12, 1)] {
+            let subject = KvSubject { ops };
+            let campaign = Campaign {
+                subject,
+                faults: vec![Fault::None],
+                seeds: vec![seed],
+                ..kv_campaign(&[Scheme::SuperMem], &[1])
+            };
+            let cell = &campaign.cells[0];
+            let total = campaign.crash_points(cell, seed);
+            let last = campaign.run_case(&Case {
+                cell: cell.clone(),
+                fault: Fault::None,
+                point: total,
+                seed,
+            });
+            assert_eq!(
+                subject.label(last.verdict),
+                "recovered-committed",
+                "ops {ops} seed {seed}: {}",
+                last.detail
+            );
+            // Every op durable: the recovered store holds exactly what a
+            // completed run of the stream leaves.
+            let (mut mem, mut st) = subject.base(&cell.cfg, cell, seed);
+            subject.workload(&mut mem, &mut st);
+            assert_eq!(st.oracle.len() as u64, ops);
+            assert_eq!(
+                last.evidence.map(|e| e.entries),
+                Some(st.store.len() as u64)
+            );
+        }
     }
 }

@@ -19,8 +19,8 @@
 //! * [`engine`] — the multi-core issue loop: earliest-ready-core
 //!   arbitration in simulated time, sojourn-latency accounting,
 //!   p50/p99/p999 from [`supermem_sim::Log2Histogram`] telemetry.
-//! * [`torture`] — a differential crash campaign aimed *inside* the
-//!   CAS windows, with an exact two-state oracle per case.
+//! * [`torture`] — the crash-campaign subject aimed *inside* the CAS
+//!   windows, with an exact two-state oracle per case.
 //!
 //! # Examples
 //!
@@ -55,6 +55,6 @@ pub use service::{
     recover, walk_nodes, NodeView, RecoverError, RecoveredServe, Service, ServiceLayout,
     StructureKind,
 };
-pub use torture::{run_serve_torture, ServeCase, ServeTortureConfig, ServeTortureReport};
+pub use torture::{serve_campaign, ServeSubject};
 pub use traffic::{ReqKind, Request, TrafficGen, TrafficSpec};
 pub use workload::ServeWorkload;

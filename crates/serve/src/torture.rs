@@ -1,26 +1,24 @@
-//! Crash torture inside the CAS windows of the served structures.
+//! Crash campaigns inside the CAS windows of the served structures.
 //!
-//! The core torture engine attacks an undo-logged transaction; this
-//! one attacks the *lock-free* protocol: one mutating operation on a
-//! warmed-up shared structure, crashed (and optionally media-faulted)
-//! after every write-queue append boundary it crosses — which places
-//! crash points between the descriptor announce, the node persist, the
-//! linearizing pointer store, and the completion record.
+//! The undo-log subject ([`supermem::torture`]) attacks a transaction;
+//! [`ServeSubject`] attacks the *lock-free* protocol: one mutating
+//! operation on a warmed-up shared structure, crashed (and optionally
+//! media-faulted) after every write-queue append boundary it crosses —
+//! which places crash points between the descriptor announce, the node
+//! persist, the linearizing pointer store, and the completion record.
+//! The crash-campaign engine ([`supermem::campaign`]) runs the loop.
 //!
 //! The oracle is exact: with a single tortured operation there are only
 //! two legal recovered states, *before* (the op never linearized) and
 //! *after* (it did). Recovery ([`crate::service::recover`]) must
-//! produce one of them — cross-checked against the descriptor slot: a
-//! `DONE` descriptor with a *before* structure (or vice versa for a
-//! still-`PENDING` one that clearly applied... which is legal — pending
-//! resolves by inspection) is classified honestly. Anything else must
-//! be *detected*, never silent.
+//! produce one of them, cross-checked against the descriptor slot: a
+//! `DONE` descriptor over a *before* structure is a lie (the completion
+//! record persisted before the linearizing store did). Anything else
+//! must be *detected*, never silent.
 
-use supermem::nvm::{FaultClass, FaultSpec};
+use supermem::campaign::{Campaign, Case, Fault, Judgement, Subject, Verdict};
 use supermem::persist::{DirectMem, RecoveredMemory, SlotState};
 use supermem::sim::Config;
-use supermem::sweep::sweep;
-use supermem::torture::Classification;
 use supermem::Scheme;
 
 use crate::service::{recover, Service, ServiceLayout, StepResult, StructureKind, OP_UPDATE};
@@ -31,103 +29,20 @@ const REGION: u64 = 1 << 16;
 const CORES: usize = 2;
 const BUCKETS: u64 = 4;
 
-/// One fully determined serve-torture case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeCase {
-    /// Scheme under torture.
-    pub scheme: Scheme,
-    /// Structure under torture.
-    pub structure: StructureKind,
-    /// Fault class to inject, or `None` for the crash-only baseline.
-    pub class: Option<FaultClass>,
-    /// Crash after this many write-queue appends into the tortured op.
-    pub point: u64,
-    /// Seed fixing the injection's choices.
-    pub seed: u64,
-}
+/// One mutating operation on a warmed shared structure, crashed inside
+/// its CAS window. Cells are `(scheme, structure)` rows; the seed picks
+/// the tortured op.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeSubject;
 
-impl ServeCase {
-    /// The CLI invocation reproducing this case's campaign slice.
-    pub fn repro(&self) -> String {
-        format!(
-            "supermem serve --torture --structure {} --scheme {} --fault {} --point {} --seed {}",
-            self.structure,
-            self.scheme.name().to_ascii_lowercase(),
-            self.class.map_or("none", FaultClass::name),
-            self.point,
-            self.seed
-        )
-    }
-}
-
-/// The outcome of one executed [`ServeCase`].
-#[derive(Debug, Clone)]
-pub struct ServeCaseResult {
-    /// The case that ran.
-    pub case: ServeCase,
-    /// How it was classified.
-    pub classification: Classification,
-    /// Human-readable evidence.
-    pub detail: String,
-}
-
-/// Everything a serve-torture campaign produced.
-#[derive(Debug, Clone)]
-pub struct ServeTortureReport {
-    /// Every executed case, in sweep order.
-    pub results: Vec<ServeCaseResult>,
-}
-
-impl ServeTortureReport {
-    /// Total injections executed.
-    pub fn total(&self) -> u64 {
-        self.results.len() as u64
-    }
-
-    /// The silent-corruption cases (a passing campaign has none).
-    pub fn silent(&self) -> Vec<&ServeCaseResult> {
-        self.results
-            .iter()
-            .filter(|r| r.classification == Classification::Silent)
-            .collect()
-    }
-
-    /// Count of cases with the given classification.
-    pub fn count(&self, c: Classification) -> u64 {
-        self.results
-            .iter()
-            .filter(|r| r.classification == c)
-            .count() as u64
-    }
-}
-
-/// Campaign shape.
-#[derive(Debug, Clone)]
-pub struct ServeTortureConfig {
-    /// Schemes to torture.
-    pub schemes: Vec<Scheme>,
-    /// Structures to torture.
-    pub structures: Vec<StructureKind>,
-    /// Fault classes (`None` = crash-only baseline).
-    pub classes: Vec<Option<FaultClass>>,
-    /// Injection seeds.
-    pub seeds: Vec<u64>,
-    /// Restrict to one crash point, if set.
-    pub point: Option<u64>,
-}
-
-impl Default for ServeTortureConfig {
-    fn default() -> Self {
-        let mut classes: Vec<Option<FaultClass>> = vec![None];
-        classes.extend(FaultClass::ALL.into_iter().map(Some));
-        Self {
-            schemes: vec![Scheme::SuperMem],
-            structures: StructureKind::ALL.to_vec(),
-            classes,
-            seeds: vec![1, 2],
-            point: None,
-        }
-    }
+/// The warmed service positioned before the tortured op, with both
+/// oracle states.
+pub struct ServeState {
+    svc: Service,
+    layout: ServiceLayout,
+    req: Request,
+    before: Vec<(u64, u64)>,
+    after: Vec<(u64, u64)>,
 }
 
 /// The prologue ops that warm the structure before the tortured op, so
@@ -176,259 +91,183 @@ fn run_op(svc: &mut Service, mem: &mut DirectMem, core: usize, req: &Request) {
     while svc.step(mem, core) == StepResult::InFlight {}
 }
 
-/// Builds the warmed, durably-shut-down base system and returns it with
-/// the service handle (shadow included) positioned before the tortured
-/// op.
-fn base_system(cfg: &Config, structure: StructureKind) -> (DirectMem, Service) {
-    let mut mem = DirectMem::new(cfg);
-    let mut svc = Service::new(&mut mem, structure, BASE, REGION, CORES, BUCKETS);
-    for req in prologue(structure) {
-        run_op(&mut svc, &mut mem, 1, &req);
+impl Subject for ServeSubject {
+    type Cell = (Scheme, StructureKind);
+    type State = ServeState;
+    type Evidence = ();
+
+    fn config(&self, &(scheme, _): &Self::Cell) -> Config {
+        scheme.apply(Config::default())
     }
-    mem.shutdown();
-    (mem, svc)
-}
 
-/// Number of write-queue append boundaries the tortured op crosses —
-/// the crash points the sweep visits (dry run, no faults).
-pub fn crash_points(scheme: Scheme, structure: StructureKind, seed: u64) -> u64 {
-    let cfg = scheme.apply(Config::default());
-    let (base, svc) = base_system(&cfg, structure);
-    let mut dry = base.clone();
-    let mut dry_svc = svc;
-    let before = dry.controller().append_events();
-    run_op(
-        &mut dry_svc,
-        &mut dry,
-        0,
-        &tortured_request(structure, seed),
-    );
-    dry.shutdown();
-    dry.controller().append_events() - before
-}
-
-/// Executes one case end to end: warm the structure, capture the
-/// *before* oracle, arm the crash, inject, run the tortured op, image,
-/// recover, classify.
-pub fn run_case(tc: &ServeCase) -> ServeCaseResult {
-    let cfg = tc.scheme.apply(Config::default());
-    let spec = tc.class.map(|class| FaultSpec {
-        class,
-        seed: tc.seed,
-    });
-
-    let (base, svc) = base_system(&cfg, tc.structure);
-    let layout = svc.layout();
-    let before = svc.shadow_entries();
-
-    // The *after* oracle: the tortured op completed on an unfaulted
-    // clone.
-    let req = tortured_request(tc.structure, tc.seed);
-    let mut oracle_svc = svc.clone();
-    let mut oracle_mem = base.clone();
-    run_op(&mut oracle_svc, &mut oracle_mem, 0, &req);
-    let after = oracle_svc.shadow_entries();
-
-    let mut mem = base.clone();
-    let mut tsvc = svc;
-    mem.controller_mut().arm_crash_after_appends(tc.point);
-    if let Some(spec) = spec {
-        if spec.class.is_power_event() {
-            mem.controller_mut().set_fault_plan(spec);
+    /// Warms the structure, shuts down durably, and captures the
+    /// *before* oracle and the *after* one (the tortured op completed on
+    /// an unfaulted clone).
+    fn base(
+        &self,
+        cfg: &Config,
+        &(_, structure): &Self::Cell,
+        seed: u64,
+    ) -> (DirectMem, ServeState) {
+        let mut mem = DirectMem::new(cfg);
+        let mut svc = Service::new(&mut mem, structure, BASE, REGION, CORES, BUCKETS);
+        for req in prologue(structure) {
+            run_op(&mut svc, &mut mem, 1, &req);
         }
-    }
-    run_op(&mut tsvc, &mut mem, 0, &req);
-
-    let mut machine = if let Some(m) = mem.controller_mut().take_machine_crash_image() {
-        m
-    } else {
         mem.shutdown();
-        mem.machine_crash_now()
-    };
-    if let Some(spec) = spec {
-        if !spec.class.is_power_event() {
-            let ch = (tc.seed as usize) % machine.channels.len();
-            machine.channels[ch].store.strike_faults(spec);
-        }
-    }
-
-    classify(tc, &cfg, &layout, &before, &after, machine)
-}
-
-fn classify(
-    tc: &ServeCase,
-    cfg: &Config,
-    layout: &ServiceLayout,
-    before: &[(u64, u64)],
-    after: &[(u64, u64)],
-    machine: supermem::memctrl::MachineCrashImage,
-) -> ServeCaseResult {
-    let done = |classification, detail| ServeCaseResult {
-        case: *tc,
-        classification,
-        detail,
-    };
-
-    let mut rec = match RecoveredMemory::from_machine_image_checked(cfg, machine) {
-        Ok(rec) => rec,
-        Err(e) => {
-            return done(
-                Classification::Detected,
-                format!("image rebuild refused: {e}"),
-            )
-        }
-    };
-    let recovered = match recover(&mut rec, layout) {
-        Ok(r) => r,
-        Err(e) => return done(Classification::Detected, format!("{e}")),
-    };
-
-    // Structure-level differential check against the exact oracle.
-    let matches_before = recovered.entries == before;
-    let matches_after = recovered.entries == after;
-
-    // Descriptor cross-check: slot 0 belongs to the tortured op. A DONE
-    // descriptor for it promises the op linearized — a *before*
-    // structure under that promise is a lie (the completion record
-    // persisted before the linearizing store did).
-    let slot0 = recovered.slots[0];
-    let slot_lies = slot0.state == SlotState::Done
-        && slot0.rec.seq == 1
-        && matches_before
-        && !matches_after
-        // An update that "completed" must have published its node; an
-        // empty-remove completion (result 0 on a remove) legally leaves
-        // the structure unchanged.
-        && !(slot0.rec.op != OP_UPDATE && slot0.result == 0);
-
-    if (matches_before || matches_after) && !slot_lies {
-        let which = if matches_after {
-            Classification::RecoveredNew
-        } else {
-            Classification::RecoveredOld
+        let req = tortured_request(structure, seed);
+        let mut oracle_svc = svc.clone();
+        run_op(&mut oracle_svc, &mut mem.clone(), 0, &req);
+        let state = ServeState {
+            layout: svc.layout(),
+            before: svc.shadow_entries(),
+            after: oracle_svc.shadow_entries(),
+            svc,
+            req,
         };
-        return done(
-            which,
-            format!(
-                "{} entries intact (slot0 {:?})",
-                if matches_after { "after" } else { "before" },
-                slot0.state
-            ),
-        );
+        (mem, state)
     }
 
-    // Wrong data (or a lying descriptor): acceptable only if something
-    // noticed.
-    let fc = rec.store().fault_counters();
-    let dirty_shutdown = fc.torn_entries > 0 || fc.dropped_writes > 0;
-    if fc.any_detected() || dirty_shutdown || rec.media_failures() > 0 {
-        return done(
-            Classification::Detected,
-            format!(
-                "degraded structure with detection signals: ecc_detections={} \
-                 lost_reads={} transient_failures={} torn_entries={} \
-                 dropped_writes={} media_failures={} slot_lies={slot_lies}",
-                fc.ecc_detections,
-                fc.lost_reads,
-                fc.transient_failures,
-                fc.torn_entries,
-                fc.dropped_writes,
-                rec.media_failures()
-            ),
-        );
+    fn workload(&self, mem: &mut DirectMem, st: &mut ServeState) {
+        run_op(&mut st.svc, mem, 0, &st.req);
     }
-    done(
-        Classification::Silent,
+
+    fn judge(&self, rec: &mut RecoveredMemory, st: &ServeState, _: u64) -> Judgement<()> {
+        let recovered = match recover(rec, &st.layout) {
+            Ok(r) => r,
+            Err(e) => return Judgement::of(Verdict::Detected, format!("{e}")),
+        };
+
+        // Structure-level differential check against the exact oracle.
+        let matches_before = recovered.entries == st.before;
+        let matches_after = recovered.entries == st.after;
+
+        // Descriptor cross-check: slot 0 belongs to the tortured op. A DONE
+        // descriptor for it promises the op linearized — a *before*
+        // structure under that promise is a lie.
+        let slot0 = recovered.slots[0];
+        let slot_lies = slot0.state == SlotState::Done
+            && slot0.rec.seq == 1
+            && matches_before
+            && !matches_after
+            // An update that "completed" must have published its node; an
+            // empty-remove completion (result 0 on a remove) legally leaves
+            // the structure unchanged.
+            && !(slot0.rec.op != OP_UPDATE && slot0.result == 0);
+
+        if (matches_before || matches_after) && !slot_lies {
+            let (verdict, which) = if matches_after {
+                (Verdict::New, "after")
+            } else {
+                (Verdict::Old, "before")
+            };
+            return Judgement::of(
+                verdict,
+                format!("{which} entries intact (slot0 {:?})", slot0.state),
+            );
+        }
+        Judgement::wrong(
+            false,
+            format!(
+                "slot_lies={slot_lies} (recovered {} entries; oracle {} before / {} after)",
+                recovered.entries.len(),
+                st.before.len(),
+                st.after.len()
+            ),
+        )
+    }
+
+    fn repro(&self, case: &Case<Self::Cell>) -> String {
+        let (scheme, structure) = case.cell;
         format!(
-            "recovered {} entries match neither oracle ({} before / {} after) \
-             or the descriptor lied (slot_lies={slot_lies}) and nothing detected it",
-            recovered.entries.len(),
-            before.len(),
-            after.len()
-        ),
-    )
+            "supermem serve --torture --structure {structure} --scheme {} --fault {} --point {} --seed {}",
+            scheme.name().to_ascii_lowercase(),
+            case.fault,
+            case.point,
+            case.seed
+        )
+    }
 }
 
-/// Runs the full campaign: crash points per (scheme, structure, seed)
-/// via dry runs, then every (class, point, seed) fans out over the
-/// parallel sweep engine.
-pub fn run_serve_torture(cfg: &ServeTortureConfig) -> ServeTortureReport {
-    let mut cases: Vec<ServeCase> = Vec::new();
-    for &scheme in &cfg.schemes {
-        for &structure in &cfg.structures {
-            for &seed in &cfg.seeds {
-                let total = crash_points(scheme, structure, seed);
-                let points: Vec<u64> = match cfg.point {
-                    Some(p) => vec![p.clamp(1, total)],
-                    None => (1..=total).collect(),
-                };
-                for &class in &cfg.classes {
-                    for &point in &points {
-                        cases.push(ServeCase {
-                            scheme,
-                            structure,
-                            class,
-                            point,
-                            seed,
-                        });
-                    }
-                }
-            }
-        }
+/// `supermem serve --torture`'s default shape over `schemes` ×
+/// `structures`: crash-only plus every media fault class, seeds 1 and 2,
+/// every crash point of each seed's op.
+pub fn serve_campaign(schemes: &[Scheme], structures: &[StructureKind]) -> Campaign<ServeSubject> {
+    Campaign {
+        subject: ServeSubject,
+        cells: schemes
+            .iter()
+            .flat_map(|&s| structures.iter().map(move |&k| (s, k)))
+            .collect(),
+        faults: Fault::media_grid(),
+        seeds: vec![1, 2],
+        point: None,
     }
-    let results = sweep(&cases, run_case);
-    ServeTortureReport { results }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supermem::campaign::SubjectReport;
+    use supermem::nvm::FaultClass;
 
-    fn campaign(
+    fn campaign_on(
+        scheme: Scheme,
         structure: StructureKind,
-        class: Option<FaultClass>,
+        fault: Fault,
         seeds: &[u64],
-    ) -> ServeTortureReport {
-        run_serve_torture(&ServeTortureConfig {
-            schemes: vec![Scheme::SuperMem],
-            structures: vec![structure],
-            classes: vec![class],
+    ) -> SubjectReport<ServeSubject> {
+        Campaign {
+            faults: vec![fault],
             seeds: seeds.to_vec(),
-            point: None,
-        })
+            ..serve_campaign(&[scheme], &[structure])
+        }
+        .run()
     }
 
-    #[test]
-    fn unfaulted_cas_window_crashes_recover_an_oracle_state() {
+    fn assert_unfaulted_crashes_recover(scheme: Scheme) {
         for structure in StructureKind::ALL {
-            let report = campaign(structure, None, &[1, 2]);
+            let report = campaign_on(scheme, structure, Fault::None, &[1, 2]);
             assert!(report.total() > 0, "{structure}: no crash points");
             for r in &report.results {
                 assert!(
-                    matches!(
-                        r.classification,
-                        Classification::RecoveredOld | Classification::RecoveredNew
-                    ),
+                    matches!(r.verdict, Verdict::Old | Verdict::New),
                     "{}: un-faulted case must recover cleanly, got {} ({})",
-                    r.case.repro(),
-                    r.classification,
+                    ServeSubject.repro(&r.case),
+                    r.verdict,
                     r.detail
                 );
             }
             // The sweep must actually straddle the linearization point:
             // both oracle states must appear somewhere.
             assert!(
-                report.count(Classification::RecoveredOld) > 0
-                    && report.count(Classification::RecoveredNew) > 0,
+                report.count(Verdict::Old) > 0 && report.count(Verdict::New) > 0,
                 "{structure}: crash points never straddled the CAS"
             );
         }
     }
 
     #[test]
+    fn unfaulted_cas_window_crashes_recover_an_oracle_state() {
+        assert_unfaulted_crashes_recover(Scheme::SuperMem);
+    }
+
+    #[test]
+    fn unfaulted_osiris_cas_window_crashes_recover_an_oracle_state() {
+        // Osiris relaxes counter persistence: only trial-decryption
+        // counter recovery sees the structure, never the strict rebuild.
+        assert_unfaulted_crashes_recover(Scheme::Osiris);
+    }
+
+    #[test]
     fn torn_drains_in_cas_windows_never_corrupt_silently() {
         for structure in StructureKind::ALL {
-            let report = campaign(structure, Some(FaultClass::Torn), &[1, 2]);
+            let report = campaign_on(
+                Scheme::SuperMem,
+                structure,
+                Fault::Media(FaultClass::Torn),
+                &[1, 2],
+            );
             assert!(
                 report.silent().is_empty(),
                 "{structure}: torn drain slipped through: {:?}",
@@ -439,27 +278,36 @@ mod tests {
 
     #[test]
     fn double_flips_on_the_structure_are_detected() {
-        let report = campaign(StructureKind::Stack, Some(FaultClass::DoubleFlip), &[1, 2]);
+        let report = campaign_on(
+            Scheme::SuperMem,
+            StructureKind::Stack,
+            Fault::Media(FaultClass::DoubleFlip),
+            &[1, 2],
+        );
         assert!(report.silent().is_empty());
     }
 
     #[test]
     fn bank_failures_in_cas_windows_never_lie() {
-        let report = campaign(StructureKind::Queue, Some(FaultClass::BankFail), &[1, 2]);
+        let report = campaign_on(
+            Scheme::SuperMem,
+            StructureKind::Queue,
+            Fault::Media(FaultClass::BankFail),
+            &[1, 2],
+        );
         assert!(report.silent().is_empty());
     }
 
     #[test]
     fn repro_line_names_the_case() {
-        let tc = ServeCase {
-            scheme: Scheme::SuperMem,
-            structure: StructureKind::Hash,
-            class: Some(FaultClass::Torn),
+        let tc = Case {
+            cell: (Scheme::SuperMem, StructureKind::Hash),
+            fault: Fault::Media(FaultClass::Torn),
             point: 3,
             seed: 2,
         };
         assert_eq!(
-            tc.repro(),
+            ServeSubject.repro(&tc),
             "supermem serve --torture --structure hash --scheme supermem --fault torn --point 3 --seed 2"
         );
     }

@@ -4,14 +4,11 @@
 //! exercised across crate boundaries the way `supermem serve` wires
 //! them.
 
+use supermem::campaign::{Campaign, Fault, Subject, Verdict};
 use supermem::nvm::FaultClass;
-use supermem::torture::Classification;
 use supermem::Scheme;
 use supermem_check::Checker;
-use supermem_serve::{
-    run_serve, run_serve_observed, run_serve_torture, ServeConfig, ServeTortureConfig,
-    StructureKind,
-};
+use supermem_serve::{run_serve, run_serve_observed, serve_campaign, ServeConfig, StructureKind};
 
 fn quick(structure: StructureKind) -> ServeConfig {
     ServeConfig {
@@ -114,21 +111,41 @@ fn degraded_serving_stays_deterministic() {
 fn cas_window_torture_has_no_silent_corruption() {
     // Cross-crate smoke of the full campaign shape: every structure,
     // crash-only plus one power-event and one media fault class.
-    let report = run_serve_torture(&ServeTortureConfig {
-        schemes: vec![Scheme::SuperMem],
-        structures: StructureKind::ALL.to_vec(),
-        classes: vec![None, Some(FaultClass::Torn), Some(FaultClass::DoubleFlip)],
+    let campaign = Campaign {
+        faults: vec![
+            Fault::None,
+            Fault::Media(FaultClass::Torn),
+            Fault::Media(FaultClass::DoubleFlip),
+        ],
         seeds: vec![1],
-        point: None,
-    });
+        ..serve_campaign(&[Scheme::SuperMem], &StructureKind::ALL)
+    };
+    let report = campaign.run();
     assert!(report.total() > 0);
     assert!(
         report.silent().is_empty(),
         "silent corruption: {}",
-        report.silent()[0].case.repro()
+        campaign.subject.repro(&report.silent()[0].case)
     );
     // The crash-only slice must recover an oracle state on both sides
     // of the linearization point.
-    assert!(report.count(Classification::RecoveredOld) > 0);
-    assert!(report.count(Classification::RecoveredNew) > 0);
+    assert!(report.count(Verdict::Old) > 0);
+    assert!(report.count(Verdict::New) > 0);
+
+    // The verdict table of `supermem serve --torture --seeds 2`, pinned
+    // exactly: (cases, old, new, detected, silent) per structure.
+    let full = serve_campaign(&[Scheme::SuperMem], &StructureKind::ALL).run();
+    let got: Vec<(String, _)> = full
+        .tally_by(|r| r.case.cell.1.to_string())
+        .into_iter()
+        .map(|(k, t)| (k, (t.cases, t.old, t.new, t.detected, t.silent)))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("stack".to_owned(), (49, 17, 18, 14, 0)),
+            ("queue".to_owned(), (56, 18, 25, 13, 0)),
+            ("hash".to_owned(), (56, 24, 20, 12, 0)),
+        ]
+    );
 }
