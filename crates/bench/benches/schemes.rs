@@ -4,8 +4,9 @@
 //! the cost of producing them.
 
 use std::hint::black_box;
-use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{Experiment, Scheme};
+use supermem_bench::machine;
 use supermem_bench::micro::Harness;
 
 fn main() {
@@ -13,20 +14,21 @@ fn main() {
 
     for scheme in supermem::scheme::FIGURE_SCHEMES {
         h.bench(&format!("run_single/queue/{}", scheme.name()), || {
-            let mut rc = RunConfig::new(scheme, WorkloadKind::Queue);
-            rc.txns = 50;
-            rc.req_bytes = 1024;
-            black_box(run_single(&rc))
+            let exp = Experiment::new(
+                machine(scheme),
+                WorkloadSpec::new(WorkloadKind::Queue).with_txns(50),
+            );
+            black_box(exp.expect("valid run").run_single())
         });
     }
 
     for kind in supermem::workloads::spec::ALL_KINDS {
         h.bench(&format!("run_single/supermem/{}", kind.name()), || {
-            let mut rc = RunConfig::new(supermem::Scheme::SuperMem, kind);
-            rc.txns = 50;
-            rc.req_bytes = 1024;
-            rc.array_footprint = 1 << 20;
-            black_box(run_single(&rc))
+            let spec = WorkloadSpec::new(kind)
+                .with_txns(50)
+                .with_array_footprint(1 << 20);
+            let exp = Experiment::new(machine(Scheme::SuperMem), spec);
+            black_box(exp.expect("valid run").run_single())
         });
     }
 

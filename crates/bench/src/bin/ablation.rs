@@ -13,9 +13,9 @@
 use supermem::metrics::TextTable;
 use supermem::sim::CounterPlacement;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadKind;
-use supermem::{run_batch, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{run_batch, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 const PLACEMENTS: [(CounterPlacement, &str); 3] = [
     (CounterPlacement::SingleBank, "SingleBank"),
@@ -33,22 +33,18 @@ fn main() {
     for kind in ALL_KINDS {
         for (placement, _) in PLACEMENTS {
             for cwc in [false, true] {
-                let mut rc = RunConfig::new(Scheme::WriteThrough, kind);
-                rc.txns = n;
-                rc.req_bytes = 1024;
-                rc.placement_override = Some(placement);
-                rc.cwc_override = Some(cwc);
-                jobs.push(rc);
+                let mut cfg = machine(Scheme::WriteThrough);
+                cfg.counter_placement = placement;
+                cfg.cwc = cwc;
+                jobs.push((cfg, WorkloadSpec::new(kind).with_txns(n)));
             }
         }
     }
     let grid_jobs = jobs.len();
     for (placement, _) in PLACEMENTS {
-        let mut rc = RunConfig::new(Scheme::WriteThrough, WorkloadKind::Queue);
-        rc.txns = n;
-        rc.req_bytes = 1024;
-        rc.placement_override = Some(placement);
-        jobs.push(rc);
+        let mut cfg = machine(Scheme::WriteThrough);
+        cfg.counter_placement = placement;
+        jobs.push((cfg, WorkloadSpec::new(WorkloadKind::Queue).with_txns(n)));
     }
     let results = run_batch(&jobs);
 

@@ -8,8 +8,9 @@
 
 use supermem::metrics::TextTable;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{run_batch, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::WorkloadSpec;
+use supermem::{run_batch, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 const CC_SIZES: [(u64, &str); 2] = [(256 << 10, "256K"), (1 << 10, "1K")];
 
@@ -19,12 +20,10 @@ fn main() {
     for kind in ALL_KINDS {
         for (cc, _) in CC_SIZES {
             for integrity in [false, true] {
-                let mut rc = RunConfig::new(Scheme::SuperMem, kind);
-                rc.txns = n;
-                rc.req_bytes = 1024;
-                rc.counter_cache_bytes = cc;
-                rc.integrity_tree = integrity;
-                jobs.push(rc);
+                let cfg = machine(Scheme::SuperMem)
+                    .with_counter_cache_bytes(cc)
+                    .with_integrity_tree(integrity);
+                jobs.push((cfg, WorkloadSpec::new(kind).with_txns(n)));
             }
         }
     }

@@ -14,9 +14,10 @@ use supermem::nvm::addr::LineAddr;
 use supermem::nvm::NvmStore;
 use supermem::persist::{PMem, RecoveredMemory};
 use supermem::sim::{Config, SplitMix64};
-use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig, Scheme, System};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{Experiment, Scheme, System};
 use supermem_bench::guard::{check, extract_after_ns, tolerance, GuardCheck};
+use supermem_bench::machine;
 use supermem_bench::micro::Harness;
 use supermem_kv::kv_campaign;
 use supermem_lincheck::{lincheck, LincheckConfig};
@@ -262,12 +263,11 @@ fn main() -> ExitCode {
         // engine + crypto + drain fast path together), so it catches
         // regressions the per-call microbenchmarks above cannot see,
         // e.g. a barrier that stops skipping quiescent channels.
-        let mut rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::Array);
-        rc.txns = 40;
-        rc.req_bytes = 1024;
-        rc.channels = 8;
+        let cfg = machine(Scheme::SuperMem).with_channels(8);
+        let spec = WorkloadSpec::new(WorkloadKind::Array).with_txns(40);
         h.bench("single_run/SuperMem-ch8-large", || {
-            black_box(run_single(black_box(&rc)))
+            let exp = Experiment::new(black_box(cfg.clone()), black_box(spec.clone()));
+            black_box(exp.expect("valid run").run_single())
         });
     }
 

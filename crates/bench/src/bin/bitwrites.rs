@@ -16,8 +16,9 @@ use supermem::crypto::{deuce::bit_flips, EncryptionEngine};
 use supermem::metrics::TextTable;
 use supermem::trace::TraceEvent;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{record_workload_trace, sweep, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::WorkloadSpec;
+use supermem::{sweep, Experiment, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 #[derive(Default)]
 struct Flips {
@@ -109,11 +110,12 @@ fn main() {
     // One job per workload: record the flush stream, then replay it
     // through the three functional data paths.
     let rows = sweep(&ALL_KINDS, |kind| {
-        let mut rc = RunConfig::new(Scheme::Unsec, *kind);
-        rc.txns = n;
-        rc.req_bytes = 1024;
-        rc.array_footprint = 1 << 20;
-        let trace = record_workload_trace(&rc);
+        let spec = WorkloadSpec::new(*kind)
+            .with_txns(n)
+            .with_array_footprint(1 << 20);
+        let trace = Experiment::new(machine(Scheme::Unsec), spec)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .record_trace();
         let f = replay_flips(&trace);
         let per = |v: u64| v as f64 / f.writes.max(1) as f64;
         vec![

@@ -15,8 +15,9 @@
 
 use supermem::metrics::TextTable;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{run_batch, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::WorkloadSpec;
+use supermem::{run_batch, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 const SCHEMES: [Scheme; 2] = [Scheme::WriteThrough, Scheme::SuperMem];
 
@@ -67,11 +68,10 @@ fn main() {
     for scheme in SCHEMES {
         for kind in ALL_KINDS {
             for &ch in &channels {
-                let mut rc = RunConfig::new(scheme, kind);
-                rc.txns = n;
-                rc.req_bytes = 1024;
-                rc.channels = ch;
-                jobs.push(rc);
+                jobs.push((
+                    machine(scheme).with_channels(ch),
+                    WorkloadSpec::new(kind).with_txns(n),
+                ));
             }
         }
     }

@@ -9,8 +9,9 @@
 
 use supermem::metrics::TextTable;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{run_batch, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::WorkloadSpec;
+use supermem::{run_batch, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 const SCHEMES: [(Scheme, &str); 3] = [
     (Scheme::WriteThrough, "WT"),
@@ -23,10 +24,7 @@ fn main() {
     let mut jobs = Vec::new();
     for kind in ALL_KINDS {
         for (scheme, _) in SCHEMES {
-            let mut rc = RunConfig::new(scheme, kind);
-            rc.txns = n;
-            rc.req_bytes = 1024;
-            jobs.push(rc);
+            jobs.push((machine(scheme), WorkloadSpec::new(kind).with_txns(n)));
         }
     }
     let results = run_batch(&jobs);

@@ -6,8 +6,9 @@
 //! 17–24% (256 B) up to 40–48% (4 KB); WT+XBank up to 45%; SuperMem
 //! lands within a few percent of the ideal WB.
 
-use supermem::{run_single, RunConfig};
-use supermem_bench::{normalized_figure_report, txns, REQUEST_SIZES};
+use supermem::workloads::WorkloadSpec;
+use supermem::Experiment;
+use supermem_bench::{machine, normalized_figure_report, txns, REQUEST_SIZES};
 
 fn main() {
     let n = txns();
@@ -25,12 +26,14 @@ fn main() {
         "fig13",
         &titles,
         |part, kind, scheme| {
-            let mut rc = RunConfig::new(scheme, kind);
-            rc.txns = n;
-            rc.req_bytes = REQUEST_SIZES[part];
-            rc
+            Experiment::new(
+                machine(scheme),
+                WorkloadSpec::new(kind)
+                    .with_txns(n)
+                    .with_req_bytes(REQUEST_SIZES[part]),
+            )
         },
-        run_single,
+        Experiment::run,
         supermem::RunResult::mean_txn_latency,
     )
     .emit();

@@ -6,8 +6,9 @@
 //! banks saturate, so WT+CWC (which removes writes) overtakes WT+XBank
 //! (which only spreads them); SuperMem still tracks the ideal WB.
 
-use supermem::{run_multicore, RunConfig};
-use supermem_bench::{normalized_figure_report, txns};
+use supermem::workloads::WorkloadSpec;
+use supermem::Experiment;
+use supermem_bench::{machine, normalized_figure_report, txns};
 
 const PROGRAMS: [usize; 3] = [1, 4, 8];
 
@@ -27,14 +28,13 @@ fn main() {
         "fig14",
         &titles,
         |part, kind, scheme| {
-            let mut rc = RunConfig::new(scheme, kind);
-            rc.txns = n;
-            rc.req_bytes = 1024;
-            rc.programs = PROGRAMS[part];
-            rc.array_footprint = 2 << 20; // per-program footprint
-            rc
+            // Each program gets this array footprint.
+            let spec = WorkloadSpec::new(kind)
+                .with_txns(n)
+                .with_array_footprint(2 << 20);
+            Experiment::new(machine(scheme), spec)?.with_programs(PROGRAMS[part])
         },
-        run_multicore,
+        Experiment::run_multicore,
         supermem::RunResult::mean_txn_latency,
     )
     .emit();

@@ -3,8 +3,9 @@
 //! at a time — closer to the paper's cycle-driven gem5 cores than the
 //! transaction-granularity scheduler in `fig14`.
 
-use supermem::{run_multicore_trace, RunConfig};
-use supermem_bench::{normalized_figure_report, txns};
+use supermem::workloads::WorkloadSpec;
+use supermem::Experiment;
+use supermem_bench::{machine, normalized_figure_report, txns};
 
 const PROGRAMS: [usize; 3] = [1, 4, 8];
 
@@ -24,14 +25,13 @@ fn main() {
         "fig14t",
         &titles,
         |part, kind, scheme| {
-            let mut rc = RunConfig::new(scheme, kind);
-            rc.txns = n;
-            rc.req_bytes = 1024;
-            rc.programs = PROGRAMS[part];
-            rc.array_footprint = 2 << 20;
-            rc
+            // Each program gets this array footprint.
+            let spec = WorkloadSpec::new(kind)
+                .with_txns(n)
+                .with_array_footprint(2 << 20);
+            Experiment::new(machine(scheme), spec)?.with_programs(PROGRAMS[part])
         },
-        run_multicore_trace,
+        Experiment::run_multicore_trace,
         supermem::RunResult::mean_txn_latency,
     )
     .emit();

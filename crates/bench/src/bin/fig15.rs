@@ -6,8 +6,9 @@
 //! 20–27% of WT's writes at 256 B, 35–42% at 1 KB, and 45–48% at 4 KB
 //! thanks to better spatial locality feeding CWC.
 
-use supermem::{run_single, RunConfig};
-use supermem_bench::{normalized_figure_report, txns, REQUEST_SIZES};
+use supermem::workloads::WorkloadSpec;
+use supermem::Experiment;
+use supermem_bench::{machine, normalized_figure_report, txns, REQUEST_SIZES};
 
 fn main() {
     let n = txns();
@@ -25,12 +26,14 @@ fn main() {
         "fig15",
         &titles,
         |part, kind, scheme| {
-            let mut rc = RunConfig::new(scheme, kind);
-            rc.txns = n;
-            rc.req_bytes = REQUEST_SIZES[part];
-            rc
+            Experiment::new(
+                machine(scheme),
+                WorkloadSpec::new(kind)
+                    .with_txns(n)
+                    .with_req_bytes(REQUEST_SIZES[part]),
+            )
         },
-        run_single,
+        Experiment::run,
         |r| r.nvm_writes() as f64,
     )
     .emit();

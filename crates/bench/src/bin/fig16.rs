@@ -8,8 +8,9 @@
 
 use supermem::metrics::TextTable;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{run_batch, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::WorkloadSpec;
+use supermem::{run_batch, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 const QUEUE_SIZES: [usize; 5] = [8, 16, 32, 64, 128];
 
@@ -18,11 +19,10 @@ fn main() {
     let mut jobs = Vec::new();
     for kind in ALL_KINDS {
         for q in QUEUE_SIZES {
-            let mut rc = RunConfig::new(Scheme::SuperMem, kind);
-            rc.txns = n;
-            rc.req_bytes = 1024;
-            rc.write_queue_entries = q;
-            jobs.push(rc);
+            jobs.push((
+                machine(Scheme::SuperMem).with_write_queue_entries(q),
+                WorkloadSpec::new(kind).with_txns(n),
+            ));
         }
     }
     let results = run_batch(&jobs);

@@ -9,8 +9,9 @@
 
 use supermem::metrics::TextTable;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{run_batch, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::WorkloadSpec;
+use supermem::{run_batch, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 const CC_SIZES: [(u64, &str); 7] = [
     (1 << 10, "1K"),
@@ -27,15 +28,15 @@ fn main() {
     let mut jobs = Vec::new();
     for kind in ALL_KINDS {
         for (bytes, _) in CC_SIZES {
-            let mut rc = RunConfig::new(Scheme::SuperMem, kind);
             // Reuse must dominate first-touch misses for the hit rate to
             // reflect capacity: run several passes over each structure's
             // footprint (the paper's workloads run to completion).
-            rc.txns = n.max(600);
-            rc.req_bytes = 1024;
-            rc.counter_cache_bytes = bytes;
-            rc.hash_buckets = 512;
-            jobs.push(rc);
+            jobs.push((
+                machine(Scheme::SuperMem).with_counter_cache_bytes(bytes),
+                WorkloadSpec::new(kind)
+                    .with_txns(n.max(600))
+                    .with_hash_buckets(512),
+            ));
         }
     }
     let results = run_batch(&jobs);

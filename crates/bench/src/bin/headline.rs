@@ -5,8 +5,9 @@
 
 use supermem::metrics::{geomean, TextTable};
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{run_batch, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::WorkloadSpec;
+use supermem::{run_batch, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 const SCHEMES: [Scheme; 4] = [
     Scheme::Unsec,
@@ -20,10 +21,7 @@ fn main() {
     let mut jobs = Vec::new();
     for kind in ALL_KINDS {
         for scheme in SCHEMES {
-            let mut rc = RunConfig::new(scheme, kind);
-            rc.txns = n;
-            rc.req_bytes = 1024;
-            jobs.push(rc);
+            jobs.push((machine(scheme), WorkloadSpec::new(kind).with_txns(n)));
         }
     }
     let results = run_batch(&jobs);

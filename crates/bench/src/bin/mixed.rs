@@ -9,9 +9,9 @@
 //! collapse.
 
 use supermem::metrics::TextTable;
-use supermem::workloads::WorkloadKind;
-use supermem::{run_batch, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{run_batch, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 const MIXES: [(u8, &str); 4] = [
     (0, "insert-only"),
@@ -27,11 +27,12 @@ fn main() {
     let mut jobs = Vec::new();
     for (pct, _) in MIXES {
         for scheme in SCHEMES {
-            let mut rc = RunConfig::new(scheme, WorkloadKind::Ycsb);
-            rc.txns = n;
-            rc.req_bytes = 1024;
-            rc.ycsb_read_pct = pct;
-            jobs.push(rc);
+            jobs.push((
+                machine(scheme),
+                WorkloadSpec::new(WorkloadKind::Ycsb)
+                    .with_txns(n)
+                    .with_ycsb_read_pct(pct),
+            ));
         }
     }
     let results = run_batch(&jobs);

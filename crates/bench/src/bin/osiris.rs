@@ -17,10 +17,11 @@
 
 use supermem::metrics::TextTable;
 use supermem::persist::recover_osiris;
+use supermem::sim::Config;
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::{WorkloadKind, WorkloadSpec};
-use supermem::{run_batch, sweep, RunConfig, Scheme, SystemBuilder};
-use supermem_bench::{txns, Report};
+use supermem::{run_batch, sweep, Scheme, System};
+use supermem_bench::{machine, txns, Report};
 
 const SCHEMES: [Scheme; 3] = [Scheme::WriteBackIdeal, Scheme::Osiris, Scheme::SuperMem];
 
@@ -31,10 +32,7 @@ fn main() {
     let mut jobs = Vec::new();
     for kind in ALL_KINDS {
         for scheme in SCHEMES {
-            let mut rc = RunConfig::new(scheme, kind);
-            rc.txns = n;
-            rc.req_bytes = 1024;
-            jobs.push(rc);
+            jobs.push((machine(scheme), WorkloadSpec::new(kind).with_txns(n)));
         }
     }
     let results = run_batch(&jobs);
@@ -64,8 +62,8 @@ fn main() {
     // run-crash-recover cycle is independent, so they sweep too.
     let footprints: [u64; 4] = [256, 1024, 4096, 8192];
     let rec_rows = sweep(&footprints, |&footprint_kb| {
-        let cfg = Scheme::Osiris.apply(supermem::sim::Config::default());
-        let mut sys = SystemBuilder::new().scheme(Scheme::Osiris).build();
+        let cfg = Scheme::Osiris.apply(Config::default());
+        let mut sys = System::new(cfg.clone());
         let spec = WorkloadSpec::new(WorkloadKind::Array)
             .with_txns(50)
             .with_req_bytes(1024)

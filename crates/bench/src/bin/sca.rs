@@ -10,28 +10,18 @@ use supermem::metrics::TextTable;
 use supermem::sca::ScaSystem;
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::WorkloadSpec;
-use supermem::{run_single, sweep, RunConfig, Scheme, SystemBuilder};
-use supermem_bench::{txns, Report};
+use supermem::{sweep, Experiment, Scheme, System};
+use supermem_bench::{machine, txns, Report};
 
-/// Runs one workload through the SCA adapter, mirroring `run_single`'s
-/// measurement discipline.
-fn run_sca(rc: &RunConfig) -> (f64, u64, u64) {
-    let mut mem = ScaSystem::new(
-        SystemBuilder::new()
-            .scheme(Scheme::Sca)
-            .seed(rc.seed)
-            .build(),
-    );
-    let spec = WorkloadSpec::new(rc.kind)
-        .with_txns(rc.txns)
-        .with_req_bytes(rc.req_bytes)
-        .with_seed(rc.seed)
-        .with_array_footprint(rc.array_footprint);
+/// Runs one workload through the SCA adapter, mirroring
+/// `Experiment::run_single`'s measurement discipline.
+fn run_sca(spec: &WorkloadSpec) -> (f64, u64, u64) {
+    let mut mem = ScaSystem::new(System::new(machine(Scheme::Sca)));
     let mut w = spec.build(&mut mem).expect("valid spec");
     mem.inner_mut().checkpoint();
     mem.inner_mut().reset_stats();
-    let mut latencies = Vec::with_capacity(rc.txns as usize);
-    for _ in 0..rc.txns {
+    let mut latencies = Vec::with_capacity(spec.txns as usize);
+    for _ in 0..spec.txns {
         let start = mem.inner().now();
         w.step(&mut mem).expect("txn");
         latencies.push(mem.inner().now() - start);
@@ -49,18 +39,15 @@ fn main() {
     // One job per workload row; each row needs the WB/SuperMem runs and
     // the SCA adapter run, so the row is the parallel grain.
     let rows = sweep(&ALL_KINDS, |kind| {
+        let spec = WorkloadSpec::new(*kind).with_txns(n);
         let run = |scheme: Scheme| {
-            let mut rc = RunConfig::new(scheme, *kind);
-            rc.txns = n;
-            rc.req_bytes = 1024;
-            run_single(&rc)
+            Experiment::new(machine(scheme), spec.clone())
+                .unwrap_or_else(|e| panic!("{e}"))
+                .run_single()
         };
         let wb = run(Scheme::WriteBackIdeal);
         let sm = run(Scheme::SuperMem);
-        let mut rc = RunConfig::new(Scheme::Sca, *kind);
-        rc.txns = n;
-        rc.req_bytes = 1024;
-        let (sca_lat, sca_writes, writebacks) = run_sca(&rc);
+        let (sca_lat, sca_writes, writebacks) = run_sca(&spec);
         let base = wb.mean_txn_latency();
         vec![
             kind.name().into(),

@@ -11,8 +11,9 @@ use supermem::metrics::TextTable;
 use supermem::scheme::FIGURE_SCHEMES;
 use supermem::trace::encode;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{record_workload_trace, replay_trace, sweep, RunConfig, Scheme};
-use supermem_bench::{txns, Report};
+use supermem::workloads::WorkloadSpec;
+use supermem::{sweep, Experiment, Scheme};
+use supermem_bench::{machine, txns, Report};
 
 fn main() {
     let n = txns();
@@ -20,18 +21,18 @@ fn main() {
     // every scheme. The replays share the recorded trace, so the
     // workload is the natural parallel grain.
     let rows = sweep(&ALL_KINDS, |kind| {
-        let mut rc = RunConfig::new(Scheme::SuperMem, *kind);
-        rc.txns = n;
-        rc.req_bytes = 1024;
-        rc.array_footprint = 1 << 20;
-        let trace = record_workload_trace(&rc);
+        let spec = WorkloadSpec::new(*kind)
+            .with_txns(n)
+            .with_array_footprint(1 << 20);
+        let session = |scheme: Scheme| {
+            Experiment::new(machine(scheme), spec.clone()).unwrap_or_else(|e| panic!("{e}"))
+        };
+        let trace = session(Scheme::SuperMem).record_trace();
         let encoded = encode(&trace);
         let mut cells = vec![kind.name().to_owned()];
         let mut base = None;
         for scheme in FIGURE_SCHEMES {
-            let mut rc = rc.clone();
-            rc.scheme = scheme;
-            let lat = replay_trace(&rc, &trace).mean_txn_latency();
+            let lat = session(scheme).replay(&trace).mean_txn_latency();
             let b = *base.get_or_insert(lat);
             cells.push(format!("{:.2}", lat / b));
         }

@@ -19,9 +19,9 @@
 use supermem::metrics::TextTable;
 use supermem::persist::{PMem, RecoveredMemory};
 use supermem::sim::Config;
-use supermem::workloads::WorkloadKind;
-use supermem::{run_batch, RunConfig, Scheme, System};
-use supermem_bench::{txns, Report};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{run_batch, Scheme, System};
+use supermem_bench::{machine, txns, Report};
 
 const SCHEMES: [Scheme; 2] = [Scheme::WriteThrough, Scheme::SuperMem];
 
@@ -62,12 +62,10 @@ fn main() {
     let mut jobs = Vec::new();
     for scheme in SCHEMES {
         for (levels, _) in FRONTIERS {
-            let mut rc = RunConfig::new(scheme, WorkloadKind::Queue);
-            rc.txns = n;
-            rc.req_bytes = 1024;
-            rc.integrity_tree = true;
-            rc.persisted_levels = levels;
-            jobs.push(rc);
+            let cfg = machine(scheme)
+                .with_integrity_tree(true)
+                .with_persisted_levels(levels);
+            jobs.push((cfg, WorkloadSpec::new(WorkloadKind::Queue).with_txns(n)));
         }
     }
     let results = run_batch(&jobs);

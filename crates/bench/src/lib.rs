@@ -35,9 +35,10 @@ pub use report::Report;
 
 use supermem::metrics::TextTable;
 use supermem::scheme::FIGURE_SCHEMES;
+use supermem::sim::Config;
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::WorkloadKind;
-use supermem::{sweep, RunConfig, RunResult, Scheme};
+use supermem::{env_run_threads, sweep, ConfigError, Experiment, RunResult, Scheme};
 
 /// Transactions per run, from `SUPERMEM_TXNS` (default 200).
 pub fn txns() -> u64 {
@@ -49,6 +50,17 @@ pub fn txns() -> u64 {
 
 /// The paper's three transaction request sizes.
 pub const REQUEST_SIZES: [u64; 3] = [256, 1024, 4096];
+
+/// The machine of every figure run: `scheme`'s preset over the Table 2
+/// defaults, machine seed 1 (it derives the AES key; the committed
+/// figures were generated with it), and `SUPERMEM_RUN_THREADS`
+/// intra-run workers.
+pub fn machine(scheme: Scheme) -> Config {
+    scheme
+        .apply(Config::default())
+        .with_seed(1)
+        .with_run_threads(env_run_threads())
+}
 
 /// Builds one normalized-metric table: workloads as rows, schemes as
 /// columns, each cell `metric(scheme) / metric(first scheme)`.
@@ -73,13 +85,17 @@ pub fn normalized_table(title: &str, scheme_names: &[&str], rows: &[(String, Vec
     )
 }
 
-/// The workload × scheme grid behind Figures 13–15: one [`RunConfig`]
+/// The workload × scheme grid behind Figures 13–15: one [`Experiment`]
 /// per (part, workload, scheme) cell, all cells executed through the
 /// parallel sweep engine, one table per part with each workload row
 /// normalized to the first scheme's metric.
 ///
 /// Cells are reassembled **in input order**, so the rendered report is
 /// byte-identical to the historical sequential nested loops.
+///
+/// # Panics
+///
+/// Panics if `make` refuses a cell.
 pub fn normalized_figure_report<F, R, M>(
     name: &str,
     part_titles: &[String],
@@ -88,19 +104,21 @@ pub fn normalized_figure_report<F, R, M>(
     metric: M,
 ) -> Report
 where
-    F: Fn(usize, WorkloadKind, Scheme) -> RunConfig,
-    R: Fn(&RunConfig) -> RunResult + Sync,
+    F: Fn(usize, WorkloadKind, Scheme) -> Result<Experiment, ConfigError> + Sync,
+    R: Fn(&mut Experiment) -> RunResult + Sync,
     M: Fn(&RunResult) -> f64,
 {
-    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
     for part in 0..part_titles.len() {
         for kind in ALL_KINDS {
             for scheme in FIGURE_SCHEMES {
-                jobs.push(make(part, kind, scheme));
+                cells.push((part, kind, scheme));
             }
         }
     }
-    let results = sweep(&jobs, |rc| runner(rc));
+    let results = sweep(&cells, |&(part, kind, scheme)| {
+        runner(&mut make(part, kind, scheme).unwrap_or_else(|e| panic!("{e}")))
+    });
     let scheme_names = FIGURE_SCHEMES.map(supermem::Scheme::name);
     let cells_per_part = ALL_KINDS.len() * FIGURE_SCHEMES.len();
     let mut rep = Report::new(name);
@@ -116,19 +134,6 @@ where
         );
     }
     rep
-}
-
-/// Formats a run's headline numbers for debugging output.
-pub fn summarize(r: &RunResult) -> String {
-    format!(
-        "{} on {} ({}B): {:.0} cyc/txn, {} NVM writes, {} coalesced",
-        r.scheme,
-        r.workload,
-        r.req_bytes,
-        r.mean_txn_latency(),
-        r.nvm_writes(),
-        r.stats.counter_writes_coalesced
-    )
 }
 
 #[cfg(test)]

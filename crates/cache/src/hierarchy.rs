@@ -248,11 +248,6 @@ impl CacheHierarchy {
         out
     }
 
-    /// (hits, misses) of the shared L3 (diagnostics).
-    pub fn l3_hit_miss(&self) -> (u64, u64) {
-        self.l3.hit_miss()
-    }
-
     fn install_l1(
         &mut self,
         core: usize,

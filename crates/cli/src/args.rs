@@ -1,7 +1,8 @@
 //! Flag parsing (dependency-free).
 
-use supermem::workloads::WorkloadKind;
-use supermem::{RunConfig, Scheme};
+use supermem::sim::Config;
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{env_run_threads, Scheme};
 
 /// A human-readable argument error.
 #[derive(Debug)]
@@ -15,11 +16,18 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Parsed `run`-style flags.
+/// Parsed `run`-style flags: one run's machine, workload and program
+/// count, plus output flags.
 #[derive(Debug, Clone)]
 pub struct Parsed {
-    /// The assembled run configuration.
-    pub rc: RunConfig,
+    /// The named scheme (reported in the result rows).
+    pub scheme: Scheme,
+    /// The machine: `scheme`'s preset plus the machine flags.
+    pub cfg: Config,
+    /// Program 0's workload.
+    pub spec: WorkloadSpec,
+    /// Concurrent programs, one per core.
+    pub programs: usize,
     /// Emit CSV instead of an aligned table.
     pub csv: bool,
     /// Flags the parser did not consume (for `sweep`'s own flags).
@@ -56,12 +64,16 @@ pub fn parse_size(s: &str) -> Result<u64, ArgError> {
 }
 
 /// Parses the shared run flags, collecting unknown flags into
-/// [`Parsed::leftover`].
+/// [`Parsed::leftover`]. Every flag writes straight into the machine
+/// [`Config`] or the [`WorkloadSpec`]; `--seed` seeds both, and the
+/// scheme's preset is applied last (it sets only knobs no flag touches).
 pub fn parse_run_flags(argv: &[String]) -> Result<Parsed, ArgError> {
-    let mut rc = RunConfig {
-        txns: 150,
-        ..RunConfig::default()
-    };
+    let mut scheme = Scheme::SuperMem;
+    let mut cfg = Config::default()
+        .with_seed(1)
+        .with_run_threads(env_run_threads());
+    let mut spec = WorkloadSpec::new(WorkloadKind::Array).with_txns(150);
+    let mut programs = 1;
     let mut csv = false;
     let mut leftover = Vec::new();
     let mut it = argv.iter().peekable();
@@ -72,69 +84,58 @@ pub fn parse_run_flags(argv: &[String]) -> Result<Parsed, ArgError> {
             .cloned()
             .ok_or_else(|| ArgError(format!("{flag} needs a value")))
     };
+    let number = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
+                  flag: &str|
+     -> Result<u64, ArgError> {
+        value(it, flag)?
+            .parse()
+            .map_err(|_| ArgError(format!("invalid {flag}")))
+    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scheme" => rc.scheme = parse_scheme(&value(&mut it, "--scheme")?)?,
+            "--scheme" => scheme = parse_scheme(&value(&mut it, "--scheme")?)?,
             "--workload" => {
                 let w = value(&mut it, "--workload")?;
-                rc.kind = WorkloadKind::from_name(&w)
+                spec.kind = WorkloadKind::from_name(&w)
                     .ok_or_else(|| ArgError(format!("unknown workload `{w}`")))?;
             }
-            "--txns" => {
-                rc.txns = value(&mut it, "--txns")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --txns".into()))?;
-            }
-            "--req" => rc.req_bytes = parse_size(&value(&mut it, "--req")?)?,
-            "--wq" => {
-                rc.write_queue_entries = value(&mut it, "--wq")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --wq".into()))?;
-            }
-            "--cc" => rc.counter_cache_bytes = parse_size(&value(&mut it, "--cc")?)?,
+            "--txns" => spec.txns = number(&mut it, "--txns")?,
+            "--req" => spec.req_bytes = parse_size(&value(&mut it, "--req")?)?,
+            "--wq" => cfg.write_queue_entries = number(&mut it, "--wq")? as usize,
+            "--cc" => cfg.counter_cache_bytes = parse_size(&value(&mut it, "--cc")?)?,
             "--channels" => {
-                rc.channels = value(&mut it, "--channels")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --channels".into()))?;
-                if rc.channels == 0 || !rc.channels.is_power_of_two() {
+                cfg.channels = number(&mut it, "--channels")? as usize;
+                if cfg.channels == 0 || !cfg.channels.is_power_of_two() {
                     return Err(ArgError("--channels must be a power of two".into()));
                 }
             }
-            "--programs" => {
-                rc.programs = value(&mut it, "--programs")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --programs".into()))?;
-            }
+            "--programs" => programs = number(&mut it, "--programs")? as usize,
             "--seed" => {
-                rc.seed = value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --seed".into()))?;
+                cfg.seed = number(&mut it, "--seed")?;
+                spec.seed = cfg.seed;
             }
             "--read-pct" => {
-                rc.ycsb_read_pct = value(&mut it, "--read-pct")?
+                spec.ycsb_read_pct = value(&mut it, "--read-pct")?
                     .parse()
                     .map_err(|_| ArgError("invalid --read-pct".into()))?;
-                if rc.ycsb_read_pct > 100 {
+                if spec.ycsb_read_pct > 100 {
                     return Err(ArgError("--read-pct must be 0..=100".into()));
                 }
             }
-            "--integrity-tree" => rc.integrity_tree = true,
+            "--integrity-tree" => cfg.integrity_tree = true,
             "--persisted-levels" => {
                 let n: u32 = value(&mut it, "--persisted-levels")?
                     .parse()
                     .map_err(|_| ArgError("invalid --persisted-levels".into()))?;
                 // The frontier only means anything with the tree armed.
-                rc.integrity_tree = true;
-                rc.persisted_levels = Some(n);
+                cfg.integrity_tree = true;
+                cfg.persisted_levels = Some(n);
             }
             "--run-threads" => {
-                let n: usize = value(&mut it, "--run-threads")?
-                    .parse()
-                    .map_err(|_| ArgError("invalid --run-threads".into()))?;
-                if n == 0 {
+                cfg.run_threads = number(&mut it, "--run-threads")? as usize;
+                if cfg.run_threads == 0 {
                     return Err(ArgError("--run-threads must be at least 1".into()));
                 }
-                rc.run_threads = n;
             }
             "--csv" => csv = true,
             other => {
@@ -147,7 +148,14 @@ pub fn parse_run_flags(argv: &[String]) -> Result<Parsed, ArgError> {
             }
         }
     }
-    Ok(Parsed { rc, csv, leftover })
+    Ok(Parsed {
+        scheme,
+        cfg: scheme.apply(cfg),
+        spec,
+        programs,
+        csv,
+        leftover,
+    })
 }
 
 #[cfg(test)]
@@ -180,14 +188,15 @@ mod tests {
             "--csv",
         ]))
         .unwrap();
-        assert_eq!(p.rc.scheme, Scheme::WtCwc);
-        assert_eq!(p.rc.kind, WorkloadKind::BTree);
-        assert_eq!(p.rc.txns, 42);
-        assert_eq!(p.rc.req_bytes, 4096);
-        assert_eq!(p.rc.write_queue_entries, 64);
-        assert_eq!(p.rc.counter_cache_bytes, 1 << 20);
-        assert_eq!(p.rc.programs, 4);
-        assert_eq!(p.rc.seed, 9);
+        assert_eq!(p.scheme, Scheme::WtCwc);
+        assert_eq!(p.cfg, Scheme::WtCwc.apply(p.cfg.clone()));
+        assert_eq!(p.spec.kind, WorkloadKind::BTree);
+        assert_eq!(p.spec.txns, 42);
+        assert_eq!(p.spec.req_bytes, 4096);
+        assert_eq!(p.cfg.write_queue_entries, 64);
+        assert_eq!(p.cfg.counter_cache_bytes, 1 << 20);
+        assert_eq!(p.programs, 4);
+        assert_eq!((p.cfg.seed, p.spec.seed), (9, 9));
         assert!(p.csv);
         assert!(p.leftover.is_empty());
     }
@@ -196,13 +205,14 @@ mod tests {
     fn unknown_flags_go_to_leftover_with_values() {
         let p = parse_run_flags(&strs(&["--param", "wq", "--scheme", "unsec"])).unwrap();
         assert_eq!(p.leftover, strs(&["--param", "wq"]));
-        assert_eq!(p.rc.scheme, Scheme::Unsec);
+        assert_eq!(p.scheme, Scheme::Unsec);
+        assert!(!p.cfg.encryption);
     }
 
     #[test]
     fn channels_flag_parses_and_validates() {
         let p = parse_run_flags(&strs(&["--channels", "4"])).unwrap();
-        assert_eq!(p.rc.channels, 4);
+        assert_eq!(p.cfg.channels, 4);
         assert!(parse_run_flags(&strs(&["--channels", "3"])).is_err());
         assert!(parse_run_flags(&strs(&["--channels", "0"])).is_err());
     }
@@ -210,18 +220,18 @@ mod tests {
     #[test]
     fn persisted_levels_flag_arms_the_tree() {
         let p = parse_run_flags(&strs(&["--persisted-levels", "2"])).unwrap();
-        assert!(p.rc.integrity_tree);
-        assert_eq!(p.rc.persisted_levels, Some(2));
+        assert!(p.cfg.integrity_tree);
+        assert_eq!(p.cfg.persisted_levels, Some(2));
         let p = parse_run_flags(&strs(&["--integrity-tree"])).unwrap();
-        assert!(p.rc.integrity_tree);
-        assert_eq!(p.rc.persisted_levels, None);
+        assert!(p.cfg.integrity_tree);
+        assert_eq!(p.cfg.persisted_levels, None);
         assert!(parse_run_flags(&strs(&["--persisted-levels", "x"])).is_err());
     }
 
     #[test]
     fn run_threads_flag_parses_and_validates() {
         let p = parse_run_flags(&strs(&["--run-threads", "4"])).unwrap();
-        assert_eq!(p.rc.run_threads, 4);
+        assert_eq!(p.cfg.run_threads, 4);
         assert!(parse_run_flags(&strs(&["--run-threads", "0"])).is_err());
         assert!(parse_run_flags(&strs(&["--run-threads", "x"])).is_err());
     }
@@ -245,8 +255,8 @@ mod tests {
     #[test]
     fn read_pct_parses_and_validates() {
         let p = parse_run_flags(&strs(&["--workload", "ycsb", "--read-pct", "95"])).unwrap();
-        assert_eq!(p.rc.kind, WorkloadKind::Ycsb);
-        assert_eq!(p.rc.ycsb_read_pct, 95);
+        assert_eq!(p.spec.kind, WorkloadKind::Ycsb);
+        assert_eq!(p.spec.ycsb_read_pct, 95);
         assert!(parse_run_flags(&strs(&["--read-pct", "101"])).is_err());
     }
 

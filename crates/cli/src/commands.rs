@@ -5,16 +5,16 @@ use supermem::metrics::TextTable;
 use supermem::nvm::FaultClass;
 use supermem::persist::DirectMem;
 use supermem::scheme::FIGURE_SCHEMES;
-use supermem::sim::{CounterPlacement, Mutation};
+use supermem::sim::{Config, CounterPlacement, Mutation};
 use supermem::torture::{
     scheme_machines, torture_campaign, tree_campaign, TxnSubject, TORTURE_SCHEMES,
 };
 use supermem::verify::{check_run, check_run_trace, run_mutant_sharded, CheckReport};
 use supermem::workloads::spec::ALL_KINDS;
 use supermem::workloads::Workload;
-use supermem::workloads::WorkloadKind;
-use supermem::{sweep, Experiment, RunConfig, RunResult, Scheme};
-use supermem_bench::Report;
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{sweep, Experiment, RunResult, Scheme};
+use supermem_bench::{machine, Report};
 use supermem_kv::torture::KV_TORTURE_SCHEMES;
 use supermem_kv::{kv_campaign, KvLayout, KvWorkload};
 use supermem_lincheck::{find_minimal, lincheck, CrashMode, LincheckConfig, Mutant};
@@ -35,22 +35,18 @@ const ALL_SCHEMES: [Scheme; 9] = [
     Scheme::Sca,
 ];
 
-/// Validates `rc` up front so the free-run path below cannot panic.
-fn validated(rc: &RunConfig) -> Result<(), ArgError> {
-    rc.validate().map_err(|e| ArgError(e.to_string()))
+/// A validated [`Experiment`] of `programs` copies of `spec` on `cfg`.
+fn session(cfg: &Config, spec: &WorkloadSpec, programs: usize) -> Result<Experiment, ArgError> {
+    Experiment::new(cfg.clone(), spec.clone())
+        .and_then(|e| e.with_programs(programs))
+        .map_err(|e| ArgError(e.to_string()))
 }
 
-fn execute(rc: &RunConfig) -> RunResult {
-    Experiment::new(rc.clone())
-        .expect("config validated before execute")
-        .run()
-}
-
-fn result_row(r: &RunResult) -> Vec<String> {
+fn result_row(p: &Parsed, r: &RunResult) -> Vec<String> {
     vec![
-        r.scheme.name().to_owned(),
-        r.workload.clone(),
-        r.txns.to_string(),
+        p.scheme.name().to_owned(),
+        p.spec.kind.name().to_owned(),
+        r.stats.txn_commits.to_string(),
         format!("{:.0}", r.mean_txn_latency()),
         r.nvm_writes().to_string(),
         r.stats.counter_writes_coalesced.to_string(),
@@ -80,10 +76,9 @@ pub fn cmd_run(p: Parsed) -> Result<(), ArgError> {
     if let Some(flag) = p.leftover.first() {
         return Err(ArgError(format!("unknown flag `{flag}`")));
     }
-    validated(&p.rc)?;
-    let r = execute(&p.rc);
+    let r = session(&p.cfg, &p.spec, p.programs)?.run();
     let mut t = TextTable::new(result_headers());
-    t.row(result_row(&r));
+    t.row(result_row(&p, &r));
     print!("{}", if p.csv { t.to_csv() } else { t.render() });
     Ok(())
 }
@@ -111,24 +106,24 @@ pub fn cmd_sweep(argv: &[String]) -> Result<(), ArgError> {
         return Err(ArgError("--values must list at least one point".into()));
     }
 
-    let mut jobs = Vec::with_capacity(points.len());
-    for &v in &points {
-        let mut rc = p.rc.clone();
+    // Point `v`'s run: the parsed one with `param` set to `v`.
+    let point = |v: u64| {
+        let (mut cfg, mut spec, mut programs) = (p.cfg.clone(), p.spec.clone(), p.programs);
         match param.as_str() {
-            "wq" => rc.write_queue_entries = v as usize,
-            "cc" => rc.counter_cache_bytes = v,
-            "req" => rc.req_bytes = v,
-            "programs" => rc.programs = v as usize,
+            "wq" => cfg.write_queue_entries = v as usize,
+            "cc" => cfg.counter_cache_bytes = v,
+            "req" => spec.req_bytes = v,
+            "programs" => programs = v as usize,
             other => return Err(ArgError(format!("unknown sweep param `{other}`"))),
         }
-        jobs.push(rc);
-    }
-    for rc in &jobs {
-        validated(rc)?;
+        session(&cfg, &spec, programs)
+    };
+    for &v in &points {
+        point(v)?;
     }
     // All points run through the parallel sweep engine; results come
     // back in input order, so the table matches the sequential output.
-    let results = sweep(&jobs, execute);
+    let results = sweep(&points, |&v| point(v).expect("point validated").run());
 
     let mut t = TextTable::new(
         std::iter::once(param.clone())
@@ -137,7 +132,7 @@ pub fn cmd_sweep(argv: &[String]) -> Result<(), ArgError> {
     );
     for (&v, r) in points.iter().zip(&results) {
         let mut row = vec![v.to_string()];
-        row.extend(result_row(r));
+        row.extend(result_row(&p, r));
         t.row(row);
     }
     print!("{}", if p.csv { t.to_csv() } else { t.render() });
@@ -155,9 +150,7 @@ pub fn cmd_profile(argv: &[String]) -> Result<(), ArgError> {
             other => return Err(ArgError(format!("unknown flag `{other}`"))),
         }
     }
-    let mut exp = Experiment::new(p.rc.clone())
-        .map_err(|e| ArgError(e.to_string()))?
-        .observe();
+    let mut exp = session(&p.cfg, &p.spec, p.programs)?.observe();
     let r = exp.run();
     let t = r
         .telemetry
@@ -199,7 +192,10 @@ pub fn cmd_profile(argv: &[String]) -> Result<(), ArgError> {
     ]);
     println!(
         "{} / {} — {} txns, {} cycles",
-        r.scheme, r.workload, r.txns, r.total_cycles
+        p.scheme,
+        p.spec.kind.name(),
+        r.stats.txn_commits,
+        r.total_cycles
     );
     println!();
     print!("{}", attribution.render());
@@ -242,14 +238,14 @@ pub fn cmd_profile(argv: &[String]) -> Result<(), ArgError> {
     );
     // Bank ids are machine-global (`channel * banks + bank`); with more
     // than one channel the table splits the id into its two coordinates.
-    let banks_per_channel = p.rc.machine_config().banks;
-    let multi = p.rc.channels > 1;
+    let banks_per_channel = p.cfg.banks;
+    let multi = p.cfg.channels > 1;
     println!(
         "channels: {} × {} banks, {} intra-run worker thread{}",
-        p.rc.channels,
+        p.cfg.channels,
         banks_per_channel,
-        p.rc.run_threads,
-        if p.rc.run_threads == 1 { "" } else { "s" },
+        p.cfg.run_threads,
+        if p.cfg.run_threads == 1 { "" } else { "s" },
     );
     let headers: &[&str] = if multi {
         &["ch", "bank", "reads", "writes", "busy cyc", "util"]
@@ -747,6 +743,11 @@ fn cmd_serve_torture(argv: &[String]) -> Result<(), ArgError> {
     let mut structures = StructureKind::ALL.to_vec();
     let flags = CampaignFlags::parse(argv, false, |arg, it| match arg {
         "--torture" => Ok(true),
+        // A CAS-window cell is (scheme, structure): no channel axis.
+        "--channels" => Err(ArgError(
+            "--channels does not apply to serve --torture (its cells are scheme x structure)"
+                .into(),
+        )),
         "--structure" => {
             let s = flag_value(it, arg)?;
             structures = vec![StructureKind::parse(&s).ok_or_else(|| {
@@ -789,11 +790,12 @@ fn cmd_serve_torture(argv: &[String]) -> Result<(), ArgError> {
 }
 
 /// One named figure configuration the checker sweeps: a batch of runs
-/// (mirroring the corresponding bench binary's parameter points) and
-/// whether they replay through the event-granularity trace pipeline.
+/// (mirroring the corresponding bench binary's parameter points, each a
+/// machine, a workload and a program count) and whether they replay
+/// through the event-granularity trace pipeline.
 struct CheckConfig {
     name: &'static str,
-    runs: Vec<RunConfig>,
+    runs: Vec<(Config, WorkloadSpec, usize)>,
     trace: bool,
 }
 
@@ -801,16 +803,24 @@ struct CheckConfig {
 /// transactions per run. Each mirrors its binary's distinctive knobs at
 /// checker-sweep scale.
 fn check_configs(txns: u64) -> Vec<CheckConfig> {
-    let base = |scheme, kind| {
-        RunConfig::new(scheme, kind)
+    let spec = |kind| {
+        WorkloadSpec::new(kind)
             .with_txns(txns)
             .with_req_bytes(1024)
             .with_array_footprint(1 << 20)
     };
+    let run = |cfg: Config, kind| (cfg, spec(kind), 1);
+    let base = |scheme, kind| run(machine(scheme), kind);
     let plain = |name, runs| CheckConfig {
         name,
         runs,
         trace: false,
+    };
+    let ablation = |placement, cwc| {
+        let mut cfg = machine(Scheme::WriteThrough);
+        cfg.counter_placement = placement;
+        cfg.cwc = cwc;
+        run(cfg, WorkloadKind::Queue)
     };
     vec![
         plain(
@@ -824,14 +834,14 @@ fn check_configs(txns: u64) -> Vec<CheckConfig> {
             "fig14",
             [Scheme::WriteThrough, Scheme::SuperMem]
                 .iter()
-                .map(|&s| base(s, WorkloadKind::Queue).with_programs(4))
+                .map(|&s| (machine(s), spec(WorkloadKind::Queue), 4))
                 .collect(),
         ),
         CheckConfig {
             name: "fig14t",
             runs: [Scheme::WriteThrough, Scheme::SuperMem]
                 .iter()
-                .map(|&s| base(s, WorkloadKind::Queue).with_programs(4))
+                .map(|&s| (machine(s), spec(WorkloadKind::Queue), 4))
                 .collect(),
             trace: true,
         },
@@ -846,14 +856,24 @@ fn check_configs(txns: u64) -> Vec<CheckConfig> {
             "fig16",
             [16usize, 64]
                 .iter()
-                .map(|&wq| base(Scheme::SuperMem, WorkloadKind::Queue).with_write_queue_entries(wq))
+                .map(|&wq| {
+                    run(
+                        machine(Scheme::SuperMem).with_write_queue_entries(wq),
+                        WorkloadKind::Queue,
+                    )
+                })
                 .collect(),
         ),
         plain(
             "fig17",
             [64u64 << 10, 1 << 20]
                 .iter()
-                .map(|&cc| base(Scheme::SuperMem, WorkloadKind::BTree).with_counter_cache_bytes(cc))
+                .map(|&cc| {
+                    run(
+                        machine(Scheme::SuperMem).with_counter_cache_bytes(cc),
+                        WorkloadKind::BTree,
+                    )
+                })
                 .collect(),
         ),
         plain(
@@ -873,12 +893,8 @@ fn check_configs(txns: u64) -> Vec<CheckConfig> {
         plain(
             "ablation",
             vec![
-                base(Scheme::WriteThrough, WorkloadKind::Queue)
-                    .with_placement_override(Some(CounterPlacement::SameBank))
-                    .with_cwc_override(Some(false)),
-                base(Scheme::WriteThrough, WorkloadKind::Queue)
-                    .with_placement_override(Some(CounterPlacement::CrossBank))
-                    .with_cwc_override(Some(true)),
+                ablation(CounterPlacement::SameBank, false),
+                ablation(CounterPlacement::CrossBank, true),
             ],
         ),
         plain(
@@ -908,23 +924,36 @@ fn check_configs(txns: u64) -> Vec<CheckConfig> {
             "mixed",
             [10u8, 90]
                 .iter()
-                .map(|&pct| base(Scheme::SuperMem, WorkloadKind::Ycsb).with_ycsb_read_pct(pct))
+                .map(|&pct| {
+                    let spec = spec(WorkloadKind::Ycsb).with_ycsb_read_pct(pct);
+                    (machine(Scheme::SuperMem), spec, 1)
+                })
                 .collect(),
         ),
         plain("sca", vec![base(Scheme::Sca, WorkloadKind::Array)]),
         plain(
             "bitwrites",
-            vec![base(Scheme::Unsec, WorkloadKind::BTree).with_req_bytes(256)],
+            vec![(
+                machine(Scheme::Unsec),
+                spec(WorkloadKind::BTree).with_req_bytes(256),
+                1,
+            )],
         ),
         plain(
             "authenticated",
-            vec![base(Scheme::SuperMem, WorkloadKind::Queue).with_integrity_tree(true)],
+            vec![run(
+                machine(Scheme::SuperMem).with_integrity_tree(true),
+                WorkloadKind::Queue,
+            )],
         ),
         plain(
             "treesweep",
-            vec![base(Scheme::SuperMem, WorkloadKind::Queue)
-                .with_integrity_tree(true)
-                .with_persisted_levels(Some(1))],
+            vec![run(
+                machine(Scheme::SuperMem)
+                    .with_integrity_tree(true)
+                    .with_persisted_levels(Some(1)),
+                WorkloadKind::Queue,
+            )],
         ),
     ]
 }
@@ -932,13 +961,14 @@ fn check_configs(txns: u64) -> Vec<CheckConfig> {
 /// Checks one figure configuration, merging all of its runs' reports.
 fn check_one(cc: &CheckConfig) -> Result<CheckReport, ArgError> {
     let mut merged = CheckReport::default();
-    for rc in &cc.runs {
+    for (cfg, spec, programs) in &cc.runs {
+        let exp =
+            session(cfg, spec, *programs).map_err(|e| ArgError(format!("{}: {e}", cc.name)))?;
         let report = if cc.trace {
-            check_run_trace(rc)
+            check_run_trace(exp)
         } else {
-            check_run(rc)
-        }
-        .map_err(|e| ArgError(format!("{}: {e}", cc.name)))?;
+            check_run(exp)
+        };
         merged.events_seen += report.events_seen;
         merged.violations.extend(report.violations);
     }
@@ -1013,8 +1043,8 @@ pub fn cmd_check(argv: &[String]) -> Result<(), ArgError> {
     // Every figure configuration runs unchanged at any interleaving
     // width; the checker shards its shadow state to match.
     for cc in &mut configs {
-        for rc in &mut cc.runs {
-            rc.channels = channels;
+        for (cfg, _, _) in &mut cc.runs {
+            cfg.channels = channels;
         }
     }
     if configs.is_empty() {
@@ -1070,7 +1100,13 @@ pub fn cmd_check(argv: &[String]) -> Result<(), ArgError> {
         let min = shrink(txns, |t| {
             let smaller = CheckConfig {
                 name: cc.name,
-                runs: cc.runs.iter().map(|rc| rc.clone().with_txns(t)).collect(),
+                runs: cc
+                    .runs
+                    .iter()
+                    .map(|(cfg, spec, programs)| {
+                        (cfg.clone(), spec.clone().with_txns(t), *programs)
+                    })
+                    .collect(),
                 trace: cc.trace,
             };
             check_one(&smaller).is_ok_and(|r| !r.is_clean())

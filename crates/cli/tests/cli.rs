@@ -181,6 +181,13 @@ fn unknown_flags_fail_with_guidance() {
     assert!(!ok);
     assert!(stderr.contains("exceeds integrity-tree height"), "{stderr}");
     assert!(stderr.contains("usage:"));
+
+    // The CAS-window campaign has no channel axis: naming one is an
+    // error, not a silently ignored flag.
+    let (ok, _, stderr) = run(&["serve", "--torture", "--channels", "2", "--seeds", "1"]);
+    assert!(!ok);
+    assert!(stderr.contains("--channels"), "{stderr}");
+    assert!(stderr.contains("usage:"));
 }
 
 #[test]

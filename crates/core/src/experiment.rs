@@ -1,24 +1,36 @@
 //! Experiment sessions: validated configuration, pluggable observers,
 //! and the run drivers behind them.
 //!
-//! [`Experiment`] is the front door for running workloads. It validates a
-//! [`RunConfig`] up front (returning [`ConfigError`] instead of panicking
-//! mid-run), optionally attaches probe-layer collectors, and exposes the
-//! same drivers the free functions in [`crate::runner`] forward to:
-//! [`Experiment::run`], [`Experiment::run_multicore`],
-//! [`Experiment::run_multicore_trace`], and [`Experiment::replay`].
+//! A run is exactly a machine [`Config`] (a [`crate::Scheme`] preset
+//! plus any field edits), the [`WorkloadSpec`] of program 0, and a
+//! program count. [`Experiment::new`] validates the first two up front
+//! (returning [`ConfigError`] instead of panicking mid-run),
+//! [`Experiment::with_programs`] the third; observers attach before a
+//! run, and the drivers are [`Experiment::run`],
+//! [`Experiment::run_multicore`], [`Experiment::run_multicore_trace`]
+//! and [`Experiment::replay`]. Every driver:
+//!
+//! 1. builds and initializes the workload,
+//! 2. checkpoints and resets statistics (figures measure the steady phase),
+//! 3. runs the transactions, recording per-transaction latency,
+//! 4. **verifies the persistent structure against its shadow model** — so
+//!    every data point in every figure doubles as an end-to-end
+//!    correctness test of the encryption/persistence stack,
+//! 5. drains everything so write counts are complete.
 //!
 //! # Examples
 //!
 //! ```
-//! use supermem::{Experiment, RunConfig, Scheme};
-//! use supermem::workloads::WorkloadKind;
+//! use supermem::sim::Config;
+//! use supermem::workloads::{WorkloadKind, WorkloadSpec};
+//! use supermem::{Experiment, Scheme};
 //!
-//! let rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::Array)
+//! let cfg = Scheme::SuperMem.apply(Config::default());
+//! let spec = WorkloadSpec::new(WorkloadKind::Array)
 //!     .with_txns(10)
 //!     .with_req_bytes(256)
 //!     .with_array_footprint(256 << 10);
-//! let result = Experiment::new(rc).unwrap().observe().run();
+//! let result = Experiment::new(cfg, spec).unwrap().observe().run();
 //! let telemetry = result.telemetry.as_ref().unwrap();
 //! assert_eq!(telemetry.txn_latency.count(), result.stats.txn_commits);
 //! ```
@@ -26,15 +38,15 @@
 use std::fmt;
 
 use supermem_persist::{PMem, VecMem};
-use supermem_sim::{Cycle, Observer, Telemetry};
+use supermem_sim::{Config, Cycle, Observer, Telemetry};
 use supermem_trace::{TraceEvent, TraceRecorder};
-use supermem_workloads::SpecError;
+use supermem_workloads::{SpecError, WorkloadSpec};
 
 use crate::metrics::RunResult;
-use crate::runner::RunConfig;
 use crate::system::System;
 
-/// Why a [`RunConfig`] was rejected by [`RunConfig::validate`].
+/// Why [`Experiment::new`] or [`Experiment::with_programs`] refused a
+/// run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -45,13 +57,9 @@ pub enum ConfigError {
         /// The machine's core count.
         cores: usize,
     },
-    /// `hash_buckets` is not a power of two.
-    HashBuckets(u64),
-    /// `ycsb_read_pct` exceeds 100.
-    ReadPct(u8),
-    /// The derived machine [`supermem_sim::Config`] is invalid.
+    /// The machine [`Config`] is invalid.
     Machine(supermem_sim::ConfigError),
-    /// The derived [`supermem_workloads::WorkloadSpec`] is invalid.
+    /// The [`WorkloadSpec`] is invalid.
     Spec(SpecError),
 }
 
@@ -60,12 +68,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::Programs { programs, cores } => {
                 write!(f, "programs must be in 1..={cores}, got {programs}")
-            }
-            ConfigError::HashBuckets(n) => {
-                write!(f, "hash_buckets must be a power of two, got {n}")
-            }
-            ConfigError::ReadPct(p) => {
-                write!(f, "ycsb_read_pct must be in 0..=100, got {p}")
             }
             ConfigError::Machine(err) => write!(f, "invalid machine configuration: {err}"),
             ConfigError::Spec(err) => write!(f, "invalid workload spec: {err}"),
@@ -78,7 +80,7 @@ impl std::error::Error for ConfigError {
         match self {
             ConfigError::Machine(err) => Some(err),
             ConfigError::Spec(err) => Some(err),
-            _ => None,
+            ConfigError::Programs { .. } => None,
         }
     }
 }
@@ -93,30 +95,60 @@ impl From<SpecError> for ConfigError {
 ///
 /// Construction validates the configuration; `observe`/`observe_with`
 /// attach collectors; the `run*` methods execute. A session can run
-/// multiple times (e.g. replaying one trace under several schemes by
-/// rebuilding sessions) — each run attaches the session's observers for
-/// the measured window only, so verification traffic is never counted.
+/// multiple times — each run attaches the session's observers for the
+/// measured window only, so verification traffic is never counted.
 #[derive(Debug)]
 pub struct Experiment {
-    rc: RunConfig,
+    cfg: Config,
+    spec: WorkloadSpec,
+    programs: usize,
     telemetry: bool,
     observers: Vec<Box<dyn Observer>>,
 }
 
 impl Experiment {
-    /// Creates a session from `rc`, validating it first.
-    pub fn new(rc: RunConfig) -> Result<Self, ConfigError> {
-        rc.validate()?;
+    /// Creates a one-program session of `spec` on the machine `cfg`,
+    /// validating both first.
+    pub fn new(cfg: Config, spec: WorkloadSpec) -> Result<Self, ConfigError> {
+        spec.validate()?;
+        cfg.validate().map_err(ConfigError::Machine)?;
         Ok(Self {
-            rc,
+            cfg,
+            spec,
+            programs: 1,
             telemetry: false,
             observers: Vec::new(),
         })
     }
 
-    /// The session's configuration.
-    pub fn config(&self) -> &RunConfig {
-        &self.rc
+    /// Runs `programs` copies of the workload, one per core. Program
+    /// `p` gets the spec's seed plus `p × 0x9E37` and the `p`-th
+    /// region-sized slice of the address space.
+    pub fn with_programs(mut self, programs: usize) -> Result<Self, ConfigError> {
+        if programs < 1 || programs > self.cfg.cores {
+            return Err(ConfigError::Programs {
+                programs,
+                cores: self.cfg.cores,
+            });
+        }
+        self.programs = programs;
+        Ok(self)
+    }
+
+    /// The session's machine configuration.
+    pub fn config(&self) -> &Config {
+        &self.cfg
+    }
+
+    /// Program `program`'s workload spec: program 0's with the seed and
+    /// region shifted.
+    fn spec_for(&self, program: usize) -> WorkloadSpec {
+        let p = program as u64;
+        let len = self.spec.region_len;
+        self.spec
+            .clone()
+            .with_seed(self.spec.seed.wrapping_add(p * 0x9E37))
+            .with_region(self.spec.region_base + p * len, len)
     }
 
     /// Enables the standard [`Telemetry`] collector; the result's
@@ -142,7 +174,7 @@ impl Experiment {
     /// Runs the experiment: [`Experiment::run_single`] when `programs`
     /// is 1, [`Experiment::run_multicore`] otherwise.
     pub fn run(&mut self) -> RunResult {
-        if self.rc.programs > 1 {
+        if self.programs > 1 {
             self.run_multicore()
         } else {
             self.run_single()
@@ -182,15 +214,16 @@ impl Experiment {
     /// finds a divergence — either indicates a simulator bug, not a
     /// recoverable condition.
     pub fn run_single(&mut self) -> RunResult {
-        let rc = self.rc.clone();
-        let mut sys = System::new(rc.build_config());
-        let spec = rc.spec_for(0);
-        let mut w = spec.build(&mut sys).expect("validated spec must build");
+        let mut sys = System::new(self.cfg.clone());
+        let mut w = self
+            .spec
+            .build(&mut sys)
+            .expect("validated spec must build");
         sys.checkpoint();
         sys.reset_stats();
         self.arm(&mut sys);
         let measure_start = sys.now();
-        for _ in 0..rc.txns {
+        for _ in 0..self.spec.txns {
             let start = sys.now();
             w.step(&mut sys).expect("transaction commit failed");
             let end = sys.now();
@@ -205,11 +238,6 @@ impl Experiment {
         // otherwise swamp the measured phase's cache statistics.
         w.verify(&mut sys).expect("workload verification failed");
         RunResult {
-            scheme: rc.scheme,
-            workload: spec.kind.name().to_owned(),
-            req_bytes: rc.req_bytes,
-            programs: 1,
-            txns: rc.txns,
             stats,
             total_cycles: measured_end - measure_start,
             wear,
@@ -225,13 +253,13 @@ impl Experiment {
     ///
     /// Panics if a transaction fails or verification finds a divergence.
     pub fn run_multicore(&mut self) -> RunResult {
-        let rc = self.rc.clone();
-        let mut sys = System::new(rc.build_config());
-        let mut workloads = Vec::with_capacity(rc.programs);
-        for p in 0..rc.programs {
+        let programs = self.programs;
+        let mut sys = System::new(self.cfg.clone());
+        let mut workloads = Vec::with_capacity(programs);
+        for p in 0..programs {
             sys.set_active_core(p);
             workloads.push(
-                rc.spec_for(p)
+                self.spec_for(p)
                     .build(&mut sys)
                     .expect("validated spec must build"),
             );
@@ -244,9 +272,9 @@ impl Experiment {
 
         // Simulated-time-ordered interleaving: the core with the smallest
         // clock executes its next transaction.
-        let mut remaining: Vec<u64> = vec![rc.txns; rc.programs];
+        let mut remaining: Vec<u64> = vec![self.spec.txns; programs];
         while remaining.iter().any(|&r| r > 0) {
-            let core = (0..rc.programs)
+            let core = (0..programs)
                 .filter(|&p| remaining[p] > 0)
                 .min_by_key(|&p| sys.core_now(p))
                 .expect("some program has work left");
@@ -269,11 +297,6 @@ impl Experiment {
             w.verify(&mut sys).expect("workload verification failed");
         }
         RunResult {
-            scheme: rc.scheme,
-            workload: rc.kind.name().to_owned(),
-            req_bytes: rc.req_bytes,
-            programs: rc.programs,
-            txns: rc.txns * rc.programs as u64,
             stats,
             total_cycles: measured_end - measure_start,
             wear,
@@ -289,7 +312,7 @@ impl Experiment {
     ///
     /// Panics if a transaction fails to commit.
     pub fn record_trace(&self) -> Vec<TraceEvent> {
-        record_program_trace(&self.rc, 0, true)
+        self.program_trace(0, true)
     }
 
     /// Replays a recorded trace through a timed system configured by this
@@ -297,8 +320,7 @@ impl Experiment {
     /// memory behavior, different machine. Per-transaction latencies come
     /// from the trace's markers.
     pub fn replay(&mut self, trace: &[TraceEvent]) -> RunResult {
-        let rc = self.rc.clone();
-        let mut sys = System::new(rc.build_config());
+        let mut sys = System::new(self.cfg.clone());
         self.arm(&mut sys);
         let measure_start = sys.now();
         let mut txn_start = None;
@@ -311,11 +333,6 @@ impl Experiment {
         let telemetry = self.collect(&mut sys);
         let wear = sys.controller().wear_report();
         RunResult {
-            scheme: rc.scheme,
-            workload: format!("{}(trace)", rc.kind.name()),
-            req_bytes: rc.req_bytes,
-            programs: 1,
-            txns: rc.txns,
             stats: sys.stats().clone(),
             total_cycles: measured_end - measure_start,
             wear,
@@ -335,20 +352,20 @@ impl Experiment {
     ///
     /// Panics if trace recording fails.
     pub fn run_multicore_trace(&mut self) -> RunResult {
-        let rc = self.rc.clone();
+        let programs = self.programs;
         // Record each program's trace against a private functional memory.
-        let traces: Vec<Vec<TraceEvent>> = (0..rc.programs)
-            .map(|p| record_program_trace(&rc, p, false))
+        let traces: Vec<Vec<TraceEvent>> = (0..programs)
+            .map(|p| self.program_trace(p, false))
             .collect();
 
-        let mut sys = System::new(rc.build_config());
+        let mut sys = System::new(self.cfg.clone());
         self.arm(&mut sys);
         let measure_start = 0;
-        let mut cursors = vec![0usize; rc.programs];
-        let mut txn_starts: Vec<Option<Cycle>> = vec![None; rc.programs];
+        let mut cursors = vec![0usize; programs];
+        let mut txn_starts: Vec<Option<Cycle>> = vec![None; programs];
         let mut scratch = Vec::new();
         // The core with the smallest clock and remaining work goes next.
-        while let Some(core) = (0..rc.programs)
+        while let Some(core) = (0..programs)
             .filter(|&p| cursors[p] < traces[p].len())
             .min_by_key(|&p| sys.core_now(p))
         {
@@ -362,16 +379,39 @@ impl Experiment {
         let telemetry = self.collect(&mut sys);
         let wear = sys.controller().wear_report();
         RunResult {
-            scheme: rc.scheme,
-            workload: format!("{}(trace)", rc.kind.name()),
-            req_bytes: rc.req_bytes,
-            programs: rc.programs,
-            txns: rc.txns * rc.programs as u64,
             stats: sys.stats().clone(),
             total_cycles: measured_end - measure_start,
             wear,
             telemetry,
         }
+    }
+
+    /// Records program `program`'s workload trace against a functional
+    /// memory, optionally appending the verification pass — the single
+    /// recording loop shared by [`Experiment::record_trace`]
+    /// (verification included, so replays exercise the read path) and
+    /// [`Experiment::run_multicore_trace`] (transactions only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transaction fails to commit or verification diverges.
+    fn program_trace(&self, program: usize, verify: bool) -> Vec<TraceEvent> {
+        let mut mem = VecMem::new();
+        let mut recorder = TraceRecorder::new(&mut mem);
+        let mut w = self
+            .spec_for(program)
+            .build(&mut recorder)
+            .expect("validated spec must build");
+        for _ in 0..self.spec.txns {
+            recorder.txn_begin();
+            w.step(&mut recorder).expect("transaction commit failed");
+            recorder.txn_end();
+        }
+        if verify {
+            w.verify(&mut recorder)
+                .expect("workload verification failed");
+        }
+        recorder.into_trace()
     }
 }
 
@@ -379,7 +419,7 @@ impl Experiment {
 /// [`Experiment::replay`] and [`Experiment::run_multicore_trace`].
 /// `txn_start` carries the open transaction's begin cycle between the
 /// `TxnBegin` and `TxnEnd` markers.
-pub(crate) fn apply_event(
+fn apply_event(
     sys: &mut System,
     event: &TraceEvent,
     scratch: &mut Vec<u8>,
@@ -403,86 +443,57 @@ pub(crate) fn apply_event(
     }
 }
 
-/// Records one program's workload trace against a functional memory,
-/// optionally appending the verification pass — the single recording
-/// loop shared by [`Experiment::record_trace`] (verification included,
-/// so replays exercise the read path) and
-/// [`Experiment::run_multicore_trace`] (transactions only).
-///
-/// # Panics
-///
-/// Panics if a transaction fails to commit or verification diverges.
-pub(crate) fn record_program_trace(
-    rc: &RunConfig,
-    program: usize,
-    verify: bool,
-) -> Vec<TraceEvent> {
-    let mut mem = VecMem::new();
-    let mut recorder = TraceRecorder::new(&mut mem);
-    let mut w = rc
-        .spec_for(program)
-        .build(&mut recorder)
-        .expect("validated spec must build");
-    for _ in 0..rc.txns {
-        recorder.txn_begin();
-        w.step(&mut recorder).expect("transaction commit failed");
-        recorder.txn_end();
-    }
-    if verify {
-        w.verify(&mut recorder)
-            .expect("workload verification failed");
-    }
-    recorder.into_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheme::Scheme;
     use supermem_workloads::WorkloadKind;
 
-    fn quick() -> RunConfig {
-        RunConfig::new(Scheme::SuperMem, WorkloadKind::Array)
+    fn quick() -> WorkloadSpec {
+        WorkloadSpec::new(WorkloadKind::Array)
             .with_txns(20)
             .with_req_bytes(256)
             .with_array_footprint(256 << 10)
     }
 
+    fn supermem() -> Config {
+        Scheme::SuperMem.apply(Config::default())
+    }
+
     #[test]
     fn new_rejects_bad_programs() {
-        let rc = quick().with_programs(99);
-        let err = Experiment::new(rc).unwrap_err();
+        let err = Experiment::new(supermem(), quick())
+            .unwrap()
+            .with_programs(99)
+            .unwrap_err();
         assert!(matches!(err, ConfigError::Programs { programs: 99, .. }));
         assert!(err.to_string().contains("programs must be in"));
     }
 
     #[test]
     fn new_rejects_non_pow2_hash_buckets() {
-        let rc = quick().with_hash_buckets(100);
-        assert_eq!(
-            Experiment::new(rc).unwrap_err(),
-            ConfigError::HashBuckets(100)
-        );
+        let err = Experiment::new(supermem(), quick().with_hash_buckets(100)).unwrap_err();
+        assert_eq!(err, ConfigError::Spec(SpecError::HashBuckets(100)));
     }
 
     #[test]
     fn new_rejects_bad_read_pct() {
-        let rc = quick().with_ycsb_read_pct(101);
-        assert_eq!(Experiment::new(rc).unwrap_err(), ConfigError::ReadPct(101));
+        let err = Experiment::new(supermem(), quick().with_ycsb_read_pct(101)).unwrap_err();
+        assert_eq!(err, ConfigError::Spec(SpecError::ReadPct(101)));
     }
 
     #[test]
     fn new_rejects_invalid_machine_config() {
-        let rc = quick().with_write_queue_entries(1);
+        let cfg = supermem().with_write_queue_entries(1);
         assert!(matches!(
-            Experiment::new(rc).unwrap_err(),
+            Experiment::new(cfg, quick()).unwrap_err(),
             ConfigError::Machine(_)
         ));
     }
 
     #[test]
     fn observed_run_populates_telemetry() {
-        let mut exp = Experiment::new(quick()).unwrap().observe();
+        let mut exp = Experiment::new(supermem(), quick()).unwrap().observe();
         let r = exp.run();
         let t = r.telemetry.expect("telemetry requested");
         assert_eq!(t.txn_latency.count(), r.stats.txn_commits);
@@ -491,17 +502,18 @@ mod tests {
 
     #[test]
     fn unobserved_run_has_no_telemetry() {
-        let r = Experiment::new(quick()).unwrap().run();
+        let r = Experiment::new(supermem(), quick()).unwrap().run();
         assert!(r.telemetry.is_none());
     }
 
     #[test]
     fn run_dispatches_to_multicore() {
-        let mut exp = Experiment::new(quick().with_programs(2).with_txns(5))
+        let mut exp = Experiment::new(supermem(), quick().with_txns(5))
+            .unwrap()
+            .with_programs(2)
             .unwrap()
             .observe();
         let r = exp.run();
-        assert_eq!(r.programs, 2);
         assert_eq!(r.stats.txn_commits, 10);
         assert_eq!(
             r.telemetry.unwrap().txn_latency.count(),
@@ -511,9 +523,8 @@ mod tests {
 
     #[test]
     fn replay_carries_telemetry() {
-        let rc = quick();
-        let trace = Experiment::new(rc.clone()).unwrap().record_trace();
-        let mut exp = Experiment::new(rc).unwrap().observe();
+        let trace = Experiment::new(supermem(), quick()).unwrap().record_trace();
+        let mut exp = Experiment::new(supermem(), quick()).unwrap().observe();
         let r = exp.replay(&trace);
         assert_eq!(r.telemetry.unwrap().txn_latency.count(), 20);
     }

@@ -11,11 +11,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use supermem::{Scheme, SystemBuilder};
+//! use supermem::sim::Config;
+//! use supermem::{Scheme, System};
 //! use supermem_persist::PMem;
 //!
 //! // Build a SuperMem system (WT counter cache + CWC + XBank).
-//! let mut sys = SystemBuilder::new().scheme(Scheme::SuperMem).build();
+//! let mut sys = System::new(Scheme::SuperMem.apply(Config::default()));
 //!
 //! // Store, persist, and read back through the encrypted NVM.
 //! sys.write(0x1000, b"hello supermem");
@@ -42,11 +43,10 @@
 //! * [`system`] — the timed machine: per-core L1/L2 + shared L3 over the
 //!   secure memory controller, exposing the
 //!   [`PMem`](supermem_persist::PMem) interface.
-//! * [`runner`] — run configuration plus free-function experiment
-//!   drivers (thin wrappers over [`experiment`]).
-//! * [`experiment`] — the [`Experiment`] session API: builder-validated
-//!   configuration, pluggable [`sim::Observer`]s, and collected
-//!   [`sim::Telemetry`] on the [`RunResult`].
+//! * [`experiment`] — the [`Experiment`] session: a run is a machine
+//!   [`sim::Config`] plus a [`workloads::WorkloadSpec`], validated up
+//!   front, with pluggable [`sim::Observer`]s and the run drivers
+//!   (single-core, multi-core, trace record and replay).
 //! * [`mod@sweep`] — parallel experiment engine: fans independent runs over
 //!   a scoped worker pool, results in input order (bit-identical to a
 //!   sequential sweep).
@@ -65,7 +65,8 @@
 pub mod campaign;
 pub mod experiment;
 pub mod metrics;
-pub mod runner;
+#[cfg(test)]
+mod runner;
 pub mod sca;
 pub mod scheme;
 pub mod sweep;
@@ -76,14 +77,10 @@ pub mod verify;
 pub use campaign::{Campaign, Fault, Verdict};
 pub use experiment::{ConfigError, Experiment};
 pub use metrics::RunResult;
-pub use runner::{
-    env_run_threads, record_workload_trace, replay_trace, run_multicore, run_multicore_trace,
-    run_single, RunConfig,
-};
 pub use sca::ScaSystem;
 pub use scheme::Scheme;
-pub use sweep::{run_batch, sweep, thread_budget, worker_count};
-pub use system::{System, SystemBuilder};
+pub use sweep::{env_run_threads, run_batch, sweep, thread_budget, worker_count};
+pub use system::System;
 pub use torture::{torture_campaign, tree_campaign, TxnSubject, TORTURE_SCHEMES};
 pub use verify::{
     check_run, check_run_trace, run_mutant, run_mutant_sharded, CheckReport, Checker, CheckerMode,

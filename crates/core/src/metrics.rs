@@ -1,6 +1,7 @@
 //! Result aggregation for the figure harness.
 //!
-//! [`RunResult`] bundles one experiment's statistics; the helpers here
+//! [`RunResult`] bundles one experiment's measurements (the inputs stay
+//! with the caller, who already holds them); the helpers here
 //! normalize series against a baseline (the paper plots everything
 //! normalized to `Unsec`) and render aligned text tables that the
 //! `supermem-bench` binaries print.
@@ -8,21 +9,9 @@
 use supermem_nvm::WearReport;
 use supermem_sim::{Cycle, Stats, Telemetry};
 
-use crate::scheme::Scheme;
-
 /// The outcome of one experiment run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// The scheme that ran.
-    pub scheme: Scheme,
-    /// Workload figure name ("array", ...).
-    pub workload: String,
-    /// Transaction request size in bytes.
-    pub req_bytes: u64,
-    /// Concurrent programs (1 for single-core figures).
-    pub programs: usize,
-    /// Committed transactions across all programs.
-    pub txns: u64,
     /// Controller + system statistics for the measured phase.
     pub stats: Stats,
     /// Simulated cycles from measurement start to the last core's finish.
@@ -243,11 +232,6 @@ mod tests {
         stats.nvm_data_writes = 5;
         stats.nvm_counter_writes = 5;
         let r = RunResult {
-            scheme: Scheme::SuperMem,
-            workload: "array".into(),
-            req_bytes: 1024,
-            programs: 1,
-            txns: 2,
             stats,
             total_cycles: 300,
             wear: WearReport::default(),

@@ -1,392 +1,42 @@
-//! Experiment configuration and free-function drivers.
-//!
-//! [`RunConfig`] describes one experiment; [`RunConfig::validate`]
-//! rejects bad parameter combinations with a typed
-//! [`ConfigError`] instead of a mid-run panic. The
-//! free functions here ([`run_single`], [`run_multicore`],
-//! [`replay_trace`], [`run_multicore_trace`]) are thin wrappers over
-//! [`crate::Experiment`] sessions, kept for callers that don't need
-//! observers. Every driver:
-//!
-//! 1. builds and initializes the workload,
-//! 2. checkpoints and resets statistics (figures measure the steady phase),
-//! 3. runs the transactions, recording per-transaction latency,
-//! 4. **verifies the persistent structure against its shadow model** — so
-//!    every data point in every figure doubles as an end-to-end
-//!    correctness test of the encryption/persistence stack,
-//! 5. drains everything so write counts are complete.
-
-use supermem_sim::{Config, CounterPlacement, Mutation};
-use supermem_trace::TraceEvent;
-use supermem_workloads::{WorkloadKind, WorkloadSpec};
-
-use crate::experiment::{record_program_trace, ConfigError, Experiment};
-use crate::metrics::RunResult;
-use crate::scheme::Scheme;
-
-/// Parameters of one experiment run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunConfig {
-    /// Scheme under test.
-    pub scheme: Scheme,
-    /// Workload kind.
-    pub kind: WorkloadKind,
-    /// Transactions per program.
-    pub txns: u64,
-    /// Transaction request size in bytes.
-    pub req_bytes: u64,
-    /// Write-queue entries (Figure 16 sweeps this).
-    pub write_queue_entries: usize,
-    /// Counter-cache bytes (Figure 17 sweeps this).
-    pub counter_cache_bytes: u64,
-    /// Interleaved memory channels (power of two; the paper's single
-    /// controller is `1`).
-    pub channels: usize,
-    /// Concurrent programs for multi-core runs.
-    pub programs: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Array workload footprint in bytes.
-    pub array_footprint: u64,
-    /// Hash workload bucket count (power of two).
-    pub hash_buckets: u64,
-    /// YCSB workload read percentage (0..=100).
-    pub ycsb_read_pct: u8,
-    /// Start-Gap wear leveling interval (None = off).
-    pub wear_psi: Option<u64>,
-    /// Bonsai-Merkle-Tree authentication of the counter region.
-    pub integrity_tree: bool,
-    /// Streaming-tree persistence frontier: tree levels strictly below
-    /// this persist through the write queue; levels at or above it are
-    /// volatile and rebuilt at recovery. `None` (or the tree height)
-    /// keeps the fully-lazy eager tree. Only meaningful with
-    /// `integrity_tree` on.
-    pub persisted_levels: Option<u32>,
-    /// Ablation override: counter-line placement (None = scheme default).
-    pub placement_override: Option<CounterPlacement>,
-    /// Ablation override: CWC on/off (None = scheme default).
-    pub cwc_override: Option<bool>,
-    /// Fault injection for the persistency-ordering checker (None = none).
-    pub mutation: Option<Mutation>,
-    /// Host worker threads advancing channels within this run (an
-    /// execution knob, not a machine parameter: results are identical
-    /// at every setting). Defaults to `SUPERMEM_RUN_THREADS` or 1; only
-    /// multi-channel configs have sibling work to parallelize.
-    pub run_threads: usize,
-}
-
-/// The intra-run worker-thread count requested via the
-/// `SUPERMEM_RUN_THREADS` environment variable, or 1 (sequential) when
-/// unset or unparsable. [`RunConfig::default`] starts from this, and the
-/// sweep engine divides its own worker budget by it so that
-/// `run_threads × sweep workers` never oversubscribes the host.
-pub fn env_run_threads() -> usize {
-    std::env::var("SUPERMEM_RUN_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        Self {
-            scheme: Scheme::SuperMem,
-            kind: WorkloadKind::Array,
-            txns: 200,
-            req_bytes: 1024,
-            write_queue_entries: 32,
-            counter_cache_bytes: 256 * 1024,
-            channels: 1,
-            programs: 1,
-            seed: 1,
-            array_footprint: 8 << 20,
-            hash_buckets: 4096,
-            ycsb_read_pct: 50,
-            wear_psi: None,
-            integrity_tree: false,
-            persisted_levels: None,
-            placement_override: None,
-            cwc_override: None,
-            mutation: None,
-            run_threads: env_run_threads(),
-        }
-    }
-}
-
-impl RunConfig {
-    /// A default run of `scheme` on `kind`.
-    pub fn new(scheme: Scheme, kind: WorkloadKind) -> Self {
-        Self {
-            scheme,
-            kind,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the transaction count per program.
-    pub fn with_txns(mut self, txns: u64) -> Self {
-        self.txns = txns;
-        self
-    }
-
-    /// Sets the transaction request size in bytes.
-    pub fn with_req_bytes(mut self, req_bytes: u64) -> Self {
-        self.req_bytes = req_bytes;
-        self
-    }
-
-    /// Sets the write-queue capacity (Figure 16 sweeps this).
-    pub fn with_write_queue_entries(mut self, entries: usize) -> Self {
-        self.write_queue_entries = entries;
-        self
-    }
-
-    /// Sets the counter-cache size in bytes (Figure 17 sweeps this).
-    pub fn with_counter_cache_bytes(mut self, bytes: u64) -> Self {
-        self.counter_cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the interleaved memory channel count (power of two).
-    pub fn with_channels(mut self, channels: usize) -> Self {
-        self.channels = channels;
-        self
-    }
-
-    /// Sets the intra-run worker-thread count (values below 1 mean the
-    /// sequential path). Results are identical at every setting.
-    pub fn with_run_threads(mut self, run_threads: usize) -> Self {
-        self.run_threads = run_threads.max(1);
-        self
-    }
-
-    /// Sets the concurrent program count for multi-core runs.
-    pub fn with_programs(mut self, programs: usize) -> Self {
-        self.programs = programs;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the array workload footprint in bytes.
-    pub fn with_array_footprint(mut self, bytes: u64) -> Self {
-        self.array_footprint = bytes;
-        self
-    }
-
-    /// Sets the hash workload bucket count (must be a power of two).
-    pub fn with_hash_buckets(mut self, buckets: u64) -> Self {
-        self.hash_buckets = buckets;
-        self
-    }
-
-    /// Sets the YCSB workload read percentage (0..=100).
-    pub fn with_ycsb_read_pct(mut self, pct: u8) -> Self {
-        self.ycsb_read_pct = pct;
-        self
-    }
-
-    /// Enables Start-Gap wear leveling with interval `psi`.
-    pub fn with_wear_psi(mut self, psi: Option<u64>) -> Self {
-        self.wear_psi = psi;
-        self
-    }
-
-    /// Enables Bonsai-Merkle-Tree authentication of the counter region.
-    pub fn with_integrity_tree(mut self, on: bool) -> Self {
-        self.integrity_tree = on;
-        self
-    }
-
-    /// Sets the streaming-tree persistence frontier (None = eager tree).
-    pub fn with_persisted_levels(mut self, levels: Option<u32>) -> Self {
-        self.persisted_levels = levels;
-        self
-    }
-
-    /// Overrides the counter-line placement (None = scheme default).
-    pub fn with_placement_override(mut self, placement: Option<CounterPlacement>) -> Self {
-        self.placement_override = placement;
-        self
-    }
-
-    /// Overrides CWC on/off (None = scheme default).
-    pub fn with_cwc_override(mut self, cwc: Option<bool>) -> Self {
-        self.cwc_override = cwc;
-        self
-    }
-
-    /// Injects a known-bad behavior into the memory controller for the
-    /// persistency-ordering checker's mutant harness (None = none).
-    pub fn with_mutation(mut self, mutation: Option<Mutation>) -> Self {
-        self.mutation = mutation;
-        self
-    }
-
-    /// Checks this configuration without running it: program/core
-    /// bounds, power-of-two bucket counts, and the derived machine
-    /// configuration.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use supermem::{RunConfig, Scheme};
-    /// use supermem::workloads::WorkloadKind;
-    ///
-    /// let rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::Array);
-    /// assert!(rc.validate().is_ok());
-    /// assert!(rc.with_programs(99).validate().is_err());
-    /// ```
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        let cfg = self.build_config();
-        if self.programs < 1 || self.programs > cfg.cores {
-            return Err(ConfigError::Programs {
-                programs: self.programs,
-                cores: cfg.cores,
-            });
-        }
-        if !self.hash_buckets.is_power_of_two() {
-            return Err(ConfigError::HashBuckets(self.hash_buckets));
-        }
-        if self.ycsb_read_pct > 100 {
-            return Err(ConfigError::ReadPct(self.ycsb_read_pct));
-        }
-        // The remaining workload parameters (request-size floors, ...)
-        // are owned by the spec's own typed validation.
-        self.spec_for(0).validate().map_err(ConfigError::Spec)?;
-        cfg.validate().map_err(ConfigError::Machine)
-    }
-
-    pub(crate) fn build_config(&self) -> Config {
-        let mut cfg = self.scheme.apply(Config::default());
-        cfg.write_queue_entries = self.write_queue_entries;
-        cfg.counter_cache_bytes = self.counter_cache_bytes;
-        cfg.channels = self.channels;
-        cfg.seed = self.seed;
-        if let Some(p) = self.placement_override {
-            cfg.counter_placement = p;
-        }
-        if let Some(c) = self.cwc_override {
-            cfg.cwc = c;
-        }
-        cfg.wear_psi = self.wear_psi;
-        cfg.integrity_tree = self.integrity_tree;
-        cfg.persisted_levels = self.persisted_levels;
-        cfg.mutation = self.mutation;
-        cfg.run_threads = self.run_threads.max(1);
-        cfg
-    }
-
-    /// The machine [`Config`] this run derives — scheme knobs, sweep
-    /// parameters, and overrides applied. This is exactly the
-    /// configuration [`crate::System`] is built with.
-    pub fn machine_config(&self) -> Config {
-        self.build_config()
-    }
-
-    pub(crate) fn spec_for(&self, program: usize) -> WorkloadSpec {
-        // Each program gets a private 256 MiB slice of the 8 GB space.
-        let region = 1u64 << 28;
-        WorkloadSpec::new(self.kind)
-            .with_txns(self.txns)
-            .with_req_bytes(self.req_bytes)
-            .with_seed(self.seed.wrapping_add(program as u64 * 0x9E37))
-            .with_region(program as u64 * region, region)
-            .with_array_footprint(self.array_footprint)
-            .with_hash_buckets(self.hash_buckets)
-            .with_ycsb_read_pct(self.ycsb_read_pct)
-    }
-}
-
-/// Builds an unobserved [`Experiment`] session, panicking on an invalid
-/// configuration (the free-function contract; use [`Experiment::new`]
-/// directly for a `Result`).
-fn session(rc: &RunConfig) -> Experiment {
-    Experiment::new(rc.clone()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs one workload on core 0.
-///
-/// Equivalent to `Experiment::new(rc.clone())?.run_single()`; use
-/// [`Experiment`] directly to attach observers or handle configuration
-/// errors without panicking.
-///
-/// # Panics
-///
-/// Panics if `rc` is invalid, a transaction fails to commit, or the
-/// final verification finds a divergence.
-pub fn run_single(rc: &RunConfig) -> RunResult {
-    session(rc).run_single()
-}
-
-/// Runs `programs` copies of the workload on separate cores.
-///
-/// Equivalent to `Experiment::new(rc.clone())?.run_multicore()`.
-///
-/// # Panics
-///
-/// Panics if `programs` is zero or exceeds the configured core count,
-/// if a transaction fails, or if verification finds a divergence.
-pub fn run_multicore(rc: &RunConfig) -> RunResult {
-    session(rc).run_multicore()
-}
-
-/// Records the memory-operation trace of `rc`'s workload against a
-/// functional memory — the capture half of trace-driven simulation.
-/// Transaction boundaries are marked so a replay can measure latency.
-///
-/// # Panics
-///
-/// Panics if a transaction fails to commit.
-pub fn record_workload_trace(rc: &RunConfig) -> Vec<TraceEvent> {
-    record_program_trace(rc, 0, true)
-}
-
-/// Replays a recorded trace through a timed system configured by `rc`
-/// (the replay half of trace-driven simulation): identical memory
-/// behavior, different machine. Per-transaction latencies come from the
-/// trace's markers.
-///
-/// # Panics
-///
-/// Panics if `rc` is invalid.
-pub fn replay_trace(rc: &RunConfig, trace: &[TraceEvent]) -> RunResult {
-    session(rc).replay(trace)
-}
-
-/// Multi-core run with *event-granularity* interleaving (see
-/// [`Experiment::run_multicore_trace`]).
-///
-/// # Panics
-///
-/// Panics if `programs` is zero or exceeds the configured core count,
-/// or if trace recording fails.
-pub fn run_multicore_trace(rc: &RunConfig) -> RunResult {
-    session(rc).run_multicore_trace()
-}
+//! End-to-end tests of the run drivers in [`crate::experiment`]: every
+//! scheme and workload, multi-core interleaving at transaction and event
+//! granularity, and trace capture and replay.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use supermem_sim::Config;
     use supermem_workloads::spec::ALL_KINDS;
+    use supermem_workloads::{WorkloadKind, WorkloadSpec};
 
-    fn quick(scheme: Scheme, kind: WorkloadKind) -> RunConfig {
-        let mut rc = RunConfig::new(scheme, kind);
-        rc.txns = 40;
-        rc.req_bytes = 256;
-        rc.array_footprint = 256 << 10;
-        rc
+    use crate::experiment::Experiment;
+    use crate::metrics::RunResult;
+    use crate::scheme::Scheme;
+
+    fn machine(scheme: Scheme) -> Config {
+        scheme.apply(Config::default()).with_seed(1)
+    }
+
+    fn quick(kind: WorkloadKind) -> WorkloadSpec {
+        WorkloadSpec::new(kind)
+            .with_txns(40)
+            .with_req_bytes(256)
+            .with_array_footprint(256 << 10)
+    }
+
+    fn session(scheme: Scheme, spec: WorkloadSpec, programs: usize) -> Experiment {
+        Experiment::new(machine(scheme), spec)
+            .and_then(|e| e.with_programs(programs))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn run_single(scheme: Scheme, kind: WorkloadKind) -> RunResult {
+        session(scheme, quick(kind), 1).run_single()
     }
 
     #[test]
     fn single_core_all_schemes_on_array() {
         for scheme in crate::scheme::FIGURE_SCHEMES {
-            let r = run_single(&quick(scheme, WorkloadKind::Array));
+            let r = run_single(scheme, WorkloadKind::Array);
             assert_eq!(r.stats.txn_commits, 40, "{scheme}");
             assert!(r.mean_txn_latency() > 0.0);
         }
@@ -395,16 +45,16 @@ mod tests {
     #[test]
     fn single_core_all_workloads_on_supermem() {
         for kind in ALL_KINDS {
-            let r = run_single(&quick(Scheme::SuperMem, kind));
+            let r = run_single(Scheme::SuperMem, kind);
             assert_eq!(r.stats.txn_commits, 40, "{kind}");
         }
     }
 
     #[test]
     fn wt_costs_more_than_unsec_and_supermem_recovers_most() {
-        let unsec = run_single(&quick(Scheme::Unsec, WorkloadKind::Queue));
-        let wt = run_single(&quick(Scheme::WriteThrough, WorkloadKind::Queue));
-        let sm = run_single(&quick(Scheme::SuperMem, WorkloadKind::Queue));
+        let unsec = run_single(Scheme::Unsec, WorkloadKind::Queue);
+        let wt = run_single(Scheme::WriteThrough, WorkloadKind::Queue);
+        let sm = run_single(Scheme::SuperMem, WorkloadKind::Queue);
         let u = unsec.mean_txn_latency();
         let w = wt.mean_txn_latency();
         let s = sm.mean_txn_latency();
@@ -417,9 +67,9 @@ mod tests {
 
     #[test]
     fn wt_doubles_writes_supermem_reduces_them() {
-        let unsec = run_single(&quick(Scheme::Unsec, WorkloadKind::Queue));
-        let wt = run_single(&quick(Scheme::WriteThrough, WorkloadKind::Queue));
-        let sm = run_single(&quick(Scheme::SuperMem, WorkloadKind::Queue));
+        let unsec = run_single(Scheme::Unsec, WorkloadKind::Queue);
+        let wt = run_single(Scheme::WriteThrough, WorkloadKind::Queue);
+        let sm = run_single(Scheme::SuperMem, WorkloadKind::Queue);
         let base = unsec.nvm_writes() as f64;
         assert!(
             (wt.nvm_writes() as f64 / base - 2.0).abs() < 0.15,
@@ -433,22 +83,16 @@ mod tests {
 
     #[test]
     fn multicore_runs_and_interleaves() {
-        let mut rc = quick(Scheme::SuperMem, WorkloadKind::Queue);
-        rc.programs = 4;
-        rc.txns = 15;
-        let r = run_multicore(&rc);
+        let spec = quick(WorkloadKind::Queue).with_txns(15);
+        let r = session(Scheme::SuperMem, spec, 4).run_multicore();
         assert_eq!(r.stats.txn_commits, 60);
-        assert_eq!(r.programs, 4);
     }
 
     #[test]
     fn multicore_contention_slows_transactions() {
-        let mut one = quick(Scheme::WriteThrough, WorkloadKind::Queue);
-        one.txns = 25;
-        let mut eight = one.clone();
-        eight.programs = 8;
-        let r1 = run_multicore(&one);
-        let r8 = run_multicore(&eight);
+        let spec = quick(WorkloadKind::Queue).with_txns(25);
+        let r1 = session(Scheme::WriteThrough, spec.clone(), 1).run_multicore();
+        let r8 = session(Scheme::WriteThrough, spec, 8).run_multicore();
         assert!(
             r8.mean_txn_latency() > r1.mean_txn_latency(),
             "8 programs sharing banks must see longer transactions"
@@ -457,15 +101,11 @@ mod tests {
 
     #[test]
     fn multicore_trace_interleaves_at_event_granularity() {
-        let mut rc = quick(Scheme::SuperMem, WorkloadKind::Queue);
-        rc.txns = 15;
-        rc.programs = 4;
-        let r = run_multicore_trace(&rc);
+        let spec = quick(WorkloadKind::Queue).with_txns(15);
+        let r = session(Scheme::SuperMem, spec.clone(), 4).run_multicore_trace();
         assert_eq!(r.stats.txn_commits, 60);
         // Contention must be visible relative to a single program.
-        let mut one = rc.clone();
-        one.programs = 1;
-        let r1 = run_multicore_trace(&one);
+        let r1 = session(Scheme::SuperMem, spec, 1).run_multicore_trace();
         assert!(r.mean_txn_latency() > r1.mean_txn_latency());
     }
 
@@ -473,13 +113,13 @@ mod tests {
     fn trace_replay_matches_live_run_shape() {
         // Record once, replay per scheme: the trace-driven latencies must
         // preserve the live ordering Unsec < SuperMem < WT.
-        let rc = quick(Scheme::SuperMem, WorkloadKind::Queue);
-        let trace = record_workload_trace(&rc);
-        assert!(trace.iter().filter(|e| e.is_marker()).count() as u64 == 2 * rc.txns);
+        let spec = quick(WorkloadKind::Queue);
+        let trace = session(Scheme::SuperMem, spec.clone(), 1).record_trace();
+        assert!(trace.iter().filter(|e| e.is_marker()).count() as u64 == 2 * spec.txns);
         let lat = |scheme: Scheme| {
-            let mut rc = rc.clone();
-            rc.scheme = scheme;
-            replay_trace(&rc, &trace).mean_txn_latency()
+            session(scheme, spec.clone(), 1)
+                .replay(&trace)
+                .mean_txn_latency()
         };
         let unsec = lat(Scheme::Unsec);
         let wt = lat(Scheme::WriteThrough);
@@ -492,21 +132,17 @@ mod tests {
     fn trace_replay_reproduces_contents() {
         use crate::system::System;
         use supermem_persist::{PMem, RecoveredMemory, VecMem};
-        let rc = quick(Scheme::SuperMem, WorkloadKind::HashTable);
-        let trace = record_workload_trace(&rc);
+        let trace = session(Scheme::SuperMem, quick(WorkloadKind::HashTable), 1).record_trace();
         // Functional reference of the final bytes.
         let mut reference = VecMem::new();
         supermem_trace::replay(&trace, &mut reference);
         // Timed encrypted replay, then decrypt through a crash image.
         // Pre-zero the compared region: encrypted NVM merges partial-line
         // writes with garbage (uninitialized lines), VecMem with zeros.
-        let mut sys = System::new(rc.build_config());
+        let mut sys = System::new(machine(Scheme::SuperMem));
         sys.write(0, &vec![0u8; 8192]);
         sys.checkpoint();
-        {
-            use supermem_trace::replay as rp;
-            rp(&trace, &mut sys);
-        }
+        supermem_trace::replay(&trace, &mut sys);
         sys.checkpoint();
         let cfg = sys.config().clone();
         let mut rec = RecoveredMemory::from_image(&cfg, sys.crash_now());
@@ -523,26 +159,24 @@ mod tests {
 
     #[test]
     fn streaming_tree_run_commits_and_streams_node_writes() {
-        let rc = quick(Scheme::SuperMem, WorkloadKind::Queue)
+        let cfg = machine(Scheme::SuperMem)
             .with_integrity_tree(true)
             .with_persisted_levels(Some(1));
-        assert!(rc.validate().is_ok());
-        let r = run_single(&rc);
+        let mut exp = Experiment::new(cfg, quick(WorkloadKind::Queue)).unwrap();
+        // The knob reaches the machine config unchanged.
+        assert_eq!(exp.config().persisted_levels, Some(1));
+        let r = exp.run_single();
         assert_eq!(r.stats.txn_commits, 40);
         assert!(
             r.stats.nvm_tree_writes > 0,
             "persisted-frontier node writes must reach the media"
         );
         assert!(r.stats.tree_propagations > 0);
-        // The knob reaches the machine config unchanged.
-        assert_eq!(rc.machine_config().persisted_levels, Some(1));
     }
 
     #[test]
     #[should_panic(expected = "programs must be in")]
     fn rejects_too_many_programs() {
-        let mut rc = quick(Scheme::Unsec, WorkloadKind::Array);
-        rc.programs = 9;
-        run_multicore(&rc);
+        session(Scheme::Unsec, quick(WorkloadKind::Array), 9).run_multicore();
     }
 }

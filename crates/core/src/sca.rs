@@ -118,11 +118,15 @@ impl PMem for ScaSystem {
 mod tests {
     use super::*;
     use crate::scheme::Scheme;
-    use crate::system::SystemBuilder;
     use supermem_persist::RecoveredMemory;
+    use supermem_sim::Config;
+
+    fn sca_system() -> System {
+        System::new(Scheme::Sca.apply(Config::default()))
+    }
 
     fn sca() -> ScaSystem {
-        ScaSystem::new(SystemBuilder::new().scheme(Scheme::Sca).build())
+        ScaSystem::new(sca_system())
     }
 
     #[test]
@@ -147,7 +151,7 @@ mod tests {
         // The same scheme driven through the plain System (i.e. an
         // unmodified application) is NOT crash consistent — the paper's
         // §2.3 point about SCA requiring software changes.
-        let mut sys = SystemBuilder::new().scheme(Scheme::Sca).build();
+        let mut sys = sca_system();
         sys.write(0x1000, &[7; 128]);
         sys.clwb(0x1000, 128);
         sys.sfence();

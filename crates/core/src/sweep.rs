@@ -1,36 +1,55 @@
 //! Parallel experiment engine.
 //!
 //! Every figure in the evaluation is a grid of independent runs: each
-//! [`RunConfig`] fully determines its [`RunResult`] (the simulator is
-//! seeded and single-threaded *within* a run), so a figure's cell jobs
-//! can execute on any host thread in any order without changing a
-//! single output bit. This module fans a job list over a scoped worker
-//! pool and returns results **in input order**, which is what makes the
-//! figure binaries' tables byte-identical to their sequential output.
+//! `(Config, WorkloadSpec)` pair fully determines its [`RunResult`]
+//! (the simulator is seeded, and its intra-run threads merge
+//! deterministically), so a figure's cell jobs can execute on any host
+//! thread in any order without changing a single output bit. This
+//! module fans a job list over a scoped worker pool and returns results
+//! **in input order**, which is what makes the figure binaries' tables
+//! byte-identical to their sequential output.
 //!
 //! Worker count comes from [`worker_count`]: the `SUPERMEM_THREADS`
 //! environment variable when set (a value of `1` forces the sequential
 //! path, useful for A/B timing), otherwise
 //! [`std::thread::available_parallelism`] — divided by
-//! `SUPERMEM_RUN_THREADS` when intra-run parallelism is on, so the two
-//! levels of parallelism share one host budget instead of
-//! multiplying.
+//! `SUPERMEM_RUN_THREADS` ([`env_run_threads`]) when intra-run
+//! parallelism is on, so the two levels of parallelism share one host
+//! budget instead of multiplying.
 //!
 //! ```
-//! use supermem::workloads::WorkloadKind;
-//! use supermem::{run_batch, RunConfig, Scheme};
+//! use supermem::sim::Config;
+//! use supermem::workloads::{WorkloadKind, WorkloadSpec};
+//! use supermem::{run_batch, Scheme};
 //!
-//! let mut rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::Array);
-//! rc.txns = 5;
-//! let results = run_batch(&[rc.clone(), rc]);
+//! let cfg = Scheme::SuperMem.apply(Config::default());
+//! let spec = WorkloadSpec::new(WorkloadKind::Array).with_txns(5);
+//! let results = run_batch(&[(cfg.clone(), spec.clone()), (cfg, spec)]);
 //! assert_eq!(results[0].total_cycles, results[1].total_cycles);
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use supermem_sim::Config;
+use supermem_workloads::WorkloadSpec;
+
+use crate::experiment::Experiment;
 use crate::metrics::RunResult;
-use crate::runner::{env_run_threads, run_single, RunConfig};
+
+/// The intra-run worker-thread count requested via the
+/// `SUPERMEM_RUN_THREADS` environment variable, or 1 (sequential) when
+/// unset or unparsable. Figure runs and CLI commands set
+/// [`Config::run_threads`] from this, and [`worker_count`] divides the
+/// sweep's worker budget by it so that `run_threads × sweep workers`
+/// never oversubscribes the host.
+pub fn env_run_threads() -> usize {
+    std::env::var("SUPERMEM_RUN_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(1)
+}
 
 /// Number of worker threads a sweep will use: the host thread budget
 /// ([`thread_budget`]) divided by the intra-run worker count
@@ -110,10 +129,20 @@ where
         .collect()
 }
 
-/// Runs a batch of experiment configurations through [`run_single`] in
-/// parallel, preserving input order.
-pub fn run_batch(configs: &[RunConfig]) -> Vec<RunResult> {
-    sweep(configs, run_single)
+/// Runs a batch of one-program experiments through
+/// [`Experiment::run`] in parallel, preserving input order.
+///
+/// # Panics
+///
+/// Panics if a job fails [`Experiment::new`]'s validation.
+pub fn run_batch(jobs: &[(Config, WorkloadSpec)]) -> Vec<RunResult> {
+    sweep(jobs, run_one)
+}
+
+fn run_one((cfg, spec): &(Config, WorkloadSpec)) -> RunResult {
+    Experiment::new(cfg.clone(), spec.clone())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run()
 }
 
 #[cfg(test)]
@@ -150,11 +179,13 @@ mod tests {
 
     #[test]
     fn run_batch_matches_run_single() {
-        let mut rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::Array);
-        rc.txns = 10;
-        let configs = vec![rc.clone(), rc.clone()];
-        let batch = sweep_on(2, &configs, run_single);
-        let solo = run_single(&rc);
+        let job = (
+            Scheme::SuperMem.apply(Config::default()),
+            WorkloadSpec::new(WorkloadKind::Array).with_txns(10),
+        );
+        let jobs = vec![job.clone(), job.clone()];
+        let batch = sweep_on(2, &jobs, run_one);
+        let solo = Experiment::new(job.0, job.1).unwrap().run_single();
         for r in &batch {
             assert_eq!(r.total_cycles, solo.total_cycles);
             assert_eq!(r.stats, solo.stats);

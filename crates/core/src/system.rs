@@ -19,8 +19,6 @@ use supermem_nvm::addr::LineAddr;
 use supermem_persist::PMem;
 use supermem_sim::{Config, Cycle, Event, Observer, Stats};
 
-use crate::scheme::Scheme;
-
 /// Per-core execution state.
 #[derive(Debug, Clone, Copy, Default)]
 struct CoreState {
@@ -28,93 +26,26 @@ struct CoreState {
     pending_retire: Cycle,
 }
 
-/// Builder for [`System`].
-///
-/// # Examples
-///
-/// ```
-/// use supermem::{Scheme, SystemBuilder};
-///
-/// let sys = SystemBuilder::new()
-///     .scheme(Scheme::WtCwc)
-///     .write_queue_entries(64)
-///     .seed(7)
-///     .build();
-/// assert!(sys.config().cwc);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SystemBuilder {
-    cfg: Option<Config>,
-    scheme: Option<Scheme>,
-    write_queue_entries: Option<usize>,
-    counter_cache_bytes: Option<u64>,
-    seed: Option<u64>,
-}
-
-impl SystemBuilder {
-    /// Starts from the paper's Table 2 defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the base configuration entirely.
-    pub fn config(mut self, cfg: Config) -> Self {
-        self.cfg = Some(cfg);
-        self
-    }
-
-    /// Applies a [`Scheme`]'s knobs on top of the base configuration.
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = Some(scheme);
-        self
-    }
-
-    /// Overrides the write-queue capacity (Figure 16 sweeps this).
-    pub fn write_queue_entries(mut self, entries: usize) -> Self {
-        self.write_queue_entries = Some(entries);
-        self
-    }
-
-    /// Overrides the counter-cache size (Figure 17 sweeps this).
-    pub fn counter_cache_bytes(mut self, bytes: u64) -> Self {
-        self.counter_cache_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Builds the system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting configuration is invalid.
-    pub fn build(self) -> System {
-        let mut cfg = self.cfg.unwrap_or_default();
-        if let Some(scheme) = self.scheme {
-            cfg = scheme.apply(cfg);
-        }
-        if let Some(wq) = self.write_queue_entries {
-            cfg.write_queue_entries = wq;
-        }
-        if let Some(cc) = self.counter_cache_bytes {
-            cfg.counter_cache_bytes = cc;
-        }
-        if let Some(seed) = self.seed {
-            cfg.seed = seed;
-        }
-        System::new(cfg)
-    }
-}
-
 /// The timed secure-PM machine.
 ///
 /// Implements [`PMem`] for the currently active core (see
 /// [`System::set_active_core`]); single-core users never need to touch
 /// core selection.
+///
+/// # Examples
+///
+/// ```
+/// use supermem::sim::Config;
+/// use supermem::{Scheme, System};
+///
+/// // A scheme preset plus direct knob edits is the whole configuration.
+/// let cfg = Scheme::WtCwc
+///     .apply(Config::default())
+///     .with_write_queue_entries(64)
+///     .with_seed(7);
+/// let sys = System::new(cfg);
+/// assert!(sys.config().cwc);
+/// ```
 #[derive(Debug, Clone)]
 pub struct System {
     cfg: Config,
@@ -166,11 +97,6 @@ impl System {
     pub fn set_active_core(&mut self, core: usize) {
         assert!(core < self.cores.len(), "core {core} out of range");
         self.active = core;
-    }
-
-    /// The active core's index.
-    pub fn active_core(&self) -> usize {
-        self.active
     }
 
     /// The active core's clock.
@@ -415,8 +341,10 @@ mod tests {
     use super::*;
     use supermem_persist::{RecoveredMemory, VecMem};
 
+    use crate::scheme::Scheme;
+
     fn sys(scheme: Scheme) -> System {
-        SystemBuilder::new().scheme(scheme).build()
+        System::new(scheme.apply(Config::default()))
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! The checker (from `supermem-check`, re-exported here) is a pure
 //! observer: a checked run's simulated timing and results are identical
-//! to an unchecked run's. [`check_run`] validates a [`RunConfig`] and
-//! checks its measured window; [`run_mutant`] drives a fixed stress
-//! workload with an optional fault injection ([`Mutation`]) so tests can
-//! prove each rule actually fires on the behavior it guards against.
+//! to an unchecked run's. [`check_run`] checks an [`Experiment`]'s
+//! measured window; [`run_mutant`] drives a fixed stress workload with
+//! an optional fault injection ([`Mutation`]) so tests can prove each
+//! rule actually fires on the behavior it guards against.
 //!
 //! This layer validates the event *ordering* of one execution. Its
 //! siblings attack the other axes: `supermem torture` crashes the
@@ -19,17 +19,19 @@
 //! # Examples
 //!
 //! ```
+//! use supermem::sim::Config;
 //! use supermem::verify::{check_run, run_mutant};
-//! use supermem::{RunConfig, Scheme};
-//! use supermem::workloads::WorkloadKind;
+//! use supermem::workloads::{WorkloadKind, WorkloadSpec};
+//! use supermem::{Experiment, Scheme};
 //! use supermem_sim::Mutation;
 //!
 //! // A correct run is clean ...
-//! let rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::Array)
+//! let cfg = Scheme::SuperMem.apply(Config::default());
+//! let spec = WorkloadSpec::new(WorkloadKind::Array)
 //!     .with_txns(10)
 //!     .with_req_bytes(256)
 //!     .with_array_footprint(256 << 10);
-//! assert!(check_run(&rc).unwrap().is_clean());
+//! assert!(check_run(Experiment::new(cfg, spec).unwrap()).is_clean());
 //!
 //! // ... and a controller that drops counter write-through is caught.
 //! let report = run_mutant(Some(Mutation::WtOff));
@@ -40,8 +42,7 @@ use supermem_sim::{Config, Mutation};
 
 pub use supermem_check::{CheckReport, Checker, CheckerMode, Rule, Violation};
 
-use crate::experiment::{ConfigError, Experiment};
-use crate::runner::RunConfig;
+use crate::experiment::Experiment;
 use crate::scheme::Scheme;
 use crate::system::System;
 
@@ -56,23 +57,27 @@ fn report_from(exp: &mut Experiment) -> CheckReport {
     unreachable!("the attached Checker must come back from the run")
 }
 
-/// Runs `rc` (single- or multi-core per `rc.programs`) with the
-/// persistency-ordering checker attached to the measured window, and
-/// returns the invariant report.
-pub fn check_run(rc: &RunConfig) -> Result<CheckReport, ConfigError> {
-    let mode = CheckerMode::from_config(&rc.machine_config());
-    let mut exp = Experiment::new(rc.clone())?.observe_with(Box::new(Checker::new(mode)));
+/// Attaches the persistency-ordering checker to `exp`'s machine.
+fn with_checker(exp: Experiment) -> Experiment {
+    let mode = CheckerMode::from_config(exp.config());
+    exp.observe_with(Box::new(Checker::new(mode)))
+}
+
+/// Runs `exp` ([`Experiment::run`]: single- or multi-core by its
+/// program count) with the persistency-ordering checker attached to the
+/// measured window, and returns the invariant report.
+pub fn check_run(exp: Experiment) -> CheckReport {
+    let mut exp = with_checker(exp);
     exp.run();
-    Ok(report_from(&mut exp))
+    report_from(&mut exp)
 }
 
 /// Like [`check_run`], but replays recorded per-program traces with
 /// event-granularity interleaving (the `fig14t`/`tracebench` pipeline).
-pub fn check_run_trace(rc: &RunConfig) -> Result<CheckReport, ConfigError> {
-    let mode = CheckerMode::from_config(&rc.machine_config());
-    let mut exp = Experiment::new(rc.clone())?.observe_with(Box::new(Checker::new(mode)));
+pub fn check_run_trace(exp: Experiment) -> CheckReport {
+    let mut exp = with_checker(exp);
     exp.run_multicore_trace();
-    Ok(report_from(&mut exp))
+    report_from(&mut exp)
 }
 
 /// The machine configuration [`run_mutant`] drives: the full SuperMem
@@ -154,19 +159,20 @@ pub fn run_mutant_sharded(mutation: Option<Mutation>, channels: usize) -> CheckR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use supermem_workloads::WorkloadKind;
+    use supermem_workloads::{WorkloadKind, WorkloadSpec};
 
-    fn quick(scheme: Scheme, kind: WorkloadKind) -> RunConfig {
-        RunConfig::new(scheme, kind)
+    fn quick(scheme: Scheme, kind: WorkloadKind) -> Experiment {
+        let spec = WorkloadSpec::new(kind)
             .with_txns(30)
             .with_req_bytes(256)
-            .with_array_footprint(256 << 10)
+            .with_array_footprint(256 << 10);
+        Experiment::new(scheme.apply(Config::default()), spec).unwrap()
     }
 
     #[test]
     fn figure_schemes_check_clean_on_array() {
         for scheme in crate::scheme::FIGURE_SCHEMES {
-            let report = check_run(&quick(scheme, WorkloadKind::Array)).unwrap();
+            let report = check_run(quick(scheme, WorkloadKind::Array));
             assert!(report.is_clean(), "{scheme}: {report}");
             assert!(
                 report.events_seen > 0,
@@ -177,12 +183,17 @@ mod tests {
 
     #[test]
     fn multicore_and_trace_runs_check_clean() {
-        let rc = quick(Scheme::SuperMem, WorkloadKind::Queue)
+        let spec = WorkloadSpec::new(WorkloadKind::Queue)
             .with_txns(10)
-            .with_programs(4);
-        let report = check_run(&rc).unwrap();
+            .with_req_bytes(256);
+        let exp = || {
+            Experiment::new(Scheme::SuperMem.apply(Config::default()), spec.clone())
+                .and_then(|e| e.with_programs(4))
+                .unwrap()
+        };
+        let report = check_run(exp());
         assert!(report.is_clean(), "{report}");
-        let report = check_run_trace(&rc).unwrap();
+        let report = check_run_trace(exp());
         assert!(report.is_clean(), "{report}");
     }
 
@@ -208,13 +219,8 @@ mod tests {
 
     #[test]
     fn checked_run_does_not_perturb_results() {
-        let rc = quick(Scheme::SuperMem, WorkloadKind::Queue);
-        let plain = crate::runner::run_single(&rc);
-        let mut exp = Experiment::new(rc.clone())
-            .unwrap()
-            .observe_with(Box::new(Checker::new(CheckerMode::from_config(
-                &rc.machine_config(),
-            ))));
+        let plain = quick(Scheme::SuperMem, WorkloadKind::Queue).run();
+        let mut exp = with_checker(quick(Scheme::SuperMem, WorkloadKind::Queue));
         let checked = exp.run();
         assert_eq!(plain.total_cycles, checked.total_cycles);
         assert_eq!(plain.stats.nvm_data_writes, checked.stats.nvm_data_writes);

@@ -275,16 +275,6 @@ impl Bmt {
         self.root
     }
 
-    /// Number of digest entries at `level`.
-    pub fn level_len(&self, level: usize) -> usize {
-        self.levels[level].len()
-    }
-
-    /// Number of 64-byte node-group lines at `level`.
-    pub fn level_groups(&self, level: usize) -> u64 {
-        (self.levels[level].len() as u64).div_ceil(ARITY as u64)
-    }
-
     /// Records a new value for page `page`'s counter line, updating the
     /// path to the root (the eager fold the memory controller performs
     /// on a counter write when streaming is off).
@@ -336,11 +326,6 @@ impl Bmt {
     /// Pending (armed, not yet propagated) leaf updates.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Pages currently armed in the pending cache, oldest first.
-    pub fn pending_pages(&self) -> impl Iterator<Item = u64> + '_ {
-        self.pending.iter().map(|&(p, _)| p)
     }
 
     /// Propagates every pending leaf update (fence / shutdown / crash

@@ -123,43 +123,9 @@ impl ChannelSet {
         }
     }
 
-    /// Wraps a single existing controller (e.g. one restarted on a
-    /// recovered store). The controller's accumulated statistics carry
-    /// over as the machine statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the controller was built for a multi-channel
-    /// configuration: a lone channel cannot stand in for the machine.
-    pub fn from_single(mut mc: MemoryController) -> Self {
-        let cfg = mc.config().clone();
-        assert_eq!(
-            cfg.channels, 1,
-            "from_single requires a single-channel configuration"
-        );
-        let mut stats = Box::new(Stats::new(cfg.banks));
-        std::mem::swap(&mut stats, mc.stats_box_mut());
-        let mut probes = Probes::default();
-        std::mem::swap(&mut probes, mc.probes_mut());
-        Self {
-            probes,
-            stats,
-            armed: None,
-            machine_image: None,
-            banks_per_channel: cfg.banks,
-            run_threads: 1,
-            channels: vec![mc],
-        }
-    }
-
     /// Worker threads used for sibling-channel drains (diagnostics).
     pub fn run_threads(&self) -> usize {
         self.run_threads
-    }
-
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
     }
 
     /// The per-channel controllers, in channel order (diagnostics).

@@ -271,15 +271,6 @@ impl MemoryController {
         self.append_events
     }
 
-    /// Pending write-queue entries in age order (diagnostics).
-    ///
-    /// Allocation-free: yields straight from the queue's slot slab, so
-    /// per-event inspection (the checker probes this on its hot path)
-    /// does not clone the queue into a `Vec`.
-    pub fn wq_pending(&self) -> impl Iterator<Item = (crate::wqueue::WqTarget, u64)> + '_ {
-        self.wq.pending()
-    }
-
     /// Number of leaf updates armed in the streaming tree's pending
     /// cache (0 in eager mode or without an integrity tree).
     pub fn tree_pending_len(&self) -> usize {

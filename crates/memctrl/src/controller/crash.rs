@@ -128,12 +128,6 @@ impl MemoryController {
         self.crash_image.take()
     }
 
-    /// Whether an armed crash countdown is still pending (i.e. armed
-    /// but not yet triggered).
-    pub fn crash_armed(&self) -> bool {
-        self.armed_crash.is_some()
-    }
-
     /// Simulates an immediate power failure and returns the surviving
     /// NVM image.
     pub fn crash_now(&self) -> CrashImage {

@@ -282,11 +282,6 @@ impl WriteQueue {
         self.free.len()
     }
 
-    /// Whether CWC is enabled.
-    pub fn cwc_enabled(&self) -> bool {
-        self.cwc
-    }
-
     /// Occupied entries, any order.
     fn entries(&self) -> impl Iterator<Item = (usize, &WqEntry)> {
         self.slots

@@ -12,7 +12,7 @@
 //! machinery can be exercised and tested below the system layer, and it
 //! is what the Table 1 experiments use.
 
-use supermem_memctrl::{ChannelSet, CrashImage, MachineCrashImage, MemoryController};
+use supermem_memctrl::{ChannelSet, CrashImage, MachineCrashImage};
 use supermem_nvm::addr::LineAddr;
 use supermem_nvm::LineData;
 use supermem_sim::{Config, Cycle};
@@ -50,17 +50,6 @@ impl DirectMem {
     /// A fresh system over zeroed NVM.
     pub fn new(cfg: &Config) -> Self {
         Self::from_channels(ChannelSet::new(cfg))
-    }
-
-    /// Wraps an existing single-channel controller (e.g. one restarted
-    /// on a recovered store).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the controller was built for a multi-channel
-    /// configuration — wrap a full [`ChannelSet`] instead.
-    pub fn from_controller(mc: MemoryController) -> Self {
-        Self::from_channels(ChannelSet::from_single(mc))
     }
 
     /// Wraps an existing channel set.

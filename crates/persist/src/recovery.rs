@@ -405,13 +405,6 @@ impl RecoveredMemory {
         }
     }
 
-    /// Consumes the view and returns the (re-encrypted, consistent)
-    /// store, e.g. to restart a [`supermem_memctrl::MemoryController`]
-    /// on it.
-    pub fn into_store(self) -> NvmStore {
-        self.store
-    }
-
     /// Borrow of the underlying store (verification).
     pub fn store(&self) -> &NvmStore {
         &self.store

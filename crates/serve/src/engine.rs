@@ -16,7 +16,7 @@
 //! re-encryption storm pays that wait in its p99/p999, which is the
 //! whole point of driving the structures open-loop.
 
-use supermem::sim::{Config, Observer, SplitMix64, Telemetry};
+use supermem::sim::{Config, Observer, Telemetry};
 use supermem::{Scheme, System};
 
 use crate::service::{Service, StepResult, StructureKind};
@@ -422,12 +422,6 @@ pub fn run_serve_observed(
         telemetry,
     };
     Ok((report, rest))
-}
-
-/// A seeded SplitMix64 stream for schedule-affecting helpers (kept here
-/// so the engine and bench derive sub-seeds the same way).
-pub fn subseed(master: u64, salt: u64) -> u64 {
-    SplitMix64::new(master ^ salt).next_u64()
 }
 
 #[cfg(test)]

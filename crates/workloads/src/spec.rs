@@ -377,21 +377,6 @@ pub enum AnyWorkload {
 }
 
 impl AnyWorkload {
-    /// Builds and initializes the workload described by `spec` inside
-    /// `mem`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any malformed spec or undersized region.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the fallible `WorkloadSpec::build`, which reports a typed SpecError"
-    )]
-    pub fn build<M: PMem>(spec: &WorkloadSpec, mem: &mut M) -> Self {
-        spec.build(mem)
-            .unwrap_or_else(|e| panic!("workload spec invalid: {e}"))
-    }
-
     /// The workload's figure name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -604,16 +589,6 @@ mod tests {
         for kind in ALL_KINDS.into_iter().chain([WorkloadKind::Ycsb]) {
             WorkloadSpec::new(kind).validate().unwrap();
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_build_wrapper_still_constructs() {
-        let mut mem = VecMem::new();
-        let spec = WorkloadSpec::new(WorkloadKind::Queue).with_txns(3);
-        let mut w = AnyWorkload::build(&spec, &mut mem);
-        w.step(&mut mem).unwrap();
-        assert_eq!(AnyWorkload::committed(&w), 1);
     }
 
     #[test]

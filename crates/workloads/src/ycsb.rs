@@ -41,7 +41,7 @@ impl YcsbWorkload {
     /// Returns [`SpecError::ReadPct`] if `read_pct > 100`,
     /// [`SpecError::ReqBytes`] if `req_bytes < 16`, and
     /// [`SpecError::RegionTooSmall`] if seeding the store does not fit
-    /// in the region — the typed path, mirroring `RunConfig::validate`.
+    /// in the region.
     pub fn try_new<M: PMem>(
         mem: &mut M,
         base: u64,
@@ -95,31 +95,6 @@ impl YcsbWorkload {
             reads: 0,
             inserts: 0,
         })
-    }
-
-    /// Panicking construction, kept for source compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `read_pct > 100`, the region is too small, or
-    /// `req_bytes < 16`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `YcsbWorkload::try_new`, which reports a typed SpecError"
-    )]
-    pub fn new<M: PMem>(
-        mem: &mut M,
-        base: u64,
-        len: u64,
-        req_bytes: u64,
-        read_pct: u8,
-        seed: u64,
-    ) -> Self {
-        match Self::try_new(mem, base, len, req_bytes, read_pct, seed) {
-            Ok(w) => w,
-            Err(SpecError::ReadPct(_)) => panic!("read percentage out of range"),
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// (lookups, inserts) performed so far.
@@ -212,16 +187,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    #[allow(deprecated)]
-    fn rejects_bad_percentage() {
-        let mut mem = VecMem::new();
-        YcsbWorkload::new(&mut mem, 0, 1 << 24, 128, 101, 0);
-    }
-
-    #[test]
     fn try_new_reports_typed_errors_instead_of_panicking() {
-        // The regression the deprecated constructor used to panic on.
         let mut mem = VecMem::new();
         assert_eq!(
             YcsbWorkload::try_new(&mut mem, 0, 1 << 24, 128, 101, 0).unwrap_err(),

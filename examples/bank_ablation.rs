@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run --release --example bank_ablation`
 
-use supermem::sim::CounterPlacement;
-use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig, Scheme};
+use supermem::sim::{Config, CounterPlacement};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{Experiment, Scheme};
 
 fn main() {
     println!("queue workload, 1 KB transactions, WT counter cache\n");
@@ -20,10 +20,11 @@ fn main() {
         (CounterPlacement::SameBank, "SameBank   (Fig. 8b)"),
         (CounterPlacement::CrossBank, "XBank      (Fig. 8c)"),
     ] {
-        let mut rc = RunConfig::new(Scheme::WriteThrough, WorkloadKind::Queue);
-        rc.txns = 150;
-        rc.placement_override = Some(placement);
-        let r = run_single(&rc);
+        // The scheme is a preset; the ablation edits one of its knobs.
+        let mut cfg = Scheme::WriteThrough.apply(Config::default()).with_seed(1);
+        cfg.counter_placement = placement;
+        let spec = WorkloadSpec::new(WorkloadKind::Queue).with_txns(150);
+        let r = Experiment::new(cfg, spec).expect("valid run").run();
         let lat = r.mean_txn_latency();
         let base = *baseline.get_or_insert(lat);
         let total: u64 = r.stats.bank_writes.iter().sum();

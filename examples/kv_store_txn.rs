@@ -8,14 +8,12 @@
 //! Run with: `cargo run --example kv_store_txn`
 
 use supermem::persist::{PMem, RecoveredMemory};
+use supermem::sim::Config;
 use supermem::workloads::BTreeWorkload;
-use supermem::{Scheme, SystemBuilder};
+use supermem::{Scheme, System};
 
 fn main() {
-    let mut sys = SystemBuilder::new()
-        .scheme(Scheme::SuperMem)
-        .seed(7)
-        .build();
+    let mut sys = System::new(Scheme::SuperMem.apply(Config::default()).with_seed(7));
 
     // A B-tree KV store in a 256 MiB region: 1 KB values out of line,
     // every insert a durable undo-logged transaction.

@@ -4,17 +4,15 @@
 //! Run with: `cargo run --example quickstart`
 
 use supermem::persist::{PMem, RecoveredMemory};
-use supermem::{Scheme, SystemBuilder};
+use supermem::sim::Config;
+use supermem::{Scheme, System};
 
 fn main() {
     // A full secure-PM machine with the paper's Table 2 configuration:
     // 8 banks of PCM behind a 32-entry ADR write queue, a 256 KB
     // write-through counter cache, counter write coalescing, and
     // cross-bank counter storage.
-    let mut sys = SystemBuilder::new()
-        .scheme(Scheme::SuperMem)
-        .seed(42)
-        .build();
+    let mut sys = System::new(Scheme::SuperMem.apply(Config::default()).with_seed(42));
 
     // Ordinary persistent-memory programming: store, flush, fence.
     let message = b"SuperMem: application-transparent secure persistent memory";

@@ -15,15 +15,13 @@ use supermem::crypto::CounterLine;
 use supermem::integrity::Bmt;
 use supermem::nvm::addr::{LineAddr, PageId};
 use supermem::persist::PMem;
-use supermem::{Scheme, SystemBuilder};
+use supermem::sim::Config;
+use supermem::{Scheme, System};
 
 fn main() {
     // A SuperMem system plus an integrity tree over its first 4096
     // counter lines (16 MiB of protected data).
-    let mut sys = SystemBuilder::new()
-        .scheme(Scheme::SuperMem)
-        .seed(99)
-        .build();
+    let mut sys = System::new(Scheme::SuperMem.apply(Config::default()).with_seed(99));
     let mut bmt = Bmt::new([0x17; 16], 4096).expect("valid tree shape");
     println!(
         "integrity tree: {} counter lines, height {}",

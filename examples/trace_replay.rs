@@ -6,23 +6,26 @@
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
+use supermem::sim::Config;
 use supermem::trace::{decode, encode};
-use supermem::workloads::WorkloadKind;
-use supermem::{record_workload_trace, replay_trace, RunConfig, Scheme};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{Experiment, Scheme};
 
 fn main() {
-    let mut rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::BTree);
-    rc.txns = 100;
-    rc.req_bytes = 1024;
+    let spec = WorkloadSpec::new(WorkloadKind::BTree)
+        .with_txns(100)
+        .with_req_bytes(1024);
+    let machine = |scheme: Scheme| scheme.apply(Config::default()).with_seed(1);
+    let session = |scheme| Experiment::new(machine(scheme), spec.clone()).expect("valid run");
 
     // Capture once, against a purely functional memory (fast).
-    let trace = record_workload_trace(&rc);
+    let trace = session(Scheme::SuperMem).record_trace();
     let bytes = encode(&trace);
     println!(
         "recorded {} events ({} KiB serialized) for {} transactions",
         trace.len(),
         bytes.len() / 1024,
-        rc.txns
+        spec.txns
     );
 
     // The serialized form round-trips (a trace can be shipped to disk).
@@ -30,9 +33,7 @@ fn main() {
 
     // Replay through three machines.
     for scheme in [Scheme::Unsec, Scheme::WriteThrough, Scheme::SuperMem] {
-        let mut rc = rc.clone();
-        rc.scheme = scheme;
-        let r = replay_trace(&rc, &trace);
+        let r = session(scheme).replay(&trace);
         println!(
             "{:<10} mean txn latency {:>7.0} cycles, {} NVM writes, {} coalesced",
             scheme.name(),

@@ -6,13 +6,13 @@ use supermem::crypto::CounterLine;
 use supermem::nvm::addr::PageId;
 use supermem::persist::{verify_image_integrity, IntegrityVerdict, PMem};
 use supermem::sim::Config;
-use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig, Scheme, System, SystemBuilder};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{Experiment, Scheme, System};
 
 fn auth_system() -> System {
     let mut cfg = Scheme::SuperMem.apply(Config::default());
     cfg.integrity_tree = true;
-    SystemBuilder::new().config(cfg).build()
+    System::new(cfg)
 }
 
 #[test]
@@ -85,39 +85,25 @@ fn data_only_tampering_is_caught_by_decryption_not_tree() {
 
 #[test]
 fn verification_happens_on_counter_fetches_and_costs_little() {
-    let mut rc = RunConfig::new(Scheme::SuperMem, WorkloadKind::HashTable);
-    rc.txns = 60;
-    rc.req_bytes = 256;
-    rc.counter_cache_bytes = 1 << 10; // tiny cache: frequent NVM fetches
-    let plain = run_single(&rc);
-
-    // Same run with authentication: drive it manually since RunConfig
-    // has no integrity knob (it is a builder-level option).
-    let mut cfg = Scheme::SuperMem.apply(Config::default());
-    cfg.integrity_tree = true;
-    cfg.counter_cache_bytes = 1 << 10;
-    let mut sys = SystemBuilder::new().config(cfg).build();
-    let spec = supermem::workloads::WorkloadSpec::new(WorkloadKind::HashTable)
+    let spec = WorkloadSpec::new(WorkloadKind::HashTable)
         .with_txns(60)
         .with_req_bytes(256);
-    let mut w = spec.build(&mut sys).expect("valid spec");
-    sys.checkpoint();
-    sys.reset_stats();
-    let start = sys.now();
-    let mut latencies = Vec::new();
-    for _ in 0..60 {
-        let s = sys.now();
-        w.step(&mut sys).unwrap();
-        latencies.push(sys.now() - s);
-    }
-    let _ = start;
+    let run = |integrity_tree: bool| {
+        let cfg = Scheme::SuperMem
+            .apply(Config::default())
+            .with_seed(1)
+            .with_counter_cache_bytes(1 << 10) // tiny cache: frequent NVM fetches
+            .with_integrity_tree(integrity_tree);
+        Experiment::new(cfg, spec.clone()).unwrap().run()
+    };
+    let plain = run(false);
+    let auth = run(true);
     assert!(
-        sys.stats().integrity_verifications > 0,
+        auth.stats.integrity_verifications > 0,
         "cold counter fetches must verify"
     );
-    assert_eq!(sys.stats().integrity_violations, 0);
-    let auth_mean = latencies.iter().sum::<u64>() as f64 / latencies.len() as f64;
-    let overhead = auth_mean / plain.mean_txn_latency();
+    assert_eq!(auth.stats.integrity_violations, 0);
+    let overhead = auth.mean_txn_latency() / plain.mean_txn_latency();
     assert!(
         overhead < 1.2,
         "authentication on counter misses must stay cheap, got {overhead:.2}x"
@@ -126,7 +112,7 @@ fn verification_happens_on_counter_fetches_and_costs_little() {
 
 #[test]
 fn unauthenticated_images_report_a_usable_error() {
-    let sys = SystemBuilder::new().scheme(Scheme::SuperMem).build();
+    let sys = System::new(Scheme::SuperMem.apply(Config::default()));
     let cfg = sys.config().clone();
     let err = verify_image_integrity(&cfg, &mut sys.crash_now()).unwrap_err();
     assert!(err.contains("integrity_tree"));

@@ -5,13 +5,13 @@
 
 use supermem::scheme::FIGURE_SCHEMES;
 use supermem::verify::{check_run, run_mutant, Rule};
-use supermem::{RunConfig, Scheme};
-use supermem_sim::{Mutation, SplitMix64};
+use supermem::{Experiment, Scheme};
+use supermem_sim::{Config, Mutation, SplitMix64};
 use supermem_workloads::spec::ALL_KINDS;
-use supermem_workloads::WorkloadKind;
+use supermem_workloads::{WorkloadKind, WorkloadSpec};
 
-fn quick(scheme: Scheme, kind: WorkloadKind) -> RunConfig {
-    RunConfig::new(scheme, kind)
+fn quick(kind: WorkloadKind) -> WorkloadSpec {
+    WorkloadSpec::new(kind)
         .with_txns(30)
         .with_req_bytes(256)
         .with_array_footprint(256 << 10)
@@ -98,18 +98,22 @@ fn randomized_clean_runs_stay_clean() {
         let scheme = schemes[(rng.next_u64() % schemes.len() as u64) as usize];
         let kind = ALL_KINDS[(rng.next_u64() % ALL_KINDS.len() as u64) as usize];
         let seed = rng.next_u64() % 1000 + 1;
-        let rc = quick(scheme, kind).with_seed(seed).with_txns(20);
-        let report = check_run(&rc).unwrap();
+        let cfg = scheme.apply(Config::default()).with_seed(seed);
+        let spec = quick(kind).with_seed(seed).with_txns(20);
+        let report = check_run(Experiment::new(cfg, spec).unwrap());
         assert!(report.is_clean(), "{scheme}/{kind} seed {seed}: {report}");
     }
 }
 
 #[test]
 fn mutated_experiment_run_is_caught_end_to_end() {
-    // The mutation plumbs through RunConfig -> Config -> controller, so a
-    // checked workload run (not just the fixed harness) catches it too.
-    let rc = quick(Scheme::SuperMem, WorkloadKind::Queue).with_mutation(Some(Mutation::WtOff));
-    let report = check_run(&rc).unwrap();
+    // The mutation plumbs through Config -> controller, so a checked
+    // workload run (not just the fixed harness) catches it too.
+    let cfg = Scheme::SuperMem
+        .apply(Config::default())
+        .with_seed(1)
+        .with_mutation(Mutation::WtOff);
+    let report = check_run(Experiment::new(cfg, quick(WorkloadKind::Queue)).unwrap());
     assert!(!report.is_clean());
     assert_eq!(report.violations[0].rule, Rule::P1);
 }

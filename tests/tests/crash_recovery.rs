@@ -6,7 +6,7 @@
 use supermem::persist::{recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager};
 use supermem::sim::{Config, CounterCacheBacking, CounterCacheMode};
 use supermem::workloads::{WorkloadKind, WorkloadSpec};
-use supermem::{Scheme, SystemBuilder};
+use supermem::{Scheme, System};
 
 const DATA: u64 = 0x8000;
 const LOG: u64 = 0x20_0000;
@@ -159,10 +159,7 @@ fn workload_crash_mid_run_leaves_decryptable_structures() {
     // Run the queue workload on the full timed system, crash mid-run,
     // and check the recovered header and items decrypt to plausible
     // values (indices within bounds, monotone).
-    let mut sys = SystemBuilder::new()
-        .scheme(Scheme::SuperMem)
-        .seed(3)
-        .build();
+    let mut sys = System::new(Scheme::SuperMem.apply(Config::default()).with_seed(3));
     let cfg = sys.config().clone();
     let spec = WorkloadSpec::new(WorkloadKind::Queue)
         .with_txns(50)

@@ -10,9 +10,10 @@
 //! recoverable.
 
 use supermem::persist::{recover_transactions, RecoveredMemory, RecoveryOutcome};
+use supermem::sim::Config;
 use supermem::workloads::{btree, hashtable, queue, rbtree};
 use supermem::workloads::{WorkloadKind, WorkloadSpec};
-use supermem::{Scheme, SystemBuilder};
+use supermem::{Scheme, System};
 
 const REQ: u64 = 256;
 const TXNS: u64 = 30;
@@ -21,10 +22,7 @@ const TXNS: u64 = 30;
 /// recovered memory (after transaction rollback) plus the recovery
 /// outcome.
 fn crash_run(kind: WorkloadKind, appends: u64, seed: u64) -> (RecoveredMemory, RecoveryOutcome) {
-    let mut sys = SystemBuilder::new()
-        .scheme(Scheme::SuperMem)
-        .seed(seed)
-        .build();
+    let mut sys = System::new(Scheme::SuperMem.apply(Config::default()).with_seed(seed));
     let cfg = sys.config().clone();
     let spec = WorkloadSpec::new(kind)
         .with_txns(TXNS)

@@ -2,23 +2,28 @@
 //! and reproduces the paper's headline relationships.
 
 use supermem::scheme::FIGURE_SCHEMES;
+use supermem::sim::Config;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadKind;
-use supermem::{run_single, RunConfig, Scheme};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{Experiment, RunResult, Scheme};
 
-fn quick(scheme: Scheme, kind: WorkloadKind) -> RunConfig {
-    let mut rc = RunConfig::new(scheme, kind);
-    rc.txns = 60;
-    rc.req_bytes = 1024;
-    rc.array_footprint = 1 << 20;
-    rc
+fn quick(kind: WorkloadKind) -> WorkloadSpec {
+    WorkloadSpec::new(kind)
+        .with_txns(60)
+        .with_req_bytes(1024)
+        .with_array_footprint(1 << 20)
+}
+
+fn run_single(scheme: Scheme, spec: WorkloadSpec) -> RunResult {
+    let cfg = scheme.apply(Config::default()).with_seed(1);
+    Experiment::new(cfg, spec).unwrap().run()
 }
 
 #[test]
 fn every_scheme_runs_every_workload() {
     for scheme in FIGURE_SCHEMES {
         for kind in ALL_KINDS {
-            let r = run_single(&quick(scheme, kind));
+            let r = run_single(scheme, quick(kind));
             assert_eq!(r.stats.txn_commits, 60, "{scheme}/{kind}");
             assert!(r.mean_txn_latency() > 0.0, "{scheme}/{kind}");
             assert!(r.nvm_writes() > 0, "{scheme}/{kind}");
@@ -30,8 +35,8 @@ fn every_scheme_runs_every_workload() {
 fn wt_roughly_doubles_latency_and_writes() {
     // Paper §5.1.1/§5.2: WT costs 1.7-2.4x Unsec and 2x the writes.
     for kind in ALL_KINDS {
-        let unsec = run_single(&quick(Scheme::Unsec, kind));
-        let wt = run_single(&quick(Scheme::WriteThrough, kind));
+        let unsec = run_single(Scheme::Unsec, quick(kind));
+        let wt = run_single(Scheme::WriteThrough, quick(kind));
         let lat_ratio = wt.mean_txn_latency() / unsec.mean_txn_latency();
         assert!(
             (1.3..3.0).contains(&lat_ratio),
@@ -49,9 +54,9 @@ fn wt_roughly_doubles_latency_and_writes() {
 fn supermem_beats_wt_and_approaches_ideal_wb() {
     // Paper headline: ~2x over WT; comparable to the ideal WB.
     for kind in ALL_KINDS {
-        let wb = run_single(&quick(Scheme::WriteBackIdeal, kind));
-        let wt = run_single(&quick(Scheme::WriteThrough, kind));
-        let sm = run_single(&quick(Scheme::SuperMem, kind));
+        let wb = run_single(Scheme::WriteBackIdeal, quick(kind));
+        let wt = run_single(Scheme::WriteThrough, quick(kind));
+        let sm = run_single(Scheme::SuperMem, quick(kind));
         assert!(
             sm.mean_txn_latency() < wt.mean_txn_latency() * 0.85,
             "{kind}: SuperMem must clearly beat WT"
@@ -69,9 +74,10 @@ fn cwc_reduction_grows_with_request_size() {
     // Paper Fig. 15: larger transactions have better locality, so CWC
     // removes a larger share of counter writes.
     let reduction = |req: u64| {
-        let mut rc = quick(Scheme::SuperMem, WorkloadKind::BTree);
-        rc.req_bytes = req;
-        let r = run_single(&rc);
+        let r = run_single(
+            Scheme::SuperMem,
+            quick(WorkloadKind::BTree).with_req_bytes(req),
+        );
         let coalesced = r.stats.counter_writes_coalesced;
         coalesced as f64 / (coalesced + r.stats.nvm_counter_writes) as f64
     };
@@ -87,8 +93,8 @@ fn cwc_reduction_grows_with_request_size() {
 fn wb_adds_only_a_few_percent_writes() {
     // Paper §5.2: the ideal WB adds 3-16% writes over Unsec.
     for kind in [WorkloadKind::Queue, WorkloadKind::BTree] {
-        let unsec = run_single(&quick(Scheme::Unsec, kind));
-        let wb = run_single(&quick(Scheme::WriteBackIdeal, kind));
+        let unsec = run_single(Scheme::Unsec, quick(kind));
+        let wb = run_single(Scheme::WriteBackIdeal, quick(kind));
         let ratio = wb.nvm_writes() as f64 / unsec.nvm_writes() as f64;
         assert!(
             (1.0..1.35).contains(&ratio),
@@ -99,7 +105,7 @@ fn wb_adds_only_a_few_percent_writes() {
 
 #[test]
 fn xbank_spreads_counter_writes_singlebank_concentrates_them() {
-    let run = |scheme: Scheme| run_single(&quick(scheme, WorkloadKind::Queue));
+    let run = |scheme: Scheme| run_single(scheme, quick(WorkloadKind::Queue));
     let single = run(Scheme::WriteThrough); // SingleBank placement
     let xbank = run(Scheme::WtXbank);
     // SingleBank: the last bank serves every counter write.
@@ -120,9 +126,11 @@ fn xbank_spreads_counter_writes_singlebank_concentrates_them() {
 #[test]
 fn request_size_scales_write_volume() {
     let writes = |req: u64| {
-        let mut rc = quick(Scheme::Unsec, WorkloadKind::Queue);
-        rc.req_bytes = req;
-        run_single(&rc).nvm_writes()
+        run_single(
+            Scheme::Unsec,
+            quick(WorkloadKind::Queue).with_req_bytes(req),
+        )
+        .nvm_writes()
     };
     let small = writes(256);
     let large = writes(4096);

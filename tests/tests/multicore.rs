@@ -1,21 +1,26 @@
 //! Multi-core integration: contention shapes from the paper's Figure 14.
 
-use supermem::workloads::WorkloadKind;
-use supermem::{run_multicore, RunConfig, Scheme};
+use supermem::sim::Config;
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{Experiment, RunResult, Scheme};
 
-fn rc(scheme: Scheme, programs: usize) -> RunConfig {
-    let mut rc = RunConfig::new(scheme, WorkloadKind::Queue);
-    rc.txns = 20;
-    rc.req_bytes = 1024;
-    rc.programs = programs;
-    rc
+/// `programs` copies of a 20-transaction queue workload, one per core.
+fn run_multicore(scheme: Scheme, programs: usize) -> RunResult {
+    let cfg = scheme.apply(Config::default()).with_seed(1);
+    let spec = WorkloadSpec::new(WorkloadKind::Queue)
+        .with_txns(20)
+        .with_req_bytes(1024);
+    Experiment::new(cfg, spec)
+        .and_then(|e| e.with_programs(programs))
+        .unwrap()
+        .run_multicore()
 }
 
 #[test]
 fn more_programs_mean_more_contention() {
-    let one = run_multicore(&rc(Scheme::WriteThrough, 1));
-    let four = run_multicore(&rc(Scheme::WriteThrough, 4));
-    let eight = run_multicore(&rc(Scheme::WriteThrough, 8));
+    let one = run_multicore(Scheme::WriteThrough, 1);
+    let four = run_multicore(Scheme::WriteThrough, 4);
+    let eight = run_multicore(Scheme::WriteThrough, 8);
     assert!(four.mean_txn_latency() > one.mean_txn_latency());
     assert!(eight.mean_txn_latency() > four.mean_txn_latency());
 }
@@ -24,8 +29,8 @@ fn more_programs_mean_more_contention() {
 fn supermem_still_beats_wt_under_full_load() {
     // Paper §5.1.2: even with all banks busy (8 programs), CWC+XBank
     // outperform the bare write-through cache.
-    let wt = run_multicore(&rc(Scheme::WriteThrough, 8));
-    let sm = run_multicore(&rc(Scheme::SuperMem, 8));
+    let wt = run_multicore(Scheme::WriteThrough, 8);
+    let sm = run_multicore(Scheme::SuperMem, 8);
     assert!(
         sm.mean_txn_latency() < wt.mean_txn_latency(),
         "SuperMem {:.0} vs WT {:.0}",
@@ -39,8 +44,8 @@ fn cwc_gains_grow_relative_to_xbank_with_load() {
     // Paper §5.1.2: with more programs, reducing writes (CWC) helps more
     // than spreading them (XBank), because all banks are already busy.
     let ratio = |programs: usize| {
-        let cwc = run_multicore(&rc(Scheme::WtCwc, programs));
-        let xbank = run_multicore(&rc(Scheme::WtXbank, programs));
+        let cwc = run_multicore(Scheme::WtCwc, programs);
+        let xbank = run_multicore(Scheme::WtXbank, programs);
         cwc.mean_txn_latency() / xbank.mean_txn_latency()
     };
     let light = ratio(1);
@@ -58,14 +63,13 @@ fn cwc_gains_grow_relative_to_xbank_with_load() {
 fn programs_run_in_disjoint_regions() {
     // All programs verify against their shadows inside run_multicore;
     // additionally the combined commit count must add up.
-    let r = run_multicore(&rc(Scheme::SuperMem, 4));
+    let r = run_multicore(Scheme::SuperMem, 4);
     assert_eq!(r.stats.txn_commits, 80);
-    assert_eq!(r.txns, 80);
 }
 
 #[test]
 fn all_banks_are_exercised_at_8_programs() {
-    let r = run_multicore(&rc(Scheme::SuperMem, 8));
+    let r = run_multicore(Scheme::SuperMem, 8);
     for (bank, &writes) in r.stats.bank_writes.iter().enumerate() {
         assert!(writes > 0, "bank {bank} idle under 8 programs");
     }

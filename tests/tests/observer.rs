@@ -4,23 +4,23 @@
 //! `Telemetry` collector has to reproduce the controller's own `Stats`
 //! counters exactly, and attaching nothing must leave runs untouched.
 
-use supermem::sim::{Event, Observer};
-use supermem::workloads::WorkloadKind;
-use supermem::{Experiment, RunConfig, RunResult, Scheme};
+use supermem::sim::{Config, Event, Observer};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{Experiment, RunResult, Scheme};
 
-fn config(scheme: Scheme, kind: WorkloadKind, seed: u64) -> RunConfig {
-    RunConfig::new(scheme, kind)
+/// A 30-transaction session, machine and workload seeded alike.
+fn session(scheme: Scheme, kind: WorkloadKind, seed: u64) -> Experiment {
+    let cfg = scheme.apply(Config::default()).with_seed(seed);
+    let spec = WorkloadSpec::new(kind)
         .with_txns(30)
         .with_req_bytes(512)
         .with_seed(seed)
-        .with_array_footprint(256 << 10)
+        .with_array_footprint(256 << 10);
+    Experiment::new(cfg, spec).expect("valid config")
 }
 
-fn observed(rc: &RunConfig) -> RunResult {
-    Experiment::new(rc.clone())
-        .expect("valid config")
-        .observe()
-        .run()
+fn observed(exp: Experiment) -> RunResult {
+    exp.observe().run()
 }
 
 /// Telemetry aggregates must reconcile exactly with the independently
@@ -48,12 +48,12 @@ fn telemetry_reconciles_with_stats() {
         x ^= x << 17;
         let scheme = schemes[(x >> 8) as usize % schemes.len()];
         let kind = kinds[(x >> 24) as usize % kinds.len()];
-        let rc = config(scheme, kind, x % 1000);
-        let r = observed(&rc);
+        let seed = x % 1000;
+        let r = observed(session(scheme, kind, seed));
         let t = r.telemetry.as_ref().expect("observed run has telemetry");
         let b = &t.breakdown;
         let s = &r.stats;
-        let label = format!("{scheme}/{kind} seed {}", rc.seed);
+        let label = format!("{scheme}/{kind} seed {seed}");
 
         // Transactions: count and total latency, event-for-event.
         assert_eq!(b.txns, s.txn_commits, "{label}: txn count");
@@ -134,9 +134,8 @@ fn telemetry_reconciles_with_stats() {
 #[test]
 fn unobserved_runs_match_observed_runs() {
     for scheme in [Scheme::Unsec, Scheme::SuperMem] {
-        let rc = config(scheme, WorkloadKind::Queue, 7);
-        let plain = Experiment::new(rc.clone()).expect("valid config").run();
-        let obs = observed(&rc);
+        let plain = session(scheme, WorkloadKind::Queue, 7).run();
+        let obs = observed(session(scheme, WorkloadKind::Queue, 7));
         assert!(plain.telemetry.is_none());
         assert!(obs.telemetry.is_some());
         assert_eq!(plain.total_cycles, obs.total_cycles, "{scheme}: cycles");
@@ -169,9 +168,7 @@ fn custom_observers_receive_events() {
         }
     }
 
-    let rc = config(Scheme::SuperMem, WorkloadKind::Array, 3);
-    let mut exp = Experiment::new(rc.clone())
-        .expect("valid config")
+    let mut exp = session(Scheme::SuperMem, WorkloadKind::Array, 3)
         .observe()
         .observe_with(Box::new(CountEvents::default()));
     let r = exp.run();
@@ -191,8 +188,10 @@ fn custom_observers_receive_events() {
 /// the same way single-core ones do.
 #[test]
 fn multicore_telemetry_reconciles() {
-    let rc = config(Scheme::SuperMem, WorkloadKind::Queue, 11).with_programs(4);
-    let r = observed(&rc);
+    let exp = session(Scheme::SuperMem, WorkloadKind::Queue, 11)
+        .with_programs(4)
+        .expect("4 programs fit 8 cores");
+    let r = observed(exp);
     let t = r.telemetry.as_ref().expect("telemetry collected");
     assert_eq!(t.breakdown.txns, r.stats.txn_commits);
     assert_eq!(t.txn_latency.count(), r.stats.txn_commits);

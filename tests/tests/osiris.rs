@@ -6,7 +6,7 @@
 use supermem::persist::{recover_osiris, recover_transactions, DirectMem, PMem, TxnManager};
 use supermem::sim::Config;
 use supermem::workloads::{WorkloadKind, WorkloadSpec};
-use supermem::{Scheme, SystemBuilder};
+use supermem::{Scheme, System};
 
 const DATA: u64 = 0x8000;
 const LOG: u64 = 0x20_0000;
@@ -51,7 +51,7 @@ fn osiris_txn_recovers_at_every_append_boundary_via_ecc() {
 fn osiris_recovery_cost_scales_with_footprint_supermem_is_free() {
     let cost = |footprint: u64| {
         let cfg = Scheme::Osiris.apply(Config::default());
-        let mut sys = SystemBuilder::new().scheme(Scheme::Osiris).build();
+        let mut sys = System::new(Scheme::Osiris.apply(Config::default()));
         let spec = WorkloadSpec::new(WorkloadKind::Array)
             .with_txns(20)
             .with_req_bytes(256)
@@ -75,11 +75,13 @@ fn osiris_recovery_cost_scales_with_footprint_supermem_is_free() {
 fn osiris_runtime_beats_write_through() {
     // Osiris' selling point: deferring counters buys back most of WT's
     // overhead (SuperMem achieves the same without a recovery scan).
-    use supermem::{run_single, RunConfig};
     let lat = |scheme: Scheme| {
-        let mut rc = RunConfig::new(scheme, WorkloadKind::Queue);
-        rc.txns = 60;
-        run_single(&rc).mean_txn_latency()
+        let cfg = scheme.apply(Config::default()).with_seed(1);
+        let spec = WorkloadSpec::new(WorkloadKind::Queue).with_txns(60);
+        supermem::Experiment::new(cfg, spec)
+            .unwrap()
+            .run()
+            .mean_txn_latency()
     };
     let wt = lat(Scheme::WriteThrough);
     let osiris = lat(Scheme::Osiris);

@@ -10,11 +10,13 @@ use supermem::nvm::addr::LineAddr;
 use supermem::sim::{Config, EventTape, SplitMix64};
 use supermem::verify::check_run;
 use supermem::workloads::spec::ALL_KINDS;
-use supermem::{run_single, Experiment, RunConfig, Scheme};
+use supermem::workloads::{WorkloadKind, WorkloadSpec};
+use supermem::{Experiment, Scheme};
 
-/// Random (scheme, workload, seed, channels) triples drawn from a fixed
-/// master seed, the ISSUE-6 property-test shape.
-fn random_triples(master: u64, count: usize) -> Vec<RunConfig> {
+/// Random (scheme, workload, seed, channels) picks drawn from a fixed
+/// master seed: the machine (scheme preset, seed, channel count) and
+/// the workload, seeded alike.
+fn random_triples(master: u64, count: usize) -> Vec<(Scheme, Config, WorkloadSpec)> {
     const SCHEMES: [Scheme; 4] = [
         Scheme::SuperMem,
         Scheme::WriteThrough,
@@ -26,26 +28,32 @@ fn random_triples(master: u64, count: usize) -> Vec<RunConfig> {
         .map(|_| {
             let scheme = SCHEMES[rng.next_below(SCHEMES.len() as u64) as usize];
             let kind = ALL_KINDS[rng.next_below(ALL_KINDS.len() as u64) as usize];
-            let mut rc = RunConfig::new(scheme, kind);
-            rc.seed = rng.next_u64();
-            rc.channels = 1 << (1 + rng.next_below(3)); // 2, 4, or 8
-            rc.txns = 15;
-            rc.req_bytes = 256;
-            rc.array_footprint = 512 << 10;
-            rc
+            let seed = rng.next_u64();
+            let cfg = scheme
+                .apply(Config::default())
+                .with_seed(seed)
+                .with_channels(1 << (1 + rng.next_below(3))); // 2, 4, or 8
+            let spec = WorkloadSpec::new(kind)
+                .with_seed(seed)
+                .with_txns(15)
+                .with_req_bytes(256)
+                .with_array_footprint(512 << 10);
+            (scheme, cfg, spec)
         })
         .collect()
 }
 
 #[test]
 fn run_threads_leave_stats_and_telemetry_identical() {
-    for rc in random_triples(0x0015_57E6, 5) {
+    for (scheme, cfg, spec) in random_triples(0x0015_57E6, 5) {
         let mut reference = None;
         for threads in [1usize, 2, 4] {
-            let rc_t = rc.clone().with_run_threads(threads);
-            let r = run_single(&rc_t);
-            let mut exp = Experiment::new(rc_t).expect("valid config").observe();
-            let observed = exp.run();
+            let session = || {
+                Experiment::new(cfg.clone().with_run_threads(threads), spec.clone())
+                    .expect("valid config")
+            };
+            let r = session().run_single();
+            let observed = session().observe().run();
             let telemetry_json = observed
                 .telemetry
                 .as_ref()
@@ -54,7 +62,7 @@ fn run_threads_leave_stats_and_telemetry_identical() {
             match &reference {
                 None => reference = Some((r.total_cycles, r.stats.clone(), telemetry_json)),
                 Some((cycles, stats, json)) => {
-                    let label = format!("{} {} threads={threads}", rc.scheme, rc.kind);
+                    let label = format!("{scheme} {} threads={threads}", spec.kind);
                     assert_eq!(r.total_cycles, *cycles, "{label}");
                     assert_eq!(&r.stats, stats, "{label}");
                     assert_eq!(&telemetry_json, json, "{label} telemetry");
@@ -66,11 +74,15 @@ fn run_threads_leave_stats_and_telemetry_identical() {
 
 #[test]
 fn run_threads_leave_checker_verdicts_identical() {
-    for rc in random_triples(0x00C4_EC12, 3) {
-        let base = check_run(&rc.clone().with_run_threads(1)).expect("valid config");
+    for (scheme, cfg, spec) in random_triples(0x00C4_EC12, 3) {
+        let checked = |threads: usize| {
+            let cfg = cfg.clone().with_run_threads(threads);
+            check_run(Experiment::new(cfg, spec.clone()).expect("valid config"))
+        };
+        let base = checked(1);
         for threads in [2usize, 4] {
-            let par = check_run(&rc.clone().with_run_threads(threads)).expect("valid config");
-            let label = format!("{} {} threads={threads}", rc.scheme, rc.kind);
+            let par = checked(threads);
+            let label = format!("{scheme} {} threads={threads}", spec.kind);
             assert_eq!(par.is_clean(), base.is_clean(), "{label}");
             assert_eq!(par.events_seen, base.events_seen, "{label}");
             assert_eq!(par.violations.len(), base.violations.len(), "{label}");
@@ -83,12 +95,15 @@ fn run_threads_leave_checker_verdicts_identical() {
 /// drains run on worker threads and replay through their tapes.
 #[test]
 fn run_threads_leave_event_stream_identical() {
-    let mut rc = RunConfig::new(Scheme::SuperMem, supermem::workloads::WorkloadKind::Queue);
-    rc.channels = 4;
-    rc.txns = 12;
-    rc.req_bytes = 256;
-    let tape_of = |rc: RunConfig| -> Vec<supermem::sim::Event> {
-        let mut exp = Experiment::new(rc)
+    let cfg = Scheme::SuperMem
+        .apply(Config::default())
+        .with_seed(1)
+        .with_channels(4);
+    let spec = WorkloadSpec::new(WorkloadKind::Queue)
+        .with_txns(12)
+        .with_req_bytes(256);
+    let tape_of = |threads: usize| -> Vec<supermem::sim::Event> {
+        let mut exp = Experiment::new(cfg.clone().with_run_threads(threads), spec.clone())
             .expect("valid config")
             .observe_with(Box::new(EventTape::default()));
         exp.run();
@@ -99,10 +114,10 @@ fn run_threads_leave_event_stream_identical() {
         }
         unreachable!("the attached EventTape must come back from the run")
     };
-    let seq = tape_of(rc.clone().with_run_threads(1));
+    let seq = tape_of(1);
     assert!(!seq.is_empty(), "the run must emit events");
     for threads in [2usize, 4] {
-        let par = tape_of(rc.clone().with_run_threads(threads));
+        let par = tape_of(threads);
         assert_eq!(par.len(), seq.len(), "threads={threads}");
         assert_eq!(par, seq, "threads={threads}");
     }

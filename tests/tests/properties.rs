@@ -8,7 +8,8 @@
 
 use supermem::persist::{PMem, RecoveredMemory, VecMem};
 use supermem::scheme::FIGURE_SCHEMES;
-use supermem::{Scheme, SystemBuilder};
+use supermem::sim::Config;
+use supermem::{Scheme, System};
 use supermem_sim::SplitMix64;
 
 #[derive(Debug, Clone)]
@@ -47,7 +48,7 @@ fn system_matches_functional_reference() {
         let ops: Vec<Op> = (0..rng.next_range(1, 80))
             .map(|_| random_op(&mut rng))
             .collect();
-        let mut sys = SystemBuilder::new().scheme(scheme).build();
+        let mut sys = System::new(scheme.apply(Config::default()));
         let mut reference = VecMem::new();
         // Both views start from "initialized zeros" over the exercised
         // range (uninitialized encrypted NVM reads as garbage by design).
@@ -90,7 +91,7 @@ fn checkpointed_state_always_recovers() {
                 (rng.next_below(16 << 10), bytes)
             })
             .collect();
-        let mut sys = SystemBuilder::new().scheme(Scheme::SuperMem).build();
+        let mut sys = System::new(Scheme::SuperMem.apply(Config::default()));
         let mut reference = VecMem::new();
         for (addr, bytes) in &writes {
             sys.write(*addr, bytes);
@@ -116,7 +117,7 @@ fn clock_is_monotone() {
         let ops: Vec<Op> = (0..rng.next_range(1, 60))
             .map(|_| random_op(&mut rng))
             .collect();
-        let mut sys = SystemBuilder::new().scheme(Scheme::SuperMem).build();
+        let mut sys = System::new(Scheme::SuperMem.apply(Config::default()));
         let mut last = sys.now();
         for op in &ops {
             match op {

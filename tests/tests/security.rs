@@ -3,10 +3,11 @@
 //! and cannot learn.
 
 use supermem::persist::PMem;
-use supermem::{Scheme, SystemBuilder};
+use supermem::sim::Config;
+use supermem::{Scheme, System};
 
 fn flushed_dimm_bytes(scheme: Scheme, addr: u64, data: &[u8]) -> [u8; 64] {
-    let mut sys = SystemBuilder::new().scheme(scheme).seed(11).build();
+    let mut sys = System::new(scheme.apply(Config::default()).with_seed(11));
     sys.write(addr, data);
     sys.clwb(addr, data.len() as u64);
     sys.sfence();
@@ -37,7 +38,7 @@ fn unsec_dimm_holds_plaintext() {
 fn equal_lines_have_unequal_ciphertexts() {
     // Dictionary-attack resistance across addresses (Figure 1b/1c): two
     // lines with identical contents must encrypt differently.
-    let mut sys = SystemBuilder::new().scheme(Scheme::SuperMem).build();
+    let mut sys = System::new(Scheme::SuperMem.apply(Config::default()));
     let data = [0x42u8; 64];
     sys.write(0x1000, &data);
     sys.write(0x2000, &data);
@@ -54,7 +55,7 @@ fn equal_lines_have_unequal_ciphertexts() {
 fn rewriting_same_value_changes_ciphertext() {
     // Replay/dictionary resistance in time (Figure 1c): consecutive
     // writes of the same value to the same line use fresh minors.
-    let mut sys = SystemBuilder::new().scheme(Scheme::SuperMem).build();
+    let mut sys = System::new(Scheme::SuperMem.apply(Config::default()));
     let data = [0x43u8; 64];
     sys.write(0x3000, &data);
     sys.clwb(0x3000, 64);
@@ -82,10 +83,7 @@ fn different_seeds_produce_unrelated_ciphertexts() {
     // The per-machine key is derived from the seed; two machines never
     // share pads.
     let a = flushed_dimm_bytes(Scheme::SuperMem, 0x1000, &[9u8; 64]);
-    let mut sys = SystemBuilder::new()
-        .scheme(Scheme::SuperMem)
-        .seed(999)
-        .build();
+    let mut sys = System::new(Scheme::SuperMem.apply(Config::default()).with_seed(999));
     sys.write(0x1000, &[9u8; 64]);
     sys.clwb(0x1000, 64);
     sys.sfence();
@@ -102,7 +100,7 @@ fn counters_are_not_secret_but_data_is() {
     // not. Verify the split: the counter region decodes to sane minors,
     // while the data region is indistinguishable from noise relative to
     // the plaintext.
-    let mut sys = SystemBuilder::new().scheme(Scheme::SuperMem).build();
+    let mut sys = System::new(Scheme::SuperMem.apply(Config::default()));
     sys.write(0x5000, &[1u8; 64]);
     sys.clwb(0x5000, 64);
     sys.sfence();
