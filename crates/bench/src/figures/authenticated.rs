@@ -6,37 +6,24 @@
 //! and already trusted), so the overhead tracks the miss rate: near
 //! zero with the 256 KB cache, visible with a deliberately tiny one.
 
-use supermem::metrics::TextTable;
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadSpec;
-use supermem::{run_batch, Scheme};
-use supermem_bench::{machine, txns, Report};
+use super::prelude::*;
 
 const CC_SIZES: [(u64, &str); 2] = [(256 << 10, "256K"), (1 << 10, "1K")];
 
-fn main() {
-    let n = txns();
-    let mut jobs = Vec::new();
-    for kind in ALL_KINDS {
-        for (cc, _) in CC_SIZES {
-            for integrity in [false, true] {
-                let cfg = machine(Scheme::SuperMem)
+pub fn report(runs: &mut Runs, n: u64) -> Report {
+    let machines: Vec<Config> = CC_SIZES
+        .iter()
+        .flat_map(|&(cc, _)| {
+            [false, true].map(|integrity| {
+                machine(Scheme::SuperMem)
                     .with_counter_cache_bytes(cc)
-                    .with_integrity_tree(integrity);
-                jobs.push((cfg, WorkloadSpec::new(kind).with_txns(n)));
-            }
-        }
-    }
-    let results = run_batch(&jobs);
+                    .with_integrity_tree(integrity)
+            })
+        })
+        .collect();
+    let results = per_kind(runs, &machines, n);
 
-    let mut t = TextTable::new(vec![
-        "workload".into(),
-        "cc size".into(),
-        "plain lat".into(),
-        "auth lat".into(),
-        "overhead".into(),
-        "verifications".into(),
-    ]);
+    let mut t = table("workload | cc size | plain lat | auth lat | overhead | verifications");
     for (i, pair) in results.chunks(2).enumerate() {
         let kind = ALL_KINDS[i / CC_SIZES.len()];
         let (_, label) = CC_SIZES[i % CC_SIZES.len()];
@@ -60,5 +47,5 @@ fn main() {
     );
     rep.footnote("Verification costs hash-latency x tree-height per counter-cache miss;");
     rep.footnote("with the paper's 256 KB counter cache the overhead is negligible.");
-    rep.emit();
+    rep
 }

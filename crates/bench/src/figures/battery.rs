@@ -4,28 +4,19 @@
 //! vendors only provide a small battery backup for the ADR with the
 //! small persistent domain of tens of entries in the write queue."
 //!
-//! This binary computes the bytes each scheme requires the battery to
+//! This figure computes the bytes each scheme requires the battery to
 //! drain on a power failure, from the Table 2 configuration.
 
-use supermem::metrics::TextTable;
-use supermem::sim::Config;
-use supermem::Scheme;
-use supermem_bench::Report;
+use super::prelude::*;
 
-fn main() {
+pub fn report(_: &mut Runs, _: u64) -> Report {
     let cfg = Config::default();
     let wq_bytes = cfg.write_queue_entries as u64 * (cfg.line_bytes + 9); // payload + addr + flag
     let register_bytes = 2 * cfg.line_bytes; // the Figure 7 staging register
     let rsr_bytes = 20; // 32-bit page + 64-bit old major + 64 done bits (§3.4.4)
 
-    let mut t = TextTable::new(vec![
-        "scheme".into(),
-        "write queue".into(),
-        "counter cache".into(),
-        "extras".into(),
-        "battery domain".into(),
-        "vs SuperMem".into(),
-    ]);
+    let mut t =
+        table("scheme | write queue | counter cache | extras | battery domain | vs SuperMem");
     let mut supermem_total = 0u64;
     for (scheme, cc_backed, extras, note) in [
         (Scheme::Unsec, 0u64, 0u64, "-"),
@@ -74,5 +65,5 @@ fn main() {
     rep.footnote("The ideal WB needs the battery to drain the entire 256 KiB counter");
     rep.footnote("cache; SuperMem adds only a 2-line register and the 20-byte RSR to");
     rep.footnote("the write queue every vendor already protects.");
-    rep.emit();
+    rep
 }

@@ -13,12 +13,9 @@ use std::collections::{HashMap, HashSet};
 
 use supermem::crypto::deuce::{DeuceEngine, DeuceMeta};
 use supermem::crypto::{deuce::bit_flips, EncryptionEngine};
-use supermem::metrics::TextTable;
 use supermem::trace::TraceEvent;
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadSpec;
-use supermem::{sweep, Experiment, Scheme};
-use supermem_bench::{machine, txns, Report};
+
+use super::prelude::*;
 
 #[derive(Default)]
 struct Flips {
@@ -105,8 +102,7 @@ fn replay_flips(trace: &[TraceEvent]) -> Flips {
     out
 }
 
-fn main() {
-    let n = txns();
+pub fn report(_: &mut Runs, n: u64) -> Report {
     // One job per workload: record the flush stream, then replay it
     // through the three functional data paths.
     let rows = sweep(&ALL_KINDS, |kind| {
@@ -128,14 +124,10 @@ fn main() {
         ]
     });
 
-    let mut t = TextTable::new(vec![
-        "workload".into(),
-        "line writes".into(),
-        "Unsec bits/write".into(),
-        "CTR bits/write".into(),
-        "DEUCE bits/write".into(),
-        "DEUCE vs CTR".into(),
-    ]);
+    let mut t = table(
+        "workload | line writes | Unsec bits/write | CTR bits/write | DEUCE bits/write | \
+         DEUCE vs CTR",
+    );
     for row in rows {
         t.row(row);
     }
@@ -145,5 +137,5 @@ fn main() {
     rep.footnote("store; DEUCE's word-granular dual counters approach the plaintext");
     rep.footnote("cost — the §6 'reduce the writes of encrypted data' line of work,");
     rep.footnote("orthogonal to SuperMem's request-count reduction.");
-    rep.emit();
+    rep
 }

@@ -3,15 +3,11 @@
 //! PCM cells survive 10^7–10^9 writes, so DIMM lifetime is bounded by
 //! the *hottest* line. In an encrypted NVM the counter lines are that
 //! hotspot: every data write anywhere in a 4 KB page rewrites the same
-//! 64 B counter line. This binary measures the hottest counter line's
+//! 64 B counter line. This figure measures the hottest counter line's
 //! wear per scheme — CWC's merging protects the cells directly, not
 //! just the write queue.
 
-use supermem::metrics::TextTable;
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadSpec;
-use supermem::{run_batch, Scheme};
-use supermem_bench::{machine, txns, Report};
+use super::prelude::*;
 
 const SCHEMES: [(Scheme, &str); 3] = [
     (Scheme::WriteThrough, "WT"),
@@ -19,24 +15,13 @@ const SCHEMES: [(Scheme, &str); 3] = [
     (Scheme::WriteBackIdeal, "WB"),
 ];
 
-fn main() {
-    let n = txns();
-    let mut jobs = Vec::new();
-    for kind in ALL_KINDS {
-        for (scheme, _) in SCHEMES {
-            jobs.push((machine(scheme), WorkloadSpec::new(kind).with_txns(n)));
-        }
-    }
-    let results = run_batch(&jobs);
+pub fn report(runs: &mut Runs, n: u64) -> Report {
+    let results = per_kind(runs, &SCHEMES.map(|(scheme, _)| machine(scheme)), n);
 
-    let mut table = TextTable::new(vec![
-        "workload".into(),
-        "scheme".into(),
-        "hottest ctr line".into(),
-        "hottest data line".into(),
-        "ctr writes total".into(),
-        "ctr wear vs WT".into(),
-    ]);
+    let mut table = table(
+        "workload | scheme | hottest ctr line | hottest data line | ctr writes total | \
+         ctr wear vs WT",
+    );
     for (kind, row) in ALL_KINDS.iter().zip(results.chunks(SCHEMES.len())) {
         let mut wt_max = None;
         for ((_, label), r) in SCHEMES.iter().zip(row) {
@@ -62,5 +47,5 @@ fn main() {
     rep.footnote("(Start-Gap wear leveling — Config::wear_psi — additionally rotates");
     rep.footnote("hot lines across physical slots; at device scale one rotation takes");
     rep.footnote("billions of writes, so its effect shows in the unit tests, not here.)");
-    rep.emit();
+    rep
 }

@@ -6,26 +6,13 @@
 //!     sits near 32 entries (which is why Table 2 uses 32).
 //! (b) Mean transaction latency, normalized to the 8-entry queue.
 
-use supermem::metrics::TextTable;
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadSpec;
-use supermem::{run_batch, Scheme};
-use supermem_bench::{machine, txns, Report};
+use super::prelude::*;
 
 const QUEUE_SIZES: [usize; 5] = [8, 16, 32, 64, 128];
 
-fn main() {
-    let n = txns();
-    let mut jobs = Vec::new();
-    for kind in ALL_KINDS {
-        for q in QUEUE_SIZES {
-            jobs.push((
-                machine(Scheme::SuperMem).with_write_queue_entries(q),
-                WorkloadSpec::new(kind).with_txns(n),
-            ));
-        }
-    }
-    let results = run_batch(&jobs);
+pub fn report(runs: &mut Runs, n: u64) -> Report {
+    let machines = QUEUE_SIZES.map(|q| machine(Scheme::SuperMem).with_write_queue_entries(q));
+    let results = per_kind(runs, &machines, n);
 
     let headers: Vec<String> = std::iter::once("workload".to_owned())
         .chain(QUEUE_SIZES.iter().map(|q| format!("wq={q}")))
@@ -57,5 +44,5 @@ fn main() {
         "Figure 16b: txn latency vs write-queue size (normalized to wq=8)",
         latency,
     );
-    rep.emit();
+    rep
 }

@@ -7,11 +7,7 @@
 //!     pages and gain with capacity.
 //! (b) Workload execution time, normalized to the 1 KB counter cache.
 
-use supermem::metrics::TextTable;
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadSpec;
-use supermem::{run_batch, Scheme};
-use supermem_bench::{machine, txns, Report};
+use super::prelude::*;
 
 const CC_SIZES: [(u64, &str); 7] = [
     (1 << 10, "1K"),
@@ -23,23 +19,21 @@ const CC_SIZES: [(u64, &str); 7] = [
     (4 << 20, "4M"),
 ];
 
-fn main() {
-    let n = txns();
+/// Both Figure 17 tables, from `n`-transaction runs. Reuse must
+/// dominate first-touch misses for the hit rate to reflect capacity, so
+/// `n` buys several passes over each structure's footprint (the paper's
+/// workloads run to completion).
+pub fn report(runs: &mut Runs, n: u64) -> Report {
     let mut jobs = Vec::new();
     for kind in ALL_KINDS {
         for (bytes, _) in CC_SIZES {
-            // Reuse must dominate first-touch misses for the hit rate to
-            // reflect capacity: run several passes over each structure's
-            // footprint (the paper's workloads run to completion).
-            jobs.push((
+            jobs.push(Run::new(
                 machine(Scheme::SuperMem).with_counter_cache_bytes(bytes),
-                WorkloadSpec::new(kind)
-                    .with_txns(n.max(600))
-                    .with_hash_buckets(512),
+                WorkloadSpec::new(kind).with_txns(n).with_hash_buckets(512),
             ));
         }
     }
-    let results = run_batch(&jobs);
+    let results = runs.simulate(&jobs);
 
     let headers: Vec<String> = std::iter::once("workload".to_owned())
         .chain(CC_SIZES.iter().map(|(_, l)| (*l).to_owned()))
@@ -69,5 +63,5 @@ fn main() {
         "Figure 17b: execution time vs counter-cache size (normalized to 1K)",
         time,
     );
-    rep.emit();
+    rep
 }

@@ -3,11 +3,9 @@
 //! counter cache, and achieves the performance comparable to an ideal
 //! secure NVM."
 
-use supermem::metrics::{geomean, TextTable};
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadSpec;
-use supermem::{run_batch, Scheme};
-use supermem_bench::{machine, txns, Report};
+use supermem::metrics::geomean;
+
+use super::prelude::*;
 
 const SCHEMES: [Scheme; 4] = [
     Scheme::Unsec,
@@ -16,23 +14,13 @@ const SCHEMES: [Scheme; 4] = [
     Scheme::SuperMem,
 ];
 
-fn main() {
-    let n = txns();
-    let mut jobs = Vec::new();
-    for kind in ALL_KINDS {
-        for scheme in SCHEMES {
-            jobs.push((machine(scheme), WorkloadSpec::new(kind).with_txns(n)));
-        }
-    }
-    let results = run_batch(&jobs);
+pub fn report(runs: &mut Runs, n: u64) -> Report {
+    let results = per_kind(runs, &SCHEMES.map(machine), n);
 
-    let mut table = TextTable::new(vec![
-        "workload".into(),
-        "WT/Unsec".into(),
-        "SuperMem/Unsec".into(),
-        "WT/SuperMem (speedup)".into(),
-        "SuperMem/WB (gap to ideal)".into(),
-    ]);
+    let mut table = table(
+        "workload | WT/Unsec | SuperMem/Unsec | WT/SuperMem (speedup) | \
+         SuperMem/WB (gap to ideal)",
+    );
     let mut speedups = Vec::new();
     let mut gaps = Vec::new();
     for (kind, row) in ALL_KINDS.iter().zip(results.chunks(SCHEMES.len())) {
@@ -64,5 +52,5 @@ fn main() {
         "Headline (§5.1.1): 1 KB transactions, Table 2 configuration",
         table,
     );
-    rep.emit();
+    rep
 }

@@ -19,15 +19,15 @@
 //! * **silent** — acknowledged data wrong with no signal. The whole
 //!   figure exists to show this column is zero everywhere.
 //!
-//! Every cell is deterministic in the seed set: re-running this binary
+//! Every cell is deterministic in the seed set: re-running this figure
 //! reproduces the table byte for byte, at any `SUPERMEM_THREADS` or
 //! `SUPERMEM_RUN_THREADS`.
 
 use supermem::campaign::{Fault, Subject, Verdict};
-use supermem::metrics::TextTable;
-use supermem_bench::Report;
 use supermem_kv::kv_campaign;
 use supermem_kv::torture::{KV_TORTURE_KEYSPACE, KV_TORTURE_SCHEMES, KV_TORTURE_SNAPSHOT_EVERY};
+
+use super::prelude::*;
 
 /// The table columns after `cases`, in order.
 const COLUMNS: [Verdict; 4] = [
@@ -37,9 +37,18 @@ const COLUMNS: [Verdict; 4] = [
     Verdict::Silent,
 ];
 
-fn main() {
+/// Both verdict tables.
+///
+/// # Panics
+///
+/// Panics if any case is silent corruption.
+pub fn report(_: &mut Runs, _: u64) -> Report {
     let campaign = kv_campaign(&KV_TORTURE_SCHEMES, &[1]);
     let report = campaign.run();
+    assert!(
+        report.silent().is_empty(),
+        "silent corruption in the committed figure campaign"
+    );
     let label = |v| campaign.subject.label(v).to_owned();
     let headers = |lead: &[&str]| {
         let mut h: Vec<String> = lead.iter().map(|&s| s.to_owned()).collect();
@@ -121,10 +130,5 @@ fn main() {
         "(silent = acknowledged data wrong with no typed error, no damage in the recovery \
          report, and no hardware signal; the campaign's pass criterion is zero)",
     );
-    rep.emit();
-
-    assert!(
-        report.silent().is_empty(),
-        "silent corruption in the committed figure campaign"
-    );
+    rep
 }

@@ -8,10 +8,7 @@
 //! between schemes (which differ only in counter-write handling)
 //! collapse.
 
-use supermem::metrics::TextTable;
-use supermem::workloads::{WorkloadKind, WorkloadSpec};
-use supermem::{run_batch, Scheme};
-use supermem_bench::{machine, txns, Report};
+use super::prelude::*;
 
 const MIXES: [(u8, &str); 4] = [
     (0, "insert-only"),
@@ -22,12 +19,11 @@ const MIXES: [(u8, &str); 4] = [
 
 const SCHEMES: [Scheme; 3] = [Scheme::Unsec, Scheme::WriteThrough, Scheme::SuperMem];
 
-fn main() {
-    let n = txns();
+pub fn report(runs: &mut Runs, n: u64) -> Report {
     let mut jobs = Vec::new();
     for (pct, _) in MIXES {
         for scheme in SCHEMES {
-            jobs.push((
+            jobs.push(Run::new(
                 machine(scheme),
                 WorkloadSpec::new(WorkloadKind::Ycsb)
                     .with_txns(n)
@@ -35,16 +31,9 @@ fn main() {
             ));
         }
     }
-    let results = run_batch(&jobs);
+    let results = runs.simulate(&jobs);
 
-    let mut t = TextTable::new(vec![
-        "mix".into(),
-        "Unsec".into(),
-        "WT".into(),
-        "SuperMem".into(),
-        "WT/Unsec".into(),
-        "SuperMem/Unsec".into(),
-    ]);
+    let mut t = table("mix | Unsec | WT | SuperMem | WT/Unsec | SuperMem/Unsec");
     for ((_, label), row) in MIXES.iter().zip(results.chunks(SCHEMES.len())) {
         let [unsec, wt, sm] = [
             row[0].mean_txn_latency(),
@@ -67,5 +56,5 @@ fn main() {
     );
     rep.footnote("Encryption overhead lives on the write path: as reads take over,");
     rep.footnote("even the naive WT scheme converges to Unsec (paper §2.2.3).");
-    rep.emit();
+    rep
 }

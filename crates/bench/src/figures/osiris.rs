@@ -8,43 +8,27 @@
 //! time linearly increases with the memory size. In contrast, SuperMem
 //! and SCA do not need to recover counters."
 //!
-//! This binary quantifies both halves of that trade:
+//! This figure quantifies both halves of that trade:
 //!   1. runtime — Osiris writes fewer counters than SuperMem (it is
 //!      close to the ideal WB);
 //!   2. recovery — Osiris must scan every written line and pay trial
 //!      decryptions, growing linearly with the footprint, while
 //!      SuperMem's recovery is O(1).
 
-use supermem::metrics::TextTable;
 use supermem::persist::recover_osiris;
-use supermem::sim::Config;
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::{WorkloadKind, WorkloadSpec};
-use supermem::{run_batch, sweep, Scheme, System};
-use supermem_bench::{machine, txns, Report};
+
+use super::prelude::*;
 
 const SCHEMES: [Scheme; 3] = [Scheme::WriteBackIdeal, Scheme::Osiris, Scheme::SuperMem];
 
-fn main() {
-    let n = txns();
-
+pub fn report(runs: &mut Runs, n: u64) -> Report {
     // --- Part 1: runtime comparison.
-    let mut jobs = Vec::new();
-    for kind in ALL_KINDS {
-        for scheme in SCHEMES {
-            jobs.push((machine(scheme), WorkloadSpec::new(kind).with_txns(n)));
-        }
-    }
-    let results = run_batch(&jobs);
+    let results = per_kind(runs, &SCHEMES.map(machine), n);
 
-    let mut rt = TextTable::new(vec![
-        "workload".into(),
-        "WB(ideal) lat".into(),
-        "Osiris lat".into(),
-        "SuperMem lat".into(),
-        "Osiris writes".into(),
-        "SuperMem writes".into(),
-    ]);
+    let mut rt = table(
+        "workload | WB(ideal) lat | Osiris lat | SuperMem lat | Osiris writes | \
+         SuperMem writes",
+    );
     for (kind, row) in ALL_KINDS.iter().zip(results.chunks(SCHEMES.len())) {
         let (wb, osiris, sm) = (&row[0], &row[1], &row[2]);
         let base = wb.mean_txn_latency();
@@ -81,13 +65,10 @@ fn main() {
             "0 (strict counters)".into(),
         ]
     });
-    let mut rec = TextTable::new(vec![
-        "footprint".into(),
-        "lines scanned".into(),
-        "trial decryptions".into(),
-        "counters fixed".into(),
-        "SuperMem equivalent".into(),
-    ]);
+    let mut rec = table(
+        "footprint | lines scanned | trial decryptions | counters fixed | \
+         SuperMem equivalent",
+    );
     for row in rec_rows {
         rec.row(row);
     }
@@ -103,5 +84,5 @@ fn main() {
     );
     rep.footnote("Recovery work grows with the written footprint — the §6 criticism —");
     rep.footnote("while SuperMem restarts instantly: its counters are always persisted.");
-    rep.emit();
+    rep
 }

@@ -6,12 +6,9 @@
 //! adapter — the "recompiled" application — while the other rows run
 //! the unmodified workload binary.
 
-use supermem::metrics::TextTable;
 use supermem::sca::ScaSystem;
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadSpec;
-use supermem::{sweep, Experiment, Scheme, System};
-use supermem_bench::{machine, txns, Report};
+
+use super::prelude::*;
 
 /// Runs one workload through the SCA adapter, mirroring
 /// `Experiment::run_single`'s measurement discipline.
@@ -34,20 +31,17 @@ fn run_sca(spec: &WorkloadSpec) -> (f64, u64, u64) {
     (mean, writes, writebacks)
 }
 
-fn main() {
-    let n = txns();
-    // One job per workload row; each row needs the WB/SuperMem runs and
-    // the SCA adapter run, so the row is the parallel grain.
-    let rows = sweep(&ALL_KINDS, |kind| {
-        let spec = WorkloadSpec::new(*kind).with_txns(n);
-        let run = |scheme: Scheme| {
-            Experiment::new(machine(scheme), spec.clone())
-                .unwrap_or_else(|e| panic!("{e}"))
-                .run_single()
-        };
-        let wb = run(Scheme::WriteBackIdeal);
-        let sm = run(Scheme::SuperMem);
-        let (sca_lat, sca_writes, writebacks) = run_sca(&spec);
+pub fn report(runs: &mut Runs, n: u64) -> Report {
+    let specs = ALL_KINDS.map(|kind| WorkloadSpec::new(kind).with_txns(n));
+    let results = per_kind(
+        runs,
+        &[Scheme::WriteBackIdeal, Scheme::SuperMem].map(machine),
+        n,
+    );
+    let sca = sweep(&specs, run_sca);
+    let rows = ALL_KINDS.iter().zip(results.chunks(2)).zip(sca);
+    let rows = rows.map(|((kind, row), (sca_lat, sca_writes, writebacks))| {
+        let (wb, sm) = (&row[0], &row[1]);
         let base = wb.mean_txn_latency();
         vec![
             kind.name().into(),
@@ -60,15 +54,10 @@ fn main() {
         ]
     });
 
-    let mut t = TextTable::new(vec![
-        "workload".into(),
-        "WB lat".into(),
-        "SCA lat".into(),
-        "SuperMem lat".into(),
-        "SCA writes".into(),
-        "SuperMem writes".into(),
-        "SCA sw calls".into(),
-    ]);
+    let mut t = table(
+        "workload | WB lat | SCA lat | SuperMem lat | SCA writes | SuperMem writes | \
+         SCA sw calls",
+    );
     for row in rows {
         t.row(row);
     }
@@ -79,5 +68,5 @@ fn main() {
     );
     rep.footnote("SCA needs \"SCA sw calls\" explicit counter_cache_writeback()s compiled");
     rep.footnote("into the application; SuperMem needs zero software changes (paper §1).");
-    rep.emit();
+    rep
 }

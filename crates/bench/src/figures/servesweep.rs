@@ -18,40 +18,40 @@
 //!    keeps answering (poisoned reads, dropped writes are counted) and
 //!    the tail shows what the loss costs.
 //!
-//! Every cell is deterministic in the seed: re-running this binary
+//! Every cell is deterministic in the seed: re-running this figure
 //! reproduces the table byte for byte.
 
-use supermem::metrics::TextTable;
-use supermem_bench::{txns, Report};
 use supermem_serve::{run_serve, ServeConfig, ServeReport, StructureKind};
 
-fn baseline(structure: StructureKind) -> ServeConfig {
+use super::prelude::*;
+
+fn baseline(structure: StructureKind, requests: u64) -> ServeConfig {
     ServeConfig {
         structure,
-        requests: txns(),
+        requests,
         ..ServeConfig::default()
     }
 }
 
 /// Write-only, backlogged, hot-keyed: the head/bucket lines absorb one
-/// write per operation, so `2 * txns()` requests wrap the 7-bit minor
-/// counters (128 writes per line) several times over.
-fn storm(structure: StructureKind) -> ServeConfig {
+/// write per operation, so twice the baseline's requests wrap the 7-bit
+/// minor counters (128 writes per line) several times over.
+fn storm(structure: StructureKind, requests: u64) -> ServeConfig {
     ServeConfig {
         read_pct: 0,
         mean_gap: 0,
-        requests: 2 * txns(),
+        requests: 2 * requests,
         // Two buckets concentrate the hash writes the way the single
         // head pointer concentrates the stack's and queue's.
         hash_buckets: 2,
-        ..baseline(structure)
+        ..baseline(structure, requests)
     }
 }
 
-fn degraded(structure: StructureKind) -> ServeConfig {
+fn degraded(structure: StructureKind, requests: u64) -> ServeConfig {
     ServeConfig {
         degraded_bank: Some(0),
-        ..baseline(structure)
+        ..baseline(structure, requests)
     }
 }
 
@@ -70,48 +70,21 @@ fn row(label: &str, r: &ServeReport) -> Vec<String> {
     ]
 }
 
-fn headers() -> Vec<String> {
-    [
-        "scenario",
-        "structure",
-        "reqs",
-        "p50",
-        "p99",
-        "p999",
-        "mean",
-        "max",
-        "retries",
-        "reenc",
-    ]
-    .map(str::to_owned)
-    .to_vec()
-}
-
-fn main() {
-    let mut tails = TextTable::new(headers());
+/// The three serving tables, `requests` per baseline and degraded run.
+pub fn report(_: &mut Runs, requests: u64) -> Report {
+    let mut tails =
+        table("scenario | structure | reqs | p50 | p99 | p999 | mean | max | retries | reenc");
     let mut storms: Vec<(ServeReport, ServeReport)> = Vec::new();
-    let mut degraded_rows = TextTable::new(
-        [
-            "structure",
-            "reqs",
-            "p50",
-            "p999",
-            "max",
-            "poisoned",
-            "dropped",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
-    );
+    let mut degraded_rows = table("structure | reqs | p50 | p999 | max | poisoned | dropped");
 
     for structure in StructureKind::ALL {
-        let base = run_serve(&baseline(structure)).expect("baseline serve");
+        let base = run_serve(&baseline(structure, requests)).expect("baseline serve");
         tails.row(row("baseline", &base));
-        let hot = run_serve(&storm(structure)).expect("storm serve");
+        let hot = run_serve(&storm(structure, requests)).expect("storm serve");
         tails.row(row("storm", &hot));
         storms.push((base, hot));
 
-        let deg = run_serve(&degraded(structure)).expect("degraded serve");
+        let deg = run_serve(&degraded(structure, requests)).expect("degraded serve");
         degraded_rows.row(vec![
             deg.structure.to_string(),
             deg.completed.to_string(),
@@ -123,16 +96,7 @@ fn main() {
         ]);
     }
 
-    let mut blowup = TextTable::new(
-        [
-            "structure",
-            "storm reenc",
-            "p999/p50 (storm)",
-            "p999 vs baseline",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
-    );
+    let mut blowup = table("structure | storm reenc | p999/p50 (storm) | p999 vs baseline");
     for (base, hot) in &storms {
         blowup.row(vec![
             hot.structure.to_string(),
@@ -164,5 +128,5 @@ fn main() {
         "(degraded runs skip shadow verification: poisoned reads legitimately \
          diverge; baseline and storm runs are verified against the shadow model)",
     );
-    rep.emit();
+    rep
 }

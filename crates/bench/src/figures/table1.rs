@@ -27,12 +27,11 @@
 //! recovered neither state (detected + silent).
 
 use supermem::campaign::{Campaign, Case, Fault, Judgement, Machine, Subject, Verdict};
-use supermem::metrics::TextTable;
 use supermem::persist::{DirectMem, PMem, RecoveredMemory};
-use supermem::sim::{Config, CounterCacheBacking, CounterCacheMode};
+use supermem::sim::{CounterCacheBacking, CounterCacheMode};
 use supermem::torture::TxnSubject;
-use supermem::Scheme;
-use supermem_bench::Report;
+
+use super::prelude::*;
 
 const DATA_ADDR: u64 = 0x2000;
 
@@ -112,17 +111,8 @@ fn crash_table<S: Subject<Cell = Machine>>(subject: S) -> TextTable {
         seeds: vec![1],
         point: None,
     };
-    let mut t = TextTable::new(
-        [
-            "scheme",
-            "crash points",
-            "consistent(old)",
-            "consistent(new)",
-            "unrecoverable",
-            "verdict",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
+    let mut t = table(
+        "scheme | crash points | consistent(old) | consistent(new) | unrecoverable | verdict",
     );
     for (label, s) in campaign.run().tally_by(|r| r.case.cell.label.clone()) {
         t.row(vec![
@@ -142,7 +132,7 @@ fn crash_table<S: Subject<Cell = Machine>>(subject: S) -> TextTable {
     t
 }
 
-fn main() {
+pub fn report(_: &mut Runs, _: u64) -> Report {
     let mut rep = Report::new("table1");
     rep.section(
         "Table 1: durable transaction (undo log), crash at every append boundary",
@@ -153,5 +143,5 @@ fn main() {
         crash_table(InPlaceUpdate),
     );
     rep.footnote("(old = pre-mutation state; new = mutation visible)");
-    rep.emit();
+    rep
 }

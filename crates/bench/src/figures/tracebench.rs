@@ -7,16 +7,11 @@
 //! same way). Because every scheme sees byte-identical traffic, the
 //! comparison isolates the memory system completely.
 
-use supermem::metrics::TextTable;
-use supermem::scheme::FIGURE_SCHEMES;
 use supermem::trace::encode;
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadSpec;
-use supermem::{sweep, Experiment, Scheme};
-use supermem_bench::{machine, txns, Report};
 
-fn main() {
-    let n = txns();
+use super::prelude::*;
+
+pub fn report(_: &mut Runs, n: u64) -> Report {
     // One job per workload: record the trace, then replay it through
     // every scheme. The replays share the recorded trace, so the
     // workload is the natural parallel grain.
@@ -54,5 +49,5 @@ fn main() {
         "Trace-driven replay: one recorded trace per workload, every scheme\n(txn latency normalized to Unsec; identical traffic everywhere)",
         table,
     );
-    rep.emit();
+    rep
 }

@@ -16,12 +16,9 @@
 //! reads at media latency plus SHA-node recomputation above the
 //! frontier (`supermem_persist::recovery` accounting).
 
-use supermem::metrics::TextTable;
 use supermem::persist::{PMem, RecoveredMemory};
-use supermem::sim::Config;
-use supermem::workloads::{WorkloadKind, WorkloadSpec};
-use supermem::{run_batch, Scheme, System};
-use supermem_bench::{machine, txns, Report};
+
+use super::prelude::*;
 
 const SCHEMES: [Scheme; 2] = [Scheme::WriteThrough, Scheme::SuperMem];
 
@@ -57,31 +54,23 @@ fn recovery_cycles(scheme: Scheme, levels: Option<u32>) -> u64 {
     rec.recovery_cycles()
 }
 
-fn main() {
-    let n = txns();
+pub fn report(runs: &mut Runs, n: u64) -> Report {
     let mut jobs = Vec::new();
     for scheme in SCHEMES {
         for (levels, _) in FRONTIERS {
             let cfg = machine(scheme)
                 .with_integrity_tree(true)
                 .with_persisted_levels(levels);
-            jobs.push((cfg, WorkloadSpec::new(WorkloadKind::Queue).with_txns(n)));
+            jobs.push(Run::new(
+                cfg,
+                WorkloadSpec::new(WorkloadKind::Queue).with_txns(n),
+            ));
         }
     }
-    let results = run_batch(&jobs);
+    let results = runs.simulate(&jobs);
 
-    let mut t = TextTable::new(
-        [
-            "scheme",
-            "frontier",
-            "txn lat",
-            "nvm writes",
-            "tree writes",
-            "coalesced",
-            "recovery (cyc)",
-        ]
-        .map(str::to_owned)
-        .to_vec(),
+    let mut t = table(
+        "scheme | frontier | txn lat | nvm writes | tree writes | coalesced | recovery (cyc)",
     );
     for (i, r) in results.iter().enumerate() {
         let scheme = SCHEMES[i / FRONTIERS.len()];
@@ -116,5 +105,5 @@ fn main() {
         "(recovery (cyc) = checked-rebuild estimate for a fixed 512-page crash \
          image: persisted line reads + node hashes above the frontier)",
     );
-    rep.emit();
+    rep
 }

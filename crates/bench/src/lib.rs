@@ -1,8 +1,8 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! The figure harness: every table and figure of the paper's evaluation,
+//! and the extension studies, as one registry ([`figures::FIGURES`])
+//! regenerated by the `figures` binary into `results/<name>.txt`.
 //!
-//! Every table and figure of the paper's evaluation has a binary here:
-//!
-//! | Binary | Reproduces | What it prints |
+//! | Figure | Reproduces | What it prints |
 //! |--------|-----------|----------------|
 //! | `fig13` | Figure 13 a/b/c | single-core txn latency, normalized to Unsec, for 256 B / 1 KB / 4 KB requests |
 //! | `fig14` | Figure 14 a/b/c | multi-core (1/4/8 programs) txn latency, normalized to Unsec |
@@ -22,34 +22,28 @@
 //! | `bitwrites` | §6 related work | bits flipped per write: CTR vs DEUCE vs plaintext |
 //! | `authenticated` | §2.2.1 footnote | Merkle-tree verification overhead on SuperMem |
 //! | `servesweep` | serving extension | open-loop tail latency on shared lock-free structures: baseline, re-encryption storm, degraded bank |
+//! | `channelsweep` | journal extension | throughput scaling over 1 → 8 interleaved channels |
+//! | `treesweep` | integrity extension | streaming-tree frontier: runtime vs recovery cycles |
+//! | `kvtorture` | KV extension | crash × fault verdicts of the recoverable KV store |
 //!
-//! Set `SUPERMEM_TXNS` to change the per-run transaction count (default
-//! 200) — the figures' *shapes* are stable well below that.
+//! Each registry entry pins its figure's size, so a figure prints the
+//! same bytes wherever it is run. Every plain experiment run goes
+//! through one [`Runs`], which simulates each distinct run once per
+//! process.
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod guard;
 pub mod micro;
 pub mod report;
+pub mod runs;
 
 pub use report::Report;
+pub use runs::Runs;
 
 use supermem::metrics::TextTable;
-use supermem::scheme::FIGURE_SCHEMES;
 use supermem::sim::Config;
-use supermem::workloads::spec::ALL_KINDS;
-use supermem::workloads::WorkloadKind;
-use supermem::{env_run_threads, sweep, ConfigError, Experiment, RunResult, Scheme};
-
-/// Transactions per run, from `SUPERMEM_TXNS` (default 200).
-pub fn txns() -> u64 {
-    std::env::var("SUPERMEM_TXNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
-}
-
-/// The paper's three transaction request sizes.
-pub const REQUEST_SIZES: [u64; 3] = [256, 1024, 4096];
+use supermem::{env_run_threads, Scheme};
 
 /// The machine of every figure run: `scheme`'s preset over the Table 2
 /// defaults, machine seed 1 (it derives the AES key; the committed
@@ -60,6 +54,11 @@ pub fn machine(scheme: Scheme) -> Config {
         .apply(Config::default())
         .with_seed(1)
         .with_run_threads(env_run_threads())
+}
+
+/// A table whose headers are `headers` split at ` | `.
+pub(crate) fn table(headers: &str) -> TextTable {
+    TextTable::new(headers.split(" | ").map(str::to_owned).collect())
 }
 
 /// Builds one normalized-metric table: workloads as rows, schemes as
@@ -77,80 +76,14 @@ pub fn normalized_text_table(scheme_names: &[&str], rows: &[(String, Vec<f64>)])
     table
 }
 
-/// [`normalized_text_table`] rendered under a title line.
-pub fn normalized_table(title: &str, scheme_names: &[&str], rows: &[(String, Vec<f64>)]) -> String {
-    format!(
-        "{title}\n{}",
-        normalized_text_table(scheme_names, rows).render()
-    )
-}
-
-/// The workload × scheme grid behind Figures 13–15: one [`Experiment`]
-/// per (part, workload, scheme) cell, all cells executed through the
-/// parallel sweep engine, one table per part with each workload row
-/// normalized to the first scheme's metric.
-///
-/// Cells are reassembled **in input order**, so the rendered report is
-/// byte-identical to the historical sequential nested loops.
-///
-/// # Panics
-///
-/// Panics if `make` refuses a cell.
-pub fn normalized_figure_report<F, R, M>(
-    name: &str,
-    part_titles: &[String],
-    make: F,
-    runner: R,
-    metric: M,
-) -> Report
-where
-    F: Fn(usize, WorkloadKind, Scheme) -> Result<Experiment, ConfigError> + Sync,
-    R: Fn(&mut Experiment) -> RunResult + Sync,
-    M: Fn(&RunResult) -> f64,
-{
-    let mut cells = Vec::new();
-    for part in 0..part_titles.len() {
-        for kind in ALL_KINDS {
-            for scheme in FIGURE_SCHEMES {
-                cells.push((part, kind, scheme));
-            }
-        }
-    }
-    let results = sweep(&cells, |&(part, kind, scheme)| {
-        runner(&mut make(part, kind, scheme).unwrap_or_else(|e| panic!("{e}")))
-    });
-    let scheme_names = FIGURE_SCHEMES.map(supermem::Scheme::name);
-    let cells_per_part = ALL_KINDS.len() * FIGURE_SCHEMES.len();
-    let mut rep = Report::new(name);
-    for (part, chunk) in results.chunks(cells_per_part).enumerate() {
-        let rows: Vec<(String, Vec<f64>)> = ALL_KINDS
-            .iter()
-            .zip(chunk.chunks(FIGURE_SCHEMES.len()))
-            .map(|(kind, cells)| (kind.name().to_owned(), cells.iter().map(&metric).collect()))
-            .collect();
-        rep.section(
-            &part_titles[part],
-            normalized_text_table(&scheme_names, &rows),
-        );
-    }
-    rep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn txns_default() {
-        // Cannot assume the env var is unset under `cargo test`, so only
-        // check that the value is sane.
-        assert!(txns() > 0);
-    }
-
-    #[test]
     fn normalized_table_divides_by_first_column() {
         let rows = vec![("array".to_owned(), vec![2.0, 4.0, 1.0])];
-        let s = normalized_table("T", &["Unsec", "WT", "half"], &rows);
+        let s = normalized_text_table(&["Unsec", "WT", "half"], &rows).render();
         assert!(s.contains("1.00"));
         assert!(s.contains("2.00"));
         assert!(s.contains("0.50"));

@@ -10,7 +10,7 @@
 //! * `SUPERMEM_BENCH_MS` — target milliseconds per sample (default 5).
 //! * `SUPERMEM_BENCH_SAMPLES` — samples per benchmark (default 9).
 //!
-//! Output honors `--json` like the figure binaries.
+//! Output honors `--json` like the `figures` binary.
 
 use std::hint::black_box;
 use std::time::Instant;

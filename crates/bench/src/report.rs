@@ -1,7 +1,7 @@
-//! Figure output: one [`Report`] per binary, rendered as the aligned
-//! text tables the committed `results/*.txt` files were generated from,
-//! or as machine-readable JSON when the binary is invoked with
-//! `--json`.
+//! Figure output: one [`Report`] per figure or CLI command, rendered as
+//! the aligned text tables the committed `results/*.txt` files were
+//! generated from, or as machine-readable JSON when the process is
+//! invoked with `--json`.
 //!
 //! The text rendering is byte-identical to the historical per-table
 //! `println!` sequence, so regenerated figures diff clean against the
@@ -49,7 +49,7 @@ struct Section {
     footnotes: Vec<String>,
 }
 
-/// A figure binary's full output: named sections in print order.
+/// A figure's full output: named sections in print order.
 ///
 /// ```
 /// use supermem::metrics::TextTable;
@@ -68,7 +68,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Creates an empty report for the named figure binary.
+    /// Creates an empty report for the named figure.
     pub fn new(name: &str) -> Self {
         Self {
             name: name.to_owned(),

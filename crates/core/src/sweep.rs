@@ -1,12 +1,12 @@
 //! Parallel experiment engine.
 //!
 //! Every figure in the evaluation is a grid of independent runs: each
-//! `(Config, WorkloadSpec)` pair fully determines its [`RunResult`]
+//! `(Config, WorkloadSpec)` pair fully determines its [`RunResult`](crate::RunResult)
 //! (the simulator is seeded, and its intra-run threads merge
 //! deterministically), so a figure's cell jobs can execute on any host
 //! thread in any order without changing a single output bit. This
 //! module fans a job list over a scoped worker pool and returns results
-//! **in input order**, which is what makes the figure binaries' tables
+//! **in input order**, which is what makes the figures' tables
 //! byte-identical to their sequential output.
 //!
 //! Worker count comes from [`worker_count`]: the `SUPERMEM_THREADS`
@@ -20,27 +20,24 @@
 //! ```
 //! use supermem::sim::Config;
 //! use supermem::workloads::{WorkloadKind, WorkloadSpec};
-//! use supermem::{run_batch, Scheme};
+//! use supermem::{sweep, Experiment, Scheme};
 //!
 //! let cfg = Scheme::SuperMem.apply(Config::default());
-//! let spec = WorkloadSpec::new(WorkloadKind::Array).with_txns(5);
-//! let results = run_batch(&[(cfg.clone(), spec.clone()), (cfg, spec)]);
-//! assert_eq!(results[0].total_cycles, results[1].total_cycles);
+//! let specs = [WorkloadKind::Array, WorkloadKind::Queue, WorkloadKind::Array]
+//!     .map(|kind| WorkloadSpec::new(kind).with_txns(5));
+//! let results = sweep(&specs, |spec| {
+//!     Experiment::new(cfg.clone(), spec.clone()).unwrap().run()
+//! });
+//! assert_eq!(results[0].total_cycles, results[2].total_cycles);
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use supermem_sim::Config;
-use supermem_workloads::WorkloadSpec;
-
-use crate::experiment::Experiment;
-use crate::metrics::RunResult;
-
 /// The intra-run worker-thread count requested via the
 /// `SUPERMEM_RUN_THREADS` environment variable, or 1 (sequential) when
 /// unset or unparsable. Figure runs and CLI commands set
-/// [`Config::run_threads`] from this, and [`worker_count`] divides the
+/// [`Config::run_threads`](crate::sim::Config::run_threads) from this, and [`worker_count`] divides the
 /// sweep's worker budget by it so that `run_threads × sweep workers`
 /// never oversubscribes the host.
 pub fn env_run_threads() -> usize {
@@ -129,27 +126,9 @@ where
         .collect()
 }
 
-/// Runs a batch of one-program experiments through
-/// [`Experiment::run`] in parallel, preserving input order.
-///
-/// # Panics
-///
-/// Panics if a job fails [`Experiment::new`]'s validation.
-pub fn run_batch(jobs: &[(Config, WorkloadSpec)]) -> Vec<RunResult> {
-    sweep(jobs, run_one)
-}
-
-fn run_one((cfg, spec): &(Config, WorkloadSpec)) -> RunResult {
-    Experiment::new(cfg.clone(), spec.clone())
-        .unwrap_or_else(|e| panic!("{e}"))
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::WorkloadKind;
-    use crate::Scheme;
 
     #[test]
     fn preserves_input_order() {
@@ -175,21 +154,6 @@ mod tests {
         let out: Vec<u64> = sweep_on(4, &[], |j: &u64| *j);
         assert!(out.is_empty());
         assert_eq!(sweep_on(4, &[7u64], |j| j + 1), vec![8]);
-    }
-
-    #[test]
-    fn run_batch_matches_run_single() {
-        let job = (
-            Scheme::SuperMem.apply(Config::default()),
-            WorkloadSpec::new(WorkloadKind::Array).with_txns(10),
-        );
-        let jobs = vec![job.clone(), job.clone()];
-        let batch = sweep_on(2, &jobs, run_one);
-        let solo = Experiment::new(job.0, job.1).unwrap().run_single();
-        for r in &batch {
-            assert_eq!(r.total_cycles, solo.total_cycles);
-            assert_eq!(r.stats, solo.stats);
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! a reduced grid (one seed per scheme, every fault class, plus a
 //! multi-channel slice) that must classify every injection without a
 //! single SILENT case. The full 1,764-injection grid is the
-//! `kvtorture` figure binary; this is the CI-sized certificate that
+//! `kvtorture` figure; this is the CI-sized certificate that
 //! the machinery itself — crash arming, fault planning, image capture,
 //! recovery, oracle classification — holds together across crates.
 
