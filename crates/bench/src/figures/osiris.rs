@@ -15,7 +15,7 @@
 //!      decryptions, growing linearly with the footprint, while
 //!      SuperMem's recovery is O(1).
 
-use supermem::persist::recover_osiris;
+use supermem::persist::RecoveredMemory;
 
 use super::prelude::*;
 
@@ -56,7 +56,9 @@ pub fn report(runs: &mut Runs, n: u64) -> Report {
         for _ in 0..50 {
             w.step(&mut sys).expect("txn");
         }
-        let (_, report) = recover_osiris(&cfg, sys.crash_now()).expect("osiris window configured");
+        let rec = RecoveredMemory::from_machine_image_checked(&cfg, sys.machine_crash_now())
+            .expect("un-faulted image recovers");
+        let report = rec.osiris_report();
         vec![
             format!("{footprint_kb} KiB"),
             report.lines_scanned.to_string(),

@@ -49,7 +49,7 @@ fn recovery_cycles(scheme: Scheme, levels: Option<u32>) -> u64 {
     }
     sys.sfence();
     sys.checkpoint();
-    let rec = RecoveredMemory::from_image_checked(&cfg, sys.crash_now())
+    let rec = RecoveredMemory::from_machine_image_checked(&cfg, sys.machine_crash_now())
         .expect("un-faulted image recovers");
     rec.recovery_cycles()
 }

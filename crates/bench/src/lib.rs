@@ -77,8 +77,73 @@ pub fn normalized_text_table(scheme_names: &[&str], rows: &[(String, Vec<f64>)])
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
+    use supermem::memctrl::MachineCrashImage;
+    use supermem::persist::{PMem, RecoveredMemory};
+    use supermem::System;
+
+    /// The plaintext of page `p` in [`crash_image`]'s workload.
+    fn fill(p: u64) -> [u8; 64] {
+        [p as u8 + 1; 64]
+    }
+
+    /// A short fixed workload, one persisted line in each of 16 pages,
+    /// then a crash.
+    fn crash_image(cfg: &Config) -> MachineCrashImage {
+        let mut sys = System::new(cfg.clone());
+        for p in 0..16u64 {
+            sys.persist(p * cfg.page_bytes + 64 * p, &fill(p));
+        }
+        sys.machine_crash_now()
+    }
+
+    /// FNV-1a over every data line's address and ciphertext, in channel
+    /// and address order.
+    fn ciphertext_digest(image: &MachineCrashImage) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for channel in &image.channels {
+            for line in channel.store.data_lines() {
+                for b in line
+                    .0
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(channel.store.read_data(line))
+                {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// No committed figure depends on the machine seed, so the figure
+    /// check cannot see a run that loses it: pin the ciphertext the
+    /// seed-1 key produces, and show another seed's key neither
+    /// produces nor decrypts it.
+    #[test]
+    fn machine_seed_and_key_are_pinned() {
+        let cfg = machine(Scheme::SuperMem);
+        assert_eq!(cfg.seed, 1);
+        let image = crash_image(&cfg);
+        assert_eq!(ciphertext_digest(&image), 0x8068_c969_9e2d_9b11);
+
+        let other = cfg.clone().with_seed(Config::default().seed);
+        assert_eq!(other.seed, 0xC0FFEE);
+        assert_ne!(
+            ciphertext_digest(&crash_image(&other)),
+            ciphertext_digest(&image)
+        );
+
+        let mut wrong_key = RecoveredMemory::from_machine_image_checked(&other, image)
+            .expect("an image without a root recovers under any key");
+        for p in 0..16u64 {
+            let mut buf = [0u8; 64];
+            wrong_key.read(p * cfg.page_bytes + 64 * p, &mut buf);
+            assert_ne!(buf, fill(p), "page {p} decrypted under the wrong key");
+        }
+    }
 
     #[test]
     fn normalized_table_divides_by_first_column() {

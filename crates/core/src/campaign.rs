@@ -18,11 +18,11 @@
 //!    any media fault on the settled image: data lines on one
 //!    seed-chosen channel, persisted tree-node lines, or an ECC-clean
 //!    tamper ([`Target`]);
-//! 4. recovers counters: Osiris trial decryption
-//!    ([`recover_osiris`]) when the machine relaxes counter persistence,
-//!    the integrity-checked rebuild
-//!    ([`RecoveredMemory::from_machine_image_checked`]) otherwise; a
-//!    refusal is [`Verdict::Detected`];
+//! 4. recovers the image through
+//!    [`RecoveredMemory::from_machine_image_checked`], which runs the
+//!    integrity-checked rebuild or, when the machine relaxes counter
+//!    persistence, Osiris trial decryption; a refusal is
+//!    [`Verdict::Detected`];
 //! 5. hands the recovered memory to the subject's [`Subject::judge`] and,
 //!    when the data matches no oracle state, applies the one detection
 //!    rule: the damage is [`Verdict::Detected`] if an ECC detection, a
@@ -55,7 +55,7 @@ use std::fmt;
 
 use supermem_memctrl::MachineCrashImage;
 use supermem_nvm::{FaultClass, FaultCounters, FaultSpec};
-use supermem_persist::{recover_osiris, DirectMem, RecoveredMemory};
+use supermem_persist::{DirectMem, RecoveredMemory};
 use supermem_sim::Config;
 
 use crate::scheme::Scheme;
@@ -542,27 +542,14 @@ impl<S: Subject> Campaign<S> {
         state: &S::State,
         point: u64,
     ) -> (Verdict, String, Option<S::Evidence>) {
-        let (mut rec, osiris_unrecoverable) = if cfg.osiris_window.is_some() {
-            match recover_osiris(cfg, machine.merged()) {
-                Ok((rec, report)) => (rec, report.unrecoverable_lines),
-                Err(e) => {
-                    return (
-                        Verdict::Detected,
-                        format!("osiris counter recovery refused: {e}"),
-                        None,
-                    )
-                }
-            }
-        } else {
-            match RecoveredMemory::from_machine_image_checked(cfg, machine) {
-                Ok(rec) => (rec, 0),
-                Err(e) => {
-                    return (
-                        Verdict::Detected,
-                        format!("image rebuild refused: {e}"),
-                        None,
-                    )
-                }
+        let mut rec = match RecoveredMemory::from_machine_image_checked(cfg, machine) {
+            Ok(rec) => rec,
+            Err(e) => {
+                return (
+                    Verdict::Detected,
+                    format!("image rebuild refused: {e}"),
+                    None,
+                )
             }
         };
         let j = self.subject.judge(&mut rec, state, point);
@@ -572,7 +559,7 @@ impl<S: Subject> Campaign<S> {
         let signals = Signals {
             fc: rec.store().fault_counters(),
             media_failures: rec.media_failures(),
-            osiris_unrecoverable,
+            osiris_unrecoverable: rec.osiris_report().unrecoverable_lines,
         };
         if signals.fired() || j.damaged {
             (

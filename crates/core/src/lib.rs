@@ -28,12 +28,13 @@
 //!
 //! // The NVM itself holds only ciphertext; a crash preserves exactly
 //! // what was flushed.
-//! let image = sys.crash_now();
+//! let image = sys.machine_crash_now();
 //! let cfg = sys.config().clone();
-//! let mut recovered = supermem_persist::RecoveredMemory::from_image(&cfg, image);
+//! let mut recovered = supermem_persist::RecoveredMemory::from_machine_image_checked(&cfg, image)?;
 //! let mut buf = [0u8; 14];
 //! recovered.read(0x1000, &mut buf);
 //! assert_eq!(&buf, b"hello supermem");
+//! # Ok::<(), supermem_persist::RecoveryError>(())
 //! ```
 //!
 //! ## Crate map

@@ -145,7 +145,8 @@ mod tests {
         supermem_trace::replay(&trace, &mut sys);
         sys.checkpoint();
         let cfg = sys.config().clone();
-        let mut rec = RecoveredMemory::from_image(&cfg, sys.crash_now());
+        let mut rec =
+            RecoveredMemory::from_machine_image_checked(&cfg, sys.machine_crash_now()).unwrap();
         let mut a = vec![0u8; 4096];
         let mut b = vec![0u8; 4096];
         // Compare the log+bucket region head (written bytes only).

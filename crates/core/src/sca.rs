@@ -140,7 +140,9 @@ mod tests {
         // to NVM with the fence even though the cache is write-back and
         // unbacked.
         let cfg = m.inner().config().clone();
-        let mut rec = RecoveredMemory::from_image(&cfg, m.inner().crash_now());
+        let mut rec =
+            RecoveredMemory::from_machine_image_checked(&cfg, m.inner().machine_crash_now())
+                .unwrap();
         let mut buf = [0u8; 128];
         rec.read(0x1000, &mut buf);
         assert_eq!(buf, [7; 128]);
@@ -156,7 +158,8 @@ mod tests {
         sys.clwb(0x1000, 128);
         sys.sfence();
         let cfg = sys.config().clone();
-        let mut rec = RecoveredMemory::from_image(&cfg, sys.crash_now());
+        let mut rec =
+            RecoveredMemory::from_machine_image_checked(&cfg, sys.machine_crash_now()).unwrap();
         let mut buf = [0u8; 128];
         rec.read(0x1000, &mut buf);
         assert_ne!(

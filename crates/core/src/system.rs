@@ -14,7 +14,7 @@
 //! controller but do not block the core (hardware write-buffers them).
 
 use supermem_cache::CacheHierarchy;
-use supermem_memctrl::{ChannelSet, CrashImage, MachineCrashImage};
+use supermem_memctrl::{ChannelSet, MachineCrashImage};
 use supermem_nvm::addr::LineAddr;
 use supermem_persist::PMem;
 use supermem_sim::{Config, Cycle, Event, Observer, Stats};
@@ -149,13 +149,7 @@ impl System {
         }
     }
 
-    /// Simulates a power failure right now, merging all channels into
-    /// one image.
-    pub fn crash_now(&self) -> CrashImage {
-        self.mc.crash_now()
-    }
-
-    /// [`System::crash_now`] keeping per-channel images separate.
+    /// Simulates a power failure right now: one image per channel.
     pub fn machine_crash_now(&self) -> MachineCrashImage {
         self.mc.machine_crash_now()
     }
@@ -166,13 +160,7 @@ impl System {
         self.mc.arm_crash_after_appends(appends);
     }
 
-    /// Retrieves the merged image frozen by an armed crash, if it
-    /// triggered.
-    pub fn take_crash_image(&mut self) -> Option<CrashImage> {
-        self.mc.take_crash_image()
-    }
-
-    /// [`System::take_crash_image`] keeping per-channel images separate.
+    /// Retrieves the image frozen by an armed crash, if it triggered.
     pub fn take_machine_crash_image(&mut self) -> Option<MachineCrashImage> {
         self.mc.take_machine_crash_image()
     }
@@ -429,9 +417,9 @@ mod tests {
         s.clwb(0x1000, 64);
         s.sfence();
         s.write(0x2000, &[0xBB; 64]); // never flushed
-        let image = s.crash_now();
+        let image = s.machine_crash_now();
         let cfg = s.config().clone();
-        let mut rec = RecoveredMemory::from_image(&cfg, image);
+        let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, image).unwrap();
         let mut buf = [0u8; 64];
         rec.read(0x1000, &mut buf);
         assert_eq!(buf, [0xAA; 64]);
@@ -445,7 +433,8 @@ mod tests {
         s.write(0x3000, &[0xCC; 256]);
         s.checkpoint();
         let cfg = s.config().clone();
-        let mut rec = RecoveredMemory::from_image(&cfg, s.crash_now());
+        let mut rec =
+            RecoveredMemory::from_machine_image_checked(&cfg, s.machine_crash_now()).unwrap();
         let mut buf = [0u8; 256];
         rec.read(0x3000, &mut buf);
         assert_eq!(buf, [0xCC; 256]);

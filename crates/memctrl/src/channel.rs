@@ -14,9 +14,11 @@
 //!
 //! Crash semantics: a power failure hits *all* channels at once, so a
 //! crash produces a [`MachineCrashImage`] holding one per-channel
-//! [`CrashImage`]; [`MachineCrashImage::merged`] folds them into the
-//! single flat NVM image recovery consumes (channels own disjoint
-//! address sets, so the union is conflict-free).
+//! [`CrashImage`], the only image a machine hands to recovery (a bare
+//! controller's image converts into a one-channel machine image).
+//! [`MachineCrashImage::merged`] folds the channels into one flat NVM
+//! image for inspection (channels own disjoint address sets, so the
+//! union is conflict-free).
 
 use supermem_nvm::addr::{AddressMap, LineAddr, PageId};
 use supermem_nvm::fault::FaultSpec;
@@ -33,15 +35,23 @@ pub struct MachineCrashImage {
     pub channels: Vec<CrashImage>,
 }
 
+impl From<CrashImage> for MachineCrashImage {
+    /// A single controller's image is a one-channel machine image.
+    fn from(image: CrashImage) -> Self {
+        Self {
+            channels: vec![image],
+        }
+    }
+}
+
 impl MachineCrashImage {
-    /// Folds the per-channel images into the single flat NVM image that
-    /// recovery consumes. Channels own disjoint line/page sets, so the
-    /// union is conflict-free; the RSR comes from whichever channel had
-    /// a re-encryption in flight (at most one page machine-wide per
-    /// paper §3.4.4 — each channel has its own register, and recovery
-    /// completes them one at a time). The integrity-tree root only
-    /// survives the merge for a single-channel machine: with several
-    /// per-channel trees there is no one root to hand over.
+    /// Folds the per-channel images into one flat NVM image, for
+    /// inspecting a machine's stores; recovery takes the machine image
+    /// itself. Channels own disjoint line/page sets, so the union is
+    /// conflict-free. The RSR comes from the first channel with a
+    /// re-encryption in flight, and the integrity-tree root survives only
+    /// for a single-channel machine: with several per-channel trees
+    /// there is no one root to hand over.
     ///
     /// # Panics
     ///
@@ -400,8 +410,7 @@ impl ChannelSet {
 
     /// Arms a crash that triggers after `appends` more append events on
     /// any channel (the countdown is machine-global). The frozen image
-    /// is retrievable with [`ChannelSet::take_crash_image`] or
-    /// [`ChannelSet::take_machine_crash_image`].
+    /// is retrievable with [`ChannelSet::take_machine_crash_image`].
     ///
     /// # Panics
     ///
@@ -412,21 +421,10 @@ impl ChannelSet {
         self.machine_image = None;
     }
 
-    /// The merged image frozen by an armed crash, if it has triggered.
-    pub fn take_crash_image(&mut self) -> Option<CrashImage> {
-        self.machine_image.take().map(MachineCrashImage::merged)
-    }
-
     /// The per-channel image frozen by an armed crash, if it has
     /// triggered.
     pub fn take_machine_crash_image(&mut self) -> Option<MachineCrashImage> {
         self.machine_image.take()
-    }
-
-    /// Simulates an immediate power failure across all channels and
-    /// returns the merged surviving NVM image.
-    pub fn crash_now(&self) -> CrashImage {
-        self.machine_crash_now().merged()
     }
 
     /// Simulates an immediate power failure across all channels,
@@ -495,7 +493,7 @@ mod tests {
         assert_eq!(set.finish(t_set), mc.finish(t_mc));
         assert_eq!(set.stats().nvm_data_writes, mc.stats().nvm_data_writes);
         assert_eq!(set.stats().bank_writes, mc.stats().bank_writes);
-        let a = set.crash_now();
+        let a = set.machine_crash_now().merged();
         let b = mc.crash_now();
         for line in b.store.data_lines() {
             assert_eq!(a.store.read_data(line), b.store.read_data(line));
@@ -544,7 +542,7 @@ mod tests {
         for p in 0..4u64 {
             t = set.flush_line(LineAddr(p * 4096), [0x10 + p as u8; 64], t);
         }
-        let image = set.crash_now();
+        let image = set.machine_crash_now().merged();
         let key = cfg(2).encryption_key();
         let engine = EncryptionEngine::new(key);
         for p in 0..4u64 {

@@ -12,7 +12,7 @@
 //! machinery can be exercised and tested below the system layer, and it
 //! is what the Table 1 experiments use.
 
-use supermem_memctrl::{ChannelSet, CrashImage, MachineCrashImage};
+use supermem_memctrl::{ChannelSet, MachineCrashImage};
 use supermem_nvm::addr::LineAddr;
 use supermem_nvm::LineData;
 use supermem_sim::{Config, Cycle};
@@ -79,12 +79,7 @@ impl DirectMem {
     }
 
     /// Simulates an immediate power failure: buffered dirty lines vanish;
-    /// the ADR domain survives as one merged image.
-    pub fn crash_now(&self) -> CrashImage {
-        self.mc.crash_now()
-    }
-
-    /// [`DirectMem::crash_now`] keeping per-channel images separate.
+    /// the ADR domain survives, one image per channel.
     pub fn machine_crash_now(&self) -> MachineCrashImage {
         self.mc.machine_crash_now()
     }
@@ -196,6 +191,10 @@ mod tests {
         Config::default()
     }
 
+    fn recover(cfg: &Config, image: MachineCrashImage) -> RecoveredMemory {
+        RecoveredMemory::from_machine_image_checked(cfg, image).expect("image recovers")
+    }
+
     #[test]
     fn write_read_roundtrip() {
         let mut mem = DirectMem::new(&cfg());
@@ -212,8 +211,8 @@ mod tests {
         let mut mem = DirectMem::new(&cfg);
         mem.write(0x100, &[7; 8]);
         // No clwb: the write sits in the volatile buffer.
-        let image = mem.crash_now();
-        let mut rec = RecoveredMemory::from_image(&cfg, image);
+        let image = mem.machine_crash_now();
+        let mut rec = recover(&cfg, image);
         let mut buf = [0u8; 8];
         rec.read(0x100, &mut buf);
         assert_ne!(buf, [7; 8], "unflushed data must not survive");
@@ -224,7 +223,7 @@ mod tests {
         let cfg = cfg();
         let mut mem = DirectMem::new(&cfg);
         mem.persist(0x100, &[7; 8]);
-        let mut rec = RecoveredMemory::from_image(&cfg, mem.crash_now());
+        let mut rec = recover(&cfg, mem.machine_crash_now());
         let mut buf = [0u8; 8];
         rec.read(0x100, &mut buf);
         assert_eq!(buf, [7; 8]);
@@ -261,7 +260,7 @@ mod tests {
         let mut txn = txm.begin();
         txn.write(0x2000, vec![0xAA; 128]);
         txn.commit(&mut mem).unwrap();
-        let mut rec = RecoveredMemory::from_image(&cfg, mem.crash_now());
+        let mut rec = recover(&cfg, mem.machine_crash_now());
         assert_eq!(
             recover_transactions(&mut rec, 0x100000),
             Ok(RecoveryOutcome::CleanCommitted { seq: 1 })
@@ -291,9 +290,9 @@ mod tests {
         txn.commit(&mut mem).unwrap();
         let image = mem
             .controller_mut()
-            .take_crash_image()
+            .take_machine_crash_image()
             .expect("crash fired during mutate");
-        let mut rec = RecoveredMemory::from_image(&cfg, image);
+        let mut rec = recover(&cfg, image);
         let out = recover_transactions(&mut rec, 0x100000).expect("clean media");
         assert!(
             matches!(out, RecoveryOutcome::RolledBack { .. }),
@@ -310,7 +309,7 @@ mod tests {
         let mut mem = DirectMem::new(&cfg);
         mem.write(0x300, &[5; 8]); // never flushed explicitly
         mem.shutdown();
-        let mut rec = RecoveredMemory::from_image(&cfg, mem.crash_now());
+        let mut rec = recover(&cfg, mem.machine_crash_now());
         let mut buf = [0u8; 8];
         rec.read(0x300, &mut buf);
         assert_eq!(buf, [5; 8], "shutdown must flush dirty lines");
@@ -322,7 +321,7 @@ mod tests {
         c.encryption = false;
         let mut mem = DirectMem::new(&c);
         mem.persist(0x500, &[9; 16]);
-        let mut rec = RecoveredMemory::from_image(&c, mem.crash_now());
+        let mut rec = recover(&c, mem.machine_crash_now());
         let mut buf = [0u8; 16];
         rec.read(0x500, &mut buf);
         assert_eq!(buf, [9; 16]);

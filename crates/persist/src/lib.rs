@@ -16,10 +16,13 @@
 //! * [`slot`] — per-core operation-descriptor slots (memento-style)
 //!   making lock-free CAS linearization points crash-recoverable, with
 //!   a checksummed recovery scan.
-//! * [`recovery`] — rebuilding a consistent state from a post-crash NVM
-//!   image: completing an interrupted page re-encryption from the RSR,
-//!   decrypting through the stored counters, and rolling back
-//!   uncommitted transactions.
+//! * [`recovery`] — rebuilding a consistent state from a post-crash
+//!   machine image through one entry point,
+//!   [`RecoveredMemory::from_machine_image_checked`]: verifying each
+//!   channel's integrity tree, completing an interrupted page
+//!   re-encryption from the RSR, re-deriving Osiris counters, decrypting
+//!   through the stored counters, and rolling back uncommitted
+//!   transactions.
 //!
 //! # Examples
 //!
@@ -50,8 +53,8 @@ pub use arena::Arena;
 pub use direct::DirectMem;
 pub use pmem::{PMem, VecMem};
 pub use recovery::{
-    recover_osiris, recover_transactions, verify_image_integrity, IntegrityVerdict, OsirisReport,
-    RecoveredMemory, RecoveryError, RecoveryOutcome, TreeRebuild,
+    recover_transactions, OsirisReport, RecoveredMemory, RecoveryError, RecoveryOutcome,
+    TreeRebuild,
 };
 pub use redo::{recover_redo_transactions, RedoTxn, RedoTxnManager};
 pub use slot::{SlotArray, SlotError, SlotRecord, SlotState, SlotView};

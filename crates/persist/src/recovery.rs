@@ -1,29 +1,37 @@
 //! Post-crash recovery.
 //!
-//! Takes the [`CrashImage`] a power failure left behind and rebuilds a
-//! consistent view:
+//! [`RecoveredMemory::from_machine_image_checked`] is the one way back
+//! from the [`MachineCrashImage`] a power failure left behind. For each
+//! channel it:
 //!
-//! 1. If a page re-encryption was in flight, finish it from the
-//!    ADR-preserved RSR (paper §3.4.4): lines with a set done bit are
-//!    already under `(old_major + 1, 0)`; the rest still decrypt with
-//!    the *old* counter line, which the controller deliberately left
-//!    untouched in NVM.
-//! 2. Serve byte reads by decrypting through the stored counters —
-//!    succeeding exactly when counter and data were persisted
-//!    atomically, and yielding garbage otherwise (Figure 4).
-//! 3. Scan the transaction log and roll back an uncommitted transaction
-//!    ([`recover_transactions`]).
+//! 1. re-verifies the channel's integrity tree against the trusted root
+//!    register through the checked media path, rebuilding from the
+//!    persisted frontier (Triad-NVM) or from the counter lines. Osiris
+//!    machines, whose counters are stale by design, and machines without
+//!    `Config::integrity_tree` skip this;
+//! 2. finishes an interrupted page re-encryption from the ADR-preserved
+//!    RSR (paper §3.4.4): lines with a set done bit are already under
+//!    `(old_major + 1, 0)`; the rest still decrypt with the *old*
+//!    counter line, which the controller deliberately left untouched in
+//!    NVM.
 //!
-//! Recovery runs against an *imperfect* DIMM: every media access goes
-//! through the store's checked read path, so a [`FaultPlan`] attached to
-//! the image surfaces as retried transients, ECC corrections, or — for
-//! uncorrectable damage — a typed [`RecoveryError`] instead of a panic
-//! or silently wrong bytes.
+//! The channels then merge into one address space. On an Osiris machine
+//! (`Config::osiris_window`) a trial-decryption scan re-derives the
+//! stale minor counters. The result serves byte reads by decrypting
+//! through the stored counters, succeeding exactly when counter and data
+//! were persisted atomically and yielding garbage otherwise (Figure 4),
+//! and [`recover_transactions`] rolls back an uncommitted transaction.
+//!
+//! Recovery runs against an *imperfect* DIMM and a possibly hostile
+//! image: every media access goes through the store's checked read path,
+//! so a [`FaultPlan`] attached to the image surfaces as retried
+//! transients, ECC corrections, or, for uncorrectable damage, a typed
+//! [`RecoveryError`] instead of a panic or silently wrong bytes.
 //!
 //! [`FaultPlan`]: supermem_nvm::FaultPlan
 
-use supermem_crypto::{CounterLine, EncryptionEngine};
-use supermem_memctrl::{CrashImage, MachineCrashImage};
+use supermem_crypto::{CounterLine, EncryptionEngine, IncrementOutcome};
+use supermem_memctrl::{CrashImage, MachineCrashImage, Rsr};
 use supermem_nvm::addr::{AddressMap, LineAddr, PageId};
 use supermem_nvm::{LineData, MediaError, NvmStore};
 use supermem_sim::Config;
@@ -73,8 +81,9 @@ pub enum RecoveryOutcome {
 /// the recovery algorithm has no second copy of.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryError {
-    /// The configuration cannot drive this recovery flavor (e.g.
-    /// [`recover_osiris`] without `Config::osiris_window`).
+    /// The configuration or the image's shape cannot drive recovery
+    /// (a tree geometry the configuration cannot host, an image with no
+    /// channels).
     Config(String),
     /// An uncorrectable media error was detected (ECC detection, a lost
     /// line, retry exhaustion, or an integrity-root mismatch) — the
@@ -101,6 +110,25 @@ impl std::fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
+/// Re-issues a checked media read while it fails transiently, up to the
+/// retry budget, counting each retry in `retries`. Returns the first
+/// success, or the error that ended the attempts.
+fn read_retrying(
+    retries: &mut u64,
+    mut read: impl FnMut() -> Result<LineData, MediaError>,
+) -> Result<LineData, MediaError> {
+    let mut attempt = 0u32;
+    loop {
+        match read() {
+            Err(MediaError::Transient) if attempt < READ_RETRY_LIMIT => {
+                attempt += 1;
+                *retries += 1;
+            }
+            result => return result,
+        }
+    }
+}
+
 /// A functional, decrypted view of a post-crash NVM image.
 ///
 /// Implements [`PMem`] (flush/fence are no-ops — recovery runs against
@@ -123,11 +151,12 @@ impl std::error::Error for RecoveryError {}
 /// let cfg = Config::default();
 /// let mut mc = MemoryController::new(&cfg);
 /// mc.flush_line(LineAddr(0x1000), [7u8; 64], 0);
-/// let image = mc.crash_now();
-/// let mut rec = RecoveredMemory::from_image(&cfg, image);
+/// // A bare controller's image is a one-channel machine image.
+/// let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, mc.crash_now().into())?;
 /// let mut buf = [0u8; 4];
 /// rec.read(0x1000, &mut buf);
 /// assert_eq!(buf, [7, 7, 7, 7]);
+/// # Ok::<(), supermem_persist::RecoveryError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecoveredMemory {
@@ -137,13 +166,38 @@ pub struct RecoveredMemory {
     encryption: bool,
     read_retries: u64,
     media_failures: u64,
-    recovery_cycles: u64,
+    tree: TreeRebuild,
+    osiris: OsirisReport,
 }
 
 impl RecoveredMemory {
-    /// Builds the view, completing any interrupted page re-encryption
-    /// recorded in the RSR.
-    pub fn from_image(cfg: &Config, image: CrashImage) -> Self {
+    /// Recovers a machine crash image. Each channel's integrity tree is
+    /// re-verified against that channel's root (skipped on Osiris
+    /// machines and for channels without a root) and its interrupted
+    /// page re-encryption completed; the disjoint per-channel stores are
+    /// then merged into one address space. An Osiris machine finally
+    /// re-derives its stale minor counters by trial decryption (see
+    /// [`RecoveredMemory::osiris_report`]).
+    ///
+    /// A single-channel image, such as a bare
+    /// [`MemoryController`](supermem_memctrl::MemoryController)'s
+    /// [`CrashImage`], converts with `.into()`.
+    ///
+    /// # Errors
+    ///
+    /// - [`RecoveryError::Config`] when the image holds no channels or
+    ///   the configuration cannot host the integrity tree;
+    /// - [`RecoveryError::DetectedCorrupt`] when a counter or tree-node
+    ///   line is unreadable (uncorrectable ECC error, lost line, retry
+    ///   exhaustion), a persisted tree level does not hash from the
+    ///   level below, or a recomputed root diverges from its channel's
+    ///   trusted root register;
+    /// - [`RecoveryError::Unrecoverable`] when an RSR names a page
+    ///   outside the NVM or an old major counter that cannot advance.
+    pub fn from_machine_image_checked(
+        cfg: &Config,
+        machine: MachineCrashImage,
+    ) -> Result<Self, RecoveryError> {
         let map = AddressMap::with_channels(
             cfg.nvm_bytes,
             cfg.line_bytes,
@@ -152,203 +206,97 @@ impl RecoveredMemory {
             cfg.channels,
         );
         let engine = EncryptionEngine::new(cfg.encryption_key());
-        let CrashImage { mut store, rsr, .. } = image;
-        if cfg.encryption {
-            if let Some(rsr) = rsr {
-                Self::complete_rsr(&map, &engine, &mut store, &rsr);
+        let mut tree = TreeRebuild::default();
+        let mut settle = |image: CrashImage| -> Result<NvmStore, RecoveryError> {
+            let CrashImage {
+                mut store,
+                rsr,
+                bmt_root,
+            } = image;
+            // An Osiris machine's NVM counters lag by design: no root check.
+            if let (None, Some(root)) = (cfg.osiris_window, bmt_root) {
+                rebuild_image_tree(cfg, &mut store, root, &mut tree)?;
             }
+            if let (true, Some(rsr)) = (cfg.encryption, rsr) {
+                complete_rsr(&map, &engine, &mut store, &rsr)?;
+            }
+            Ok(store)
+        };
+        let mut channels = machine.channels.into_iter();
+        let Some(first) = channels.next() else {
+            return Err(RecoveryError::Config(
+                "machine crash image holds no channels".into(),
+            ));
+        };
+        let mut store = settle(first)?;
+        for image in channels {
+            store.absorb(settle(image)?);
         }
-        Self {
+        let mut rec = Self {
             store,
             map,
             engine,
             encryption: cfg.encryption,
-            read_retries: 0,
+            read_retries: tree.read_retries,
             media_failures: 0,
-            recovery_cycles: 0,
-        }
-    }
-
-    /// Builds the view from a multi-channel crash image: each channel's
-    /// interrupted page re-encryption (the per-channel RSR) is completed
-    /// against that channel's own store first, then the disjoint
-    /// per-channel stores are merged into one address space.
-    pub fn from_machine_image(cfg: &Config, mut machine: MachineCrashImage) -> Self {
-        let map = AddressMap::with_channels(
-            cfg.nvm_bytes,
-            cfg.line_bytes,
-            cfg.page_bytes,
-            cfg.banks,
-            cfg.channels,
-        );
-        let engine = EncryptionEngine::new(cfg.encryption_key());
-        if cfg.encryption {
-            for image in &mut machine.channels {
-                if let Some(rsr) = image.rsr.take() {
-                    Self::complete_rsr(&map, &engine, &mut image.store, &rsr);
-                }
-            }
-        }
-        Self::from_image(cfg, machine.merged())
-    }
-
-    /// Finishes the page re-encryption an RSR recorded as in flight:
-    /// done lines already decrypt under `(old_major + 1, 0)`, the rest
-    /// still decrypt with the old counter line the controller left
-    /// untouched; everything is rewritten under the new epoch and the
-    /// counter line reset (paper §3.4.4).
-    fn complete_rsr(
-        map: &AddressMap,
-        engine: &EncryptionEngine,
-        store: &mut NvmStore,
-        rsr: &supermem_memctrl::Rsr,
-    ) {
-        let page = rsr.page();
-        let old = CounterLine::decode(&store.read_counter(page));
-        let new_major = rsr.old_major() + 1;
-        for idx in 0..map.lines_per_page() as usize {
-            let line = map.line_in_page(page, idx);
-            let cipher = store.read_data(line);
-            let plain = if rsr.is_done(idx) {
-                engine.decrypt_line(&cipher, line.0, new_major, 0)
-            } else {
-                engine.decrypt_line(&cipher, line.0, old.major(), old.minor(idx))
-            };
-            store.write_data(line, engine.encrypt_line(&plain, line.0, new_major, 0));
-        }
-        store.write_counter(page, CounterLine::with_major(new_major).encode());
-    }
-
-    /// Like [`RecoveredMemory::from_image`], but first re-verifies the
-    /// integrity tree over the image's counter region *through the
-    /// checked media path*, so both active tampering and uncorrectable
-    /// media damage on counter lines surface before any data is trusted.
-    ///
-    /// Images without an integrity root (the system ran without
-    /// `Config::integrity_tree`) skip the tree check and build normally.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoveryError::DetectedCorrupt`] when a counter line is
-    /// unreadable (uncorrectable ECC error, lost line, retry
-    /// exhaustion) or the recomputed root diverges from the trusted
-    /// root register.
-    pub fn from_image_checked(cfg: &Config, mut image: CrashImage) -> Result<Self, RecoveryError> {
-        let rebuild = Self::verify_image_integrity(cfg, &mut image)?;
-        let mut rec = Self::from_image(cfg, image);
-        rec.read_retries += rebuild.read_retries;
-        rec.recovery_cycles += rebuild.recovery_cycles;
-        Ok(rec)
-    }
-
-    /// [`RecoveredMemory::from_machine_image`] with the per-channel
-    /// integrity verification of [`RecoveredMemory::from_image_checked`]:
-    /// each channel maintains its own tree over the counter lines it
-    /// owns, so each per-channel root is re-verified against that
-    /// channel's store before any merging or re-encryption happens.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoveryError::DetectedCorrupt`] when any channel's counter
-    /// region is unreadable or fails its root check.
-    pub fn from_machine_image_checked(
-        cfg: &Config,
-        mut machine: MachineCrashImage,
-    ) -> Result<Self, RecoveryError> {
-        let mut retries = 0u64;
-        let mut cycles = 0u64;
-        for image in &mut machine.channels {
-            let rebuild = Self::verify_image_integrity(cfg, image)?;
-            retries += rebuild.read_retries;
-            cycles += rebuild.recovery_cycles;
-        }
-        let mut rec = Self::from_machine_image(cfg, machine);
-        rec.read_retries += retries;
-        rec.recovery_cycles += cycles;
-        Ok(rec)
-    }
-
-    /// Rebuilds one image's tree via [`rebuild_image_tree`] and lifts a
-    /// mismatch into the typed error the checked constructors report.
-    fn verify_image_integrity(
-        cfg: &Config,
-        image: &mut CrashImage,
-    ) -> Result<TreeRebuild, RecoveryError> {
-        let Some(root) = image.bmt_root else {
-            return Ok(TreeRebuild::default());
+            tree,
+            osiris: OsirisReport::default(),
         };
-        let rebuild = rebuild_image_tree(cfg, image, root)?;
-        if let Some(level) = rebuild.level_mismatch {
-            return Err(RecoveryError::DetectedCorrupt(format!(
-                "persisted tree level {level} does not match its children"
-            )));
+        if let Some(window) = cfg.osiris_window {
+            rec.osiris_scan(window);
         }
-        if !rebuild.root_matches {
-            return Err(RecoveryError::DetectedCorrupt(
-                "integrity root mismatch: counter region does not match the trusted root".into(),
-            ));
-        }
-        Ok(rebuild)
+        Ok(rec)
     }
 
-    /// Transient-read retries performed so far.
+    /// Transient-read retries performed so far: the tree rebuild's plus
+    /// those of every read since (the Osiris scan's are not counted).
     pub fn read_retries(&self) -> u64 {
         self.read_retries
     }
 
     /// Modeled recovery-time cost, in cycles, of the integrity-tree
-    /// rebuild the checked constructors performed (0 for unchecked
-    /// builds or images without a root): persisted lines read at
-    /// 126 cycles each plus node hashes at 40 cycles each.
+    /// rebuild (0 for images without a root and for Osiris machines):
+    /// persisted lines read at 126 cycles each plus node hashes at 40
+    /// cycles each.
     pub fn recovery_cycles(&self) -> u64 {
-        self.recovery_cycles
+        self.tree.recovery_cycles()
     }
 
     /// Reads answered with poison (or writes skipped) because the media
-    /// reported an uncorrectable error.
+    /// reported an uncorrectable error or a counter could not advance.
     pub fn media_failures(&self) -> u64 {
         self.media_failures
     }
 
-    /// Checked data-line read: retries transients, returns `None` after
-    /// an uncorrectable error (counted in `media_failures`).
-    fn checked_data_read(&mut self, line: LineAddr) -> Option<LineData> {
-        let mut attempt = 0u32;
-        loop {
-            match self.store.read_data_checked(line) {
-                Ok(d) => return Some(d),
-                Err(MediaError::Transient) if attempt < READ_RETRY_LIMIT => {
-                    attempt += 1;
-                    self.read_retries += 1;
-                }
-                Err(_) => {
-                    self.media_failures += 1;
-                    return None;
-                }
-            }
-        }
+    /// What the integrity-tree rebuild did, summed over channels (all
+    /// zeros when no channel carried a root or on an Osiris machine).
+    pub fn tree_rebuild(&self) -> &TreeRebuild {
+        &self.tree
     }
 
-    /// Checked counter-line read; same policy as data lines.
-    fn checked_counter_read(&mut self, page: PageId) -> Option<LineData> {
-        let mut attempt = 0u32;
-        loop {
-            match self.store.read_counter_checked(page) {
-                Ok(d) => return Some(d),
-                Err(MediaError::Transient) if attempt < READ_RETRY_LIMIT => {
-                    attempt += 1;
-                    self.read_retries += 1;
-                }
-                Err(_) => {
-                    self.media_failures += 1;
-                    return None;
-                }
-            }
+    /// What the Osiris counter reconstruction did (all zeros on a
+    /// machine without `Config::osiris_window`).
+    pub fn osiris_report(&self) -> &OsirisReport {
+        &self.osiris
+    }
+
+    /// Checked media read on the merged store: retries transients,
+    /// returns `None` after an uncorrectable error (counted in
+    /// `media_failures`).
+    fn checked_read(
+        &mut self,
+        mut read: impl FnMut(&mut NvmStore) -> Result<LineData, MediaError>,
+    ) -> Option<LineData> {
+        let store = &mut self.store;
+        let line = read_retrying(&mut self.read_retries, || read(store)).ok();
+        if line.is_none() {
+            self.media_failures += 1;
         }
+        line
     }
 
     fn read_line_plain(&mut self, line: LineAddr) -> LineData {
-        let Some(cipher) = self.checked_data_read(line) else {
+        let Some(cipher) = self.checked_read(|s| s.read_data_checked(line)) else {
             return [0; 64];
         };
         if !self.encryption {
@@ -356,7 +304,7 @@ impl RecoveredMemory {
         }
         let page = self.map.page_of_line(line);
         let idx = self.map.line_index_in_page(line);
-        let Some(raw) = self.checked_counter_read(page) else {
+        let Some(raw) = self.checked_read(|s| s.read_counter_checked(page)) else {
             return [0; 64];
         };
         let ctr = CounterLine::decode(&raw);
@@ -371,15 +319,23 @@ impl RecoveredMemory {
         }
         let page = self.map.page_of_line(line);
         let idx = self.map.line_index_in_page(line);
-        let Some(raw) = self.checked_counter_read(page) else {
+        let Some(raw) = self.checked_read(|s| s.read_counter_checked(page)) else {
             return; // counter unreadable: cannot re-encrypt, skip the write
         };
         let mut ctr = CounterLine::decode(&raw);
-        if ctr.increment(idx) == supermem_crypto::IncrementOutcome::Overflow {
-            self.reencrypt_page_functional(page, &mut ctr);
+        if ctr.increment(idx) == IncrementOutcome::Overflow {
+            let Some(major) = ctr.major().checked_add(1) else {
+                // A major counter no live controller reaches: the page
+                // cannot be re-keyed, so skip the write like an
+                // unreadable counter.
+                self.media_failures += 1;
+                return;
+            };
+            self.reencrypt_page_functional(page, &ctr, major);
+            ctr = CounterLine::with_major(major);
             assert!(matches!(
                 ctr.increment(idx),
-                supermem_crypto::IncrementOutcome::Incremented(_)
+                IncrementOutcome::Incremented(_)
             ));
         }
         let cipher = self
@@ -389,19 +345,90 @@ impl RecoveredMemory {
         self.store.write_counter(page, ctr.encode());
     }
 
-    fn reencrypt_page_functional(&mut self, page: PageId, ctr: &mut CounterLine) {
-        let old = ctr.clone();
-        ctr.bump_major();
+    /// Re-encrypts every line of `page` from `old` to `(major, 0)`.
+    fn reencrypt_page_functional(&mut self, page: PageId, old: &CounterLine, major: u64) {
         for idx in 0..self.map.lines_per_page() as usize {
             let line = self.map.line_in_page(page, idx);
             let cipher = self.store.read_data(line);
             let plain = self
                 .engine
                 .decrypt_line(&cipher, line.0, old.major(), old.minor(idx));
-            self.store.write_data(
-                line,
-                self.engine.encrypt_line(&plain, line.0, ctr.major(), 0),
-            );
+            self.store
+                .write_data(line, self.engine.encrypt_line(&plain, line.0, major, 0));
+        }
+    }
+
+    /// Osiris counter reconstruction: for every written data line,
+    /// trial-decrypts under candidate minors `stored..stored + window`
+    /// and accepts the one matching the line's ECC tag, then rewrites
+    /// the corrected counter lines.
+    ///
+    /// Scan reads go through the checked media path, but outside the
+    /// `read_retries`/`media_failures` accounting: a data line the media
+    /// cannot produce counts as unrecoverable, and an unreadable counter
+    /// line makes every trial for its page fail, with the same effect.
+    fn osiris_scan(&mut self, window: u8) {
+        let Self {
+            store,
+            map,
+            engine,
+            osiris: report,
+            ..
+        } = self;
+        let mut uncounted = 0;
+        // Group written lines by page so each counter line is decoded and
+        // rewritten once.
+        let mut current_page: Option<(PageId, CounterLine, bool)> = None;
+        for line in store.data_lines() {
+            let page = map.page_of_line(line);
+            if current_page.as_ref().is_none_or(|(p, _, _)| *p != page) {
+                if let Some((p, ctr, true)) = current_page.take() {
+                    store.write_counter(p, ctr.encode());
+                }
+                // An unreadable counter line decodes as zeroes: every trial
+                // for this page misses its tag and counts unrecoverable.
+                let raw = read_retrying(&mut uncounted, || store.read_counter_checked(page))
+                    .unwrap_or([0; 64]);
+                current_page = Some((page, CounterLine::decode(&raw), false));
+            }
+            let Some((_, ctr, changed)) = current_page.as_mut() else {
+                unreachable!("page context set above");
+            };
+            report.lines_scanned += 1;
+            let tag = store.read_tag(line);
+            if tag == 0 {
+                continue; // never written through the Osiris path
+            }
+            let idx = map.line_index_in_page(line);
+            let Ok(cipher) = read_retrying(&mut uncounted, || store.read_data_checked(line)) else {
+                report.unrecoverable_lines += 1;
+                continue;
+            };
+            let stored = ctr.minor(idx);
+            let mut found = false;
+            for delta in 0..=window {
+                let candidate = stored.saturating_add(delta);
+                if candidate >= 128 {
+                    break;
+                }
+                report.trial_decryptions += 1;
+                let plain = engine.decrypt_line(&cipher, line.0, ctr.major(), candidate);
+                if supermem_crypto::line_tag(&plain) == tag {
+                    if candidate != stored {
+                        ctr.set_minor(idx, candidate);
+                        *changed = true;
+                        report.counters_corrected += 1;
+                    }
+                    found = true;
+                    break;
+                }
+            }
+            if !found {
+                report.unrecoverable_lines += 1;
+            }
+        }
+        if let Some((p, ctr, true)) = current_page {
+            store.write_counter(p, ctr.encode());
         }
     }
 
@@ -446,7 +473,54 @@ impl PMem for RecoveredMemory {
     fn sfence(&mut self) {}
 }
 
-/// Result of an Osiris-style counter reconstruction pass.
+/// Finishes the page re-encryption an RSR recorded as in flight: done
+/// lines already decrypt under `(old_major + 1, 0)`, the rest still
+/// decrypt with the old counter line the controller left untouched;
+/// everything is rewritten under the new epoch and the counter line
+/// reset (paper §3.4.4).
+///
+/// # Errors
+///
+/// [`RecoveryError::Unrecoverable`] for an RSR no controller writes: a
+/// page outside the NVM, or an old major counter that cannot advance.
+fn complete_rsr(
+    map: &AddressMap,
+    engine: &EncryptionEngine,
+    store: &mut NvmStore,
+    rsr: &Rsr,
+) -> Result<(), RecoveryError> {
+    let page = rsr.page();
+    if page.0 >= map.pages() {
+        return Err(RecoveryError::Unrecoverable(format!(
+            "RSR names page {}, outside the {}-page NVM",
+            page.0,
+            map.pages()
+        )));
+    }
+    let Some(new_major) = rsr.old_major().checked_add(1) else {
+        return Err(RecoveryError::Unrecoverable(format!(
+            "RSR of page {} holds old major {}, which cannot advance",
+            page.0,
+            rsr.old_major()
+        )));
+    };
+    let old = CounterLine::decode(&store.read_counter(page));
+    for idx in 0..map.lines_per_page() as usize {
+        let line = map.line_in_page(page, idx);
+        let cipher = store.read_data(line);
+        let plain = if rsr.is_done(idx) {
+            engine.decrypt_line(&cipher, line.0, new_major, 0)
+        } else {
+            engine.decrypt_line(&cipher, line.0, old.major(), old.minor(idx))
+        };
+        store.write_data(line, engine.encrypt_line(&plain, line.0, new_major, 0));
+    }
+    store.write_counter(page, CounterLine::with_major(new_major).encode());
+    Ok(())
+}
+
+/// Result of an Osiris-style counter reconstruction pass
+/// ([`RecoveredMemory::osiris_report`]).
 ///
 /// The interesting cost metric is `trial_decryptions`: real hardware
 /// performs one AES + ECC check per trial, and the scan visits every
@@ -466,124 +540,8 @@ pub struct OsirisReport {
     pub unrecoverable_lines: u64,
 }
 
-/// Checked read with the standard retry budget; `None` marks the line
-/// as lost to the Osiris scan.
-fn scan_read<F>(mut read: F) -> Option<LineData>
-where
-    F: FnMut() -> Result<LineData, MediaError>,
-{
-    let mut attempt = 0u32;
-    loop {
-        match read() {
-            Ok(d) => return Some(d),
-            Err(MediaError::Transient) if attempt < READ_RETRY_LIMIT => attempt += 1,
-            Err(_) => return None,
-        }
-    }
-}
-
-/// Reconstructs stale counters after a crash of an Osiris-style system
-/// (`Config::osiris_window` must be set): for every written data line,
-/// trial-decrypts under candidate minors `stored..stored + window` and
-/// accepts the one matching the line's ECC tag, then rewrites the
-/// corrected counter lines into the image.
-///
-/// All scan reads go through the checked media path: a data line the
-/// media cannot produce counts as unrecoverable; an unreadable counter
-/// line makes every trial for its page fail, with the same effect.
-///
-/// Returns the consistent [`RecoveredMemory`] plus the cost report.
-///
-/// # Errors
-///
-/// [`RecoveryError::Config`] if the configuration has no Osiris window
-/// (nothing to recover — use [`RecoveredMemory::from_image`] directly).
-pub fn recover_osiris(
-    cfg: &Config,
-    image: CrashImage,
-) -> Result<(RecoveredMemory, OsirisReport), RecoveryError> {
-    let Some(window) = cfg.osiris_window else {
-        return Err(RecoveryError::Config(
-            "recover_osiris requires Config::osiris_window".into(),
-        ));
-    };
-    let map = AddressMap::new(cfg.nvm_bytes, cfg.line_bytes, cfg.page_bytes, cfg.banks);
-    let engine = EncryptionEngine::new(cfg.encryption_key());
-    let CrashImage { mut store, rsr, .. } = image;
-    let mut report = OsirisReport::default();
-
-    // Group written lines by page so each counter line is decoded and
-    // rewritten once.
-    let lines: Vec<LineAddr> = store.data_lines();
-    let mut current_page: Option<(PageId, CounterLine, bool)> = None;
-    for line in lines {
-        let page = map.page_of_line(line);
-        let needs_load = match &current_page {
-            Some((p, _, _)) => *p != page,
-            None => true,
-        };
-        if needs_load {
-            if let Some((p, ctr, true)) = current_page.take() {
-                store.write_counter(p, ctr.encode());
-            }
-            // An unreadable counter line decodes as zeroes: every trial
-            // for this page misses its tag and counts unrecoverable.
-            let raw = scan_read(|| store.read_counter_checked(page)).unwrap_or([0; 64]);
-            current_page = Some((page, CounterLine::decode(&raw), false));
-        }
-        let Some((_, ctr, changed)) = current_page.as_mut() else {
-            unreachable!("page context set by the needs_load branch above");
-        };
-        report.lines_scanned += 1;
-        let tag = store.read_tag(line);
-        if tag == 0 {
-            continue; // never written through the Osiris path
-        }
-        let idx = map.line_index_in_page(line);
-        let Some(cipher) = scan_read(|| store.read_data_checked(line)) else {
-            report.unrecoverable_lines += 1;
-            continue;
-        };
-        let stored = ctr.minor(idx);
-        let mut found = false;
-        for delta in 0..=window {
-            let candidate = stored.saturating_add(delta);
-            if candidate >= 128 {
-                break;
-            }
-            report.trial_decryptions += 1;
-            let plain = engine.decrypt_line(&cipher, line.0, ctr.major(), candidate);
-            if supermem_crypto::line_tag(&plain) == tag {
-                if candidate != stored {
-                    ctr.set_minor(idx, candidate);
-                    *changed = true;
-                    report.counters_corrected += 1;
-                }
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            report.unrecoverable_lines += 1;
-        }
-    }
-    if let Some((p, ctr, true)) = current_page {
-        store.write_counter(p, ctr.encode());
-    }
-    let rec = RecoveredMemory::from_image(
-        cfg,
-        CrashImage {
-            store,
-            rsr,
-            bmt_root: None,
-        },
-    );
-    Ok((rec, report))
-}
-
-/// Cost and outcome report of one crash-image tree rebuild — the typed
-/// result both the checked constructors and [`verify_image_integrity`]
-/// share.
+/// Cost report of the crash-image tree rebuild
+/// ([`RecoveredMemory::tree_rebuild`]), summed over channels.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TreeRebuild {
     /// Counter lines read back to reconstruct leaf digests (0 when the
@@ -596,48 +554,20 @@ pub struct TreeRebuild {
     pub nodes_recomputed: u64,
     /// Transient-read retries spent on the rebuild's media reads.
     pub read_retries: u64,
-    /// Modeled rebuild cost: 126 cycles per line read back (one NVM
-    /// array read) plus 40 cycles per node hash recomputed or audited.
-    pub recovery_cycles: u64,
-    /// Whether the recomputed root equals the trusted root register.
-    pub root_matches: bool,
-    /// A persisted level whose stored digests do not hash from the
-    /// level below (streaming frontier audit), if any.
-    pub level_mismatch: Option<usize>,
 }
 
-/// Checked media read with the standard retry budget; counts retries
-/// and maps an uncorrectable error into [`RecoveryError::DetectedCorrupt`]
-/// with `what` naming the victim.
-fn rebuild_read<F>(
-    mut read: F,
-    retries: &mut u64,
-    what: impl Fn() -> String,
-) -> Result<LineData, RecoveryError>
-where
-    F: FnMut() -> Result<LineData, MediaError>,
-{
-    let mut attempt = 0u32;
-    loop {
-        match read() {
-            Ok(d) => return Ok(d),
-            Err(MediaError::Transient) if attempt < READ_RETRY_LIMIT => {
-                attempt += 1;
-                *retries += 1;
-            }
-            Err(e) => {
-                return Err(RecoveryError::DetectedCorrupt(format!(
-                    "{} unreadable during integrity verification: {e}",
-                    what()
-                )))
-            }
-        }
+impl TreeRebuild {
+    /// Modeled rebuild cost: 126 cycles per line read back (one NVM
+    /// array read) plus 40 cycles per node hash recomputed or audited.
+    pub fn recovery_cycles(&self) -> u64 {
+        (self.counter_lines_checked + self.persisted_lines_installed) * RECOVERY_LINE_READ_CYCLES
+            + self.nodes_recomputed * RECOVERY_NODE_HASH_CYCLES
     }
 }
 
-/// The shared rebuild-and-compare core: reconstructs the integrity tree
-/// over one crash image through the checked media path and compares the
-/// result against the trusted root register.
+/// Rebuilds the integrity tree over one channel's store through the
+/// checked media path, adds its cost to `rep`, and checks the result
+/// against the trusted root register.
 ///
 /// In eager mode (and at `persisted_levels = 0`) every leaf digest is
 /// rebuilt from its persisted counter line and the whole tree is
@@ -651,14 +581,20 @@ where
 ///
 /// [`RecoveryError::DetectedCorrupt`] when a counter or tree-node line
 /// is unreadable (uncorrectable ECC damage, lost line, retry
-/// exhaustion); [`RecoveryError::Config`] when the configuration cannot
-/// host a tree at all.
+/// exhaustion), a persisted level does not hash from its children, or
+/// the root mismatches; [`RecoveryError::Config`] when the configuration
+/// cannot host a tree at all.
 fn rebuild_image_tree(
     cfg: &Config,
-    image: &mut CrashImage,
+    store: &mut NvmStore,
     root: u64,
-) -> Result<TreeRebuild, RecoveryError> {
-    let mut rep = TreeRebuild::default();
+    rep: &mut TreeRebuild,
+) -> Result<(), RecoveryError> {
+    let unreadable = |what: String, e: MediaError| {
+        RecoveryError::DetectedCorrupt(format!(
+            "{what} unreadable during integrity verification: {e}"
+        ))
+    };
     let mut bmt = match supermem_integrity::Bmt::new(cfg.encryption_key(), cfg.integrity_pages) {
         Ok(b) => b,
         Err(e) => return Err(RecoveryError::Config(format!("integrity tree: {e}"))),
@@ -670,34 +606,25 @@ fn rebuild_image_tree(
     };
     if frontier == 0 {
         // Leaves from the (always-persisted) counter lines themselves.
-        let pages: Vec<PageId> = image
-            .store
-            .counter_lines()
-            .into_iter()
-            .filter(|p| p.0 < cfg.integrity_pages)
-            .collect();
-        for page in pages {
-            let raw = rebuild_read(
-                || image.store.read_counter_checked(page),
-                &mut rep.read_retries,
-                || format!("counter line of page {}", page.0),
-            )?;
+        for page in store.counter_lines() {
+            if page.0 >= cfg.integrity_pages {
+                continue;
+            }
+            let raw = read_retrying(&mut rep.read_retries, || store.read_counter_checked(page))
+                .map_err(|e| unreadable(format!("counter line of page {}", page.0), e))?;
             bmt.set_leaf(page.0, &raw);
             rep.counter_lines_checked += 1;
             rep.nodes_recomputed += 1; // the leaf digest hash
         }
     } else {
         // Persisted levels come back from the tree region.
-        for id in image.store.tree_lines() {
+        for id in store.tree_lines() {
             let level = supermem_integrity::tree_line_level(id) as usize;
             if level >= frontier {
                 continue; // stale line from a deeper former frontier
             }
-            let raw = rebuild_read(
-                || image.store.read_tree_checked(id),
-                &mut rep.read_retries,
-                || format!("tree node line {id:#x}"),
-            )?;
+            let raw = read_retrying(&mut rep.read_retries, || store.read_tree_checked(id))
+                .map_err(|e| unreadable(format!("tree node line {id:#x}"), e))?;
             bmt.install_node_line(level, supermem_integrity::tree_line_group(id), &raw);
             rep.persisted_lines_installed += 1;
         }
@@ -707,55 +634,20 @@ fn rebuild_image_tree(
         for level in 1..frontier {
             let (hashes, clean) = bmt.audit_level(level);
             rep.nodes_recomputed += hashes;
-            if !clean && rep.level_mismatch.is_none() {
-                rep.level_mismatch = Some(level);
+            if !clean {
+                return Err(RecoveryError::DetectedCorrupt(format!(
+                    "persisted tree level {level} does not match its children"
+                )));
             }
         }
     }
     rep.nodes_recomputed += bmt.recompute_from_level(frontier.max(1));
-    rep.root_matches = rep.level_mismatch.is_none() && bmt.root() == root;
-    rep.recovery_cycles = (rep.counter_lines_checked + rep.persisted_lines_installed)
-        * RECOVERY_LINE_READ_CYCLES
-        + rep.nodes_recomputed * RECOVERY_NODE_HASH_CYCLES;
-    Ok(rep)
-}
-
-/// Active-tampering verdict for a crash image (see
-/// [`verify_image_integrity`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IntegrityVerdict {
-    /// The image's counter region matches the trusted root register.
-    Clean {
-        /// The rebuild's cost report.
-        rebuild: TreeRebuild,
-    },
-    /// The recomputed root diverges: the DIMM was modified behind the
-    /// controller's back (or rolled back to stale contents).
-    Tampered,
-}
-
-/// Rebuilds the integrity tree over a crash image through the checked
-/// media path and compares it with the trusted root register that
-/// survived the crash.
-///
-/// # Errors
-///
-/// Returns `Err` if the image carries no root (the system ran without
-/// `Config::integrity_tree`) or a rebuild read hit uncorrectable media
-/// damage.
-pub fn verify_image_integrity(
-    cfg: &Config,
-    image: &mut CrashImage,
-) -> Result<IntegrityVerdict, String> {
-    let Some(root) = image.bmt_root else {
-        return Err("image has no integrity root: enable Config::integrity_tree".into());
-    };
-    let rebuild = rebuild_image_tree(cfg, image, root).map_err(|e| e.to_string())?;
-    if rebuild.root_matches {
-        Ok(IntegrityVerdict::Clean { rebuild })
-    } else {
-        Ok(IntegrityVerdict::Tampered)
+    if bmt.root() != root {
+        return Err(RecoveryError::DetectedCorrupt(
+            "integrity root mismatch: counter region does not match the trusted root".into(),
+        ));
     }
+    Ok(())
 }
 
 /// Scans the log region at `log_base` and rolls back an uncommitted
@@ -833,12 +725,21 @@ mod tests {
         Config::default()
     }
 
+    /// Recovers a bare controller's image as a one-channel machine.
+    fn recover(cfg: &Config, image: CrashImage) -> RecoveredMemory {
+        RecoveredMemory::from_machine_image_checked(cfg, image.into()).expect("image recovers")
+    }
+
+    fn recover_err(cfg: &Config, image: CrashImage) -> RecoveryError {
+        RecoveredMemory::from_machine_image_checked(cfg, image.into()).unwrap_err()
+    }
+
     #[test]
     fn reads_decrypt_flushed_data() {
         let mut mc = MemoryController::new(&cfg());
         let t = mc.flush_line(LineAddr(0x40), [0xAB; 64], 0);
         mc.flush_line(LineAddr(0x80), [0xCD; 64], t);
-        let mut rec = RecoveredMemory::from_image(&cfg(), mc.crash_now());
+        let mut rec = recover(&cfg(), mc.crash_now());
         let mut buf = [0u8; 128];
         rec.read(0x40, &mut buf);
         assert_eq!(&buf[..64], &[0xAB; 64]);
@@ -849,7 +750,7 @@ mod tests {
     fn writes_reencrypt_consistently() {
         let mut mc = MemoryController::new(&cfg());
         mc.flush_line(LineAddr(0x100), [1; 64], 0);
-        let mut rec = RecoveredMemory::from_image(&cfg(), mc.crash_now());
+        let mut rec = recover(&cfg(), mc.crash_now());
         rec.write(0x110, &[9, 9, 9]);
         let mut buf = [0u8; 64];
         rec.read(0x100, &mut buf);
@@ -862,7 +763,7 @@ mod tests {
     #[test]
     fn functional_write_handles_minor_overflow() {
         let cfg = cfg();
-        let mut rec = RecoveredMemory::from_image(&cfg, MemoryController::new(&cfg).crash_now());
+        let mut rec = recover(&cfg, MemoryController::new(&cfg).crash_now());
         // Initialize the neighbor so we can check it survives re-keying.
         rec.write(64, &[5u8; 8]);
         for i in 0..200u32 {
@@ -882,7 +783,7 @@ mod tests {
         c.encryption = false;
         let mut mc = MemoryController::new(&c);
         mc.flush_line(LineAddr(0), [3; 64], 0);
-        let mut rec = RecoveredMemory::from_image(&c, mc.crash_now());
+        let mut rec = recover(&c, mc.crash_now());
         let mut buf = [0u8; 8];
         rec.read(0, &mut buf);
         assert_eq!(buf, [3; 8]);
@@ -890,32 +791,58 @@ mod tests {
         assert_eq!(rec.store().read_data(LineAddr(0))[0], 4, "plaintext store");
     }
 
-    #[test]
-    fn completes_interrupted_reencryption_via_rsr() {
-        let cfg = cfg();
-        let mut mc = MemoryController::new(&cfg);
-        // Seed two lines, then overflow line 0's minor counter with an
-        // armed crash in the middle of the page rewrite.
+    /// Writes a bystander line at 64, overflows line 0's minor counter
+    /// and crashes `appends` appends into the page re-encryption.
+    fn crash_mid_reencryption(cfg: &Config, appends: u64) -> CrashImage {
+        let mut mc = MemoryController::new(cfg);
         let mut t = mc.flush_line(LineAddr(64), [0x77; 64], 0);
         for i in 0..127u64 {
             t = mc.flush_line(LineAddr(0), [i as u8; 64], t);
         }
-        // Next flush overflows and starts re-encryption; crash after a
-        // handful of the 64 rewrites.
-        mc.arm_crash_after_appends(10);
+        // The next flush overflows and starts the re-encryption.
+        mc.arm_crash_after_appends(appends);
         mc.flush_line(LineAddr(0), [0xFF; 64], t);
         let image = mc.take_crash_image().expect("crash fired mid-reencryption");
         assert!(image.rsr.is_some(), "RSR must be live in the image");
-        let mut rec = RecoveredMemory::from_image(&cfg, image);
+        image
+    }
+
+    /// Both lines of [`crash_mid_reencryption`] read back one of their
+    /// consistent versions.
+    fn assert_consistent_after_reencryption_crash(rec: &mut RecoveredMemory, what: &str) {
         let mut buf = [0u8; 64];
         rec.read(64, &mut buf);
-        assert_eq!(buf, [0x77; 64], "bystander line survives the crash");
+        assert_eq!(buf, [0x77; 64], "{what}: bystander line survives the crash");
         rec.read(0, &mut buf);
         // Line 0 is either the pre-overflow value (126) or the new one.
         assert!(
             buf == [126; 64] || buf == [0xFF; 64],
-            "hot line must be one of its two consistent versions"
+            "{what}: hot line must be one of its two consistent versions"
         );
+    }
+
+    #[test]
+    fn completes_interrupted_reencryption_via_rsr() {
+        let cfg = cfg();
+        let mut rec = recover(&cfg, crash_mid_reencryption(&cfg, 10));
+        assert_consistent_after_reencryption_crash(&mut rec, "strict counters");
+    }
+
+    /// The RSR is completed before the Osiris scan, so the lines the
+    /// interrupted re-encryption already rewrote under the new major
+    /// are not mistaken for unrecoverable ones.
+    #[test]
+    fn osiris_crash_mid_reencryption_reports_no_damage() {
+        let cfg = osiris_cfg();
+        for appends in [2, 5, 10, 20, 40, 60] {
+            let mut rec = recover(&cfg, crash_mid_reencryption(&cfg, appends));
+            assert_eq!(
+                rec.osiris_report().unrecoverable_lines,
+                0,
+                "crash after {appends} appends"
+            );
+            assert_consistent_after_reencryption_crash(&mut rec, &format!("{appends} appends"));
+        }
     }
 
     fn osiris_cfg() -> Config {
@@ -941,14 +868,19 @@ mod tests {
         }
         let image = mc.crash_now();
         // Without reconstruction the line is garbage...
-        let mut naive = RecoveredMemory::from_image(&cfg, image.clone());
+        let no_scan = Config {
+            osiris_window: None,
+            ..cfg.clone()
+        };
+        let mut naive = recover(&no_scan, image.clone());
         let mut buf = [0u8; 64];
         naive.read(0x40, &mut buf);
         assert_ne!(buf, [3u8; 64], "stale counter must not decrypt");
         // ...with Osiris reconstruction it comes back.
-        let (mut rec, report) = super::recover_osiris(&cfg, image).expect("window is set");
+        let mut rec = recover(&cfg, image);
         rec.read(0x40, &mut buf);
         assert_eq!(buf, [3u8; 64]);
+        let report = rec.osiris_report();
         assert_eq!(report.counters_corrected, 1);
         assert_eq!(report.unrecoverable_lines, 0);
         assert!(report.trial_decryptions >= 4, "search cost must show up");
@@ -964,8 +896,7 @@ mod tests {
             for i in 0..n {
                 t = mc.flush_line(LineAddr(i * 64), [i as u8; 64], t);
             }
-            let (_, report) = super::recover_osiris(&cfg, mc.crash_now()).expect("window is set");
-            report.lines_scanned
+            recover(&cfg, mc.crash_now()).osiris_report().lines_scanned
         };
         assert_eq!(lines_written(16), 16);
         assert_eq!(lines_written(64), 64);
@@ -979,27 +910,28 @@ mod tests {
         let mut mc = MemoryController::new(&cfg);
         let t = mc.flush_line(LineAddr(0x80), [9; 64], 0);
         mc.finish(t);
-        let (mut rec, report) = super::recover_osiris(&cfg, mc.crash_now()).expect("window is set");
-        assert_eq!(report.counters_corrected, 0);
-        assert_eq!(report.unrecoverable_lines, 0);
+        let mut rec = recover(&cfg, mc.crash_now());
+        assert_eq!(rec.osiris_report().counters_corrected, 0);
+        assert_eq!(rec.osiris_report().unrecoverable_lines, 0);
         let mut buf = [0u8; 64];
         rec.read(0x80, &mut buf);
         assert_eq!(buf, [9; 64]);
     }
 
     #[test]
-    fn osiris_recovery_without_window_is_a_config_error() {
+    fn osiris_report_is_zero_without_a_window() {
         let cfg = Config::default();
-        let mc = MemoryController::new(&cfg);
-        let err = super::recover_osiris(&cfg, mc.crash_now()).unwrap_err();
-        assert!(matches!(err, RecoveryError::Config(_)), "got {err:?}");
-        assert!(err.to_string().contains("osiris_window"));
+        let mut mc = MemoryController::new(&cfg);
+        let t = mc.flush_line(LineAddr(0x80), [9; 64], 0);
+        mc.finish(t);
+        let rec = recover(&cfg, mc.crash_now());
+        assert_eq!(rec.osiris_report(), &OsirisReport::default());
     }
 
     #[test]
     fn recovery_of_fresh_memory_reports_nolog() {
         let cfg = cfg();
-        let mut rec = RecoveredMemory::from_image(&cfg, MemoryController::new(&cfg).crash_now());
+        let mut rec = recover(&cfg, MemoryController::new(&cfg).crash_now());
         assert_eq!(
             recover_transactions(&mut rec, 0x10000),
             Ok(RecoveryOutcome::NoLog)
@@ -1013,7 +945,7 @@ mod tests {
             STATE_VALID,
         };
         let cfg = cfg();
-        let mut rec = RecoveredMemory::from_image(&cfg, MemoryController::new(&cfg).crash_now());
+        let mut rec = recover(&cfg, MemoryController::new(&cfg).crash_now());
         let log = 0x20000u64;
         // Data was "mutated" to 9s; the log says it used to be 1s.
         rec.write(0x100, &[9; 16]);
@@ -1047,7 +979,7 @@ mod tests {
     fn bad_checksum_is_a_torn_log() {
         use crate::log::{LOG_MAGIC, STATE_VALID};
         let cfg = cfg();
-        let mut rec = RecoveredMemory::from_image(&cfg, MemoryController::new(&cfg).crash_now());
+        let mut rec = recover(&cfg, MemoryController::new(&cfg).crash_now());
         let log = 0x30000u64;
         rec.write_u64(log, LOG_MAGIC);
         rec.write_u64(log + 8, 1);
@@ -1063,7 +995,7 @@ mod tests {
     fn insane_state_is_a_torn_log() {
         use crate::log::LOG_MAGIC;
         let cfg = cfg();
-        let mut rec = RecoveredMemory::from_image(&cfg, MemoryController::new(&cfg).crash_now());
+        let mut rec = recover(&cfg, MemoryController::new(&cfg).crash_now());
         let log = 0x40000u64;
         rec.write_u64(log, LOG_MAGIC);
         rec.write_u64(log + 16, 77);
@@ -1087,6 +1019,58 @@ mod tests {
         }
     }
 
+    #[test]
+    fn an_image_without_channels_is_refused() {
+        let machine = MachineCrashImage { channels: vec![] };
+        let err = RecoveredMemory::from_machine_image_checked(&cfg(), machine).unwrap_err();
+        assert!(matches!(err, RecoveryError::Config(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn an_rsr_whose_major_cannot_advance_is_refused() {
+        let cfg = cfg();
+        let mut image = MemoryController::new(&cfg).crash_now();
+        image.rsr = Some(Rsr::new(PageId(0), u64::MAX));
+        let err = recover_err(&cfg, image);
+        assert!(
+            matches!(err, RecoveryError::Unrecoverable(_)),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn an_rsr_outside_the_nvm_is_refused() {
+        let cfg = cfg();
+        let mut image = MemoryController::new(&cfg).crash_now();
+        image.rsr = Some(Rsr::new(PageId(u64::MAX), 0));
+        let err = recover_err(&cfg, image);
+        assert!(
+            matches!(err, RecoveryError::Unrecoverable(_)),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn a_write_that_would_overflow_the_major_counter_is_skipped_and_counted() {
+        let cfg = cfg();
+        let mut mc = MemoryController::new(&cfg);
+        let t = mc.flush_line(LineAddr(0), [1; 64], 0);
+        mc.finish(t);
+        let mut image = mc.crash_now();
+        let mut exhausted = CounterLine::with_major(u64::MAX);
+        exhausted.set_minor(0, 127);
+        image.store.write_counter(PageId(0), exhausted.encode());
+        let before = image.store.read_data(LineAddr(0));
+        let mut rec = recover(&cfg, image);
+        rec.write(0, &[2; 8]);
+        assert_eq!(
+            rec.media_failures(),
+            1,
+            "the skipped write is a detection signal"
+        );
+        assert_eq!(rec.store().read_data(LineAddr(0)), before, "write skipped");
+    }
+
     fn integrity_cfg() -> Config {
         Config {
             integrity_tree: true,
@@ -1100,12 +1084,12 @@ mod tests {
         let mut mc = MemoryController::new(&cfg);
         let t = mc.flush_line(LineAddr(0x40), [0xAA; 64], 0);
         mc.finish(t);
-        let image = mc.crash_now();
-        let mut rec = RecoveredMemory::from_image_checked(&cfg, image).expect("clean image");
+        let mut rec = recover(&cfg, mc.crash_now());
         let mut buf = [0u8; 8];
         rec.read(0x40, &mut buf);
         assert_eq!(buf, [0xAA; 8]);
         assert_eq!(rec.media_failures(), 0);
+        assert!(rec.tree_rebuild().counter_lines_checked > 0);
     }
 
     #[test]
@@ -1125,7 +1109,7 @@ mod tests {
         let mut raw = image.store.read_counter(page);
         raw[0] ^= 0xFF;
         image.store.write_counter(page, raw);
-        let err = RecoveredMemory::from_image_checked(&cfg, image).unwrap_err();
+        let err = recover_err(&cfg, image);
         assert!(
             matches!(err, RecoveryError::DetectedCorrupt(_)),
             "got {err:?}"
@@ -1155,7 +1139,7 @@ mod tests {
         plan.flip_counter_bit(page, 3);
         plan.flip_counter_bit(page, 200);
         image.store.attach_faults(plan);
-        let err = RecoveredMemory::from_image_checked(&cfg, image).unwrap_err();
+        let err = recover_err(&cfg, image);
         assert!(
             matches!(err, RecoveryError::DetectedCorrupt(_)),
             "got {err:?}"
@@ -1177,7 +1161,7 @@ mod tests {
         });
         plan.fail_data_reads(LineAddr(0x40), 2);
         image.store.attach_faults(plan);
-        let mut rec = RecoveredMemory::from_image(&cfg, image);
+        let mut rec = recover(&cfg, image);
         let mut buf = [0u8; 8];
         rec.read(0x40, &mut buf);
         assert_eq!(buf, [0x5A; 8], "retries must recover the line");
@@ -1199,7 +1183,7 @@ mod tests {
         });
         plan.note_lost_data(LineAddr(0x40));
         image.store.attach_faults(plan);
-        let mut rec = RecoveredMemory::from_image(&cfg, image);
+        let mut rec = recover(&cfg, image);
         let mut buf = [0u8; 8];
         rec.read(0x40, &mut buf);
         assert_eq!(buf, [0; 8], "lost lines read as poison");
@@ -1214,7 +1198,7 @@ mod tests {
         }
     }
 
-    fn streaming_image(levels: u32) -> (Config, supermem_memctrl::CrashImage) {
+    fn streaming_image(levels: u32) -> (Config, CrashImage) {
         let cfg = streaming_cfg(levels);
         let mut mc = MemoryController::new(&cfg);
         let mut t = 0;
@@ -1228,8 +1212,7 @@ mod tests {
     #[test]
     fn streaming_recovery_rebuilds_from_the_persisted_frontier() {
         let (cfg, image) = streaming_image(2);
-        let mut rec =
-            RecoveredMemory::from_image_checked(&cfg, image).expect("clean streaming image");
+        let mut rec = recover(&cfg, image);
         assert!(rec.recovery_cycles() > 0, "rebuild cost must be accounted");
         let mut buf = [0u8; 8];
         rec.read(5 * 4096, &mut buf);
@@ -1238,35 +1221,22 @@ mod tests {
 
     #[test]
     fn streaming_verdict_reads_node_lines_not_counter_lines() {
-        let (cfg, mut image) = streaming_image(2);
-        let v = verify_image_integrity(&cfg, &mut image).expect("image has a root");
-        let IntegrityVerdict::Clean { rebuild } = v else {
-            panic!("clean image must verify, got {v:?}");
-        };
+        let (cfg, image) = streaming_image(2);
+        let rec = recover(&cfg, image);
+        let rebuild = rec.tree_rebuild();
         assert!(rebuild.persisted_lines_installed > 0);
         assert_eq!(
             rebuild.counter_lines_checked, 0,
             "a persisted leaf-digest level replaces the counter scan"
         );
-        assert!(rebuild.root_matches);
     }
 
     #[test]
     fn deeper_frontier_cuts_recovery_cycles() {
         // The Triad-NVM trade: persisting the leaf-digest level skips
         // hashing every counter line at rebuild time.
-        let (cfg0, mut i0) = streaming_image(0);
-        let (cfg2, mut i2) = streaming_image(2);
-        let cost =
-            |cfg: &Config, image: &mut supermem_memctrl::CrashImage| match verify_image_integrity(
-                cfg, image,
-            )
-            .expect("root present")
-            {
-                IntegrityVerdict::Clean { rebuild } => rebuild.recovery_cycles,
-                IntegrityVerdict::Tampered => panic!("clean image"),
-            };
-        assert!(cost(&cfg2, &mut i2) < cost(&cfg0, &mut i0));
+        let cost = |(cfg, image): (Config, CrashImage)| recover(&cfg, image).recovery_cycles();
+        assert!(cost(streaming_image(2)) < cost(streaming_image(0)));
     }
 
     /// The modeled rebuild cost is a function of the image alone: a
@@ -1276,13 +1246,7 @@ mod tests {
     fn tree_rebuild_report_does_not_depend_on_the_template_cache() {
         for levels in [0, 1, 2] {
             let (cfg, image) = streaming_image(levels);
-            let rebuild = || {
-                let mut image = image.clone();
-                match verify_image_integrity(&cfg, &mut image).expect("root present") {
-                    IntegrityVerdict::Clean { rebuild } => rebuild,
-                    IntegrityVerdict::Tampered => panic!("clean image"),
-                }
-            };
+            let rebuild = || recover(&cfg, image.clone()).tree_rebuild().clone();
             // This thread built the same tree for the controller above.
             let warm = rebuild();
             let (cold, displaced) = std::thread::scope(|s| {
@@ -1294,7 +1258,7 @@ mod tests {
                 .join()
                 .expect("rebuild thread")
             });
-            assert!(warm.nodes_recomputed > 0 && warm.recovery_cycles > 0);
+            assert!(warm.nodes_recomputed > 0 && warm.recovery_cycles() > 0);
             assert_eq!(cold, warm, "levels {levels}: cold template");
             assert_eq!(displaced, warm, "levels {levels}: displaced template");
             assert_eq!(rebuild(), warm, "levels {levels}: warm again");
@@ -1308,7 +1272,7 @@ mod tests {
         let mut raw = image.store.read_tree(id);
         raw[3] ^= 0x40;
         image.store.write_tree(id, raw);
-        let err = RecoveredMemory::from_image_checked(&cfg, image).unwrap_err();
+        let err = recover_err(&cfg, image);
         assert!(
             matches!(err, RecoveryError::DetectedCorrupt(_)),
             "got {err:?}"
@@ -1324,7 +1288,7 @@ mod tests {
             seed: 7,
         });
         assert!(struck.is_some(), "image must hold tree lines to strike");
-        let err = RecoveredMemory::from_image_checked(&cfg, image).unwrap_err();
+        let err = recover_err(&cfg, image);
         assert!(
             matches!(err, RecoveryError::DetectedCorrupt(_)),
             "got {err:?}"
@@ -1344,7 +1308,8 @@ mod tests {
             t = set.flush_line(LineAddr(addr), [ch as u8 + 1; 64], t);
         }
         set.finish(t);
-        let mut rec = RecoveredMemory::from_machine_image(&cfg, set.machine_crash_now());
+        let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, set.machine_crash_now())
+            .expect("clean image");
         for ch in 0..4u64 {
             let mut buf = [0u8; 8];
             rec.read(ch * cfg.page_bytes + 0x40, &mut buf);
@@ -1372,7 +1337,8 @@ mod tests {
             machine.channels.iter().any(|c| c.rsr.is_some()),
             "the overflow must leave an RSR in some channel"
         );
-        let mut rec = RecoveredMemory::from_machine_image(&cfg, machine);
+        let mut rec =
+            RecoveredMemory::from_machine_image_checked(&cfg, machine).expect("clean image");
         let mut buf = [0u8; 8];
         rec.read(cfg.page_bytes + 0x40, &mut buf);
         assert_eq!(buf, [0x77; 8], "the other channel's data must survive");

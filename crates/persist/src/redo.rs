@@ -310,8 +310,12 @@ mod crash_tests {
             let mut mem = base.clone();
             mem.controller_mut().arm_crash_after_appends(k);
             run_txn(&mut mem);
-            let image = mem.controller_mut().take_crash_image().expect("fired");
-            let mut rec = RecoveredMemory::from_image(&cfg, image);
+            let image = mem
+                .controller_mut()
+                .take_machine_crash_image()
+                .expect("fired");
+            let mut rec =
+                RecoveredMemory::from_machine_image_checked(&cfg, image).expect("recovers");
             recover_redo_transactions(&mut rec, LOG)
                 .unwrap_or_else(|e| panic!("crash point {k}: {e}"));
             let mut buf = [0u8; 256];
@@ -339,8 +343,11 @@ mod crash_tests {
         // Crash right after the commit point (log + header + flip).
         mem.controller_mut().arm_crash_after_appends(7);
         run_txn(&mut mem);
-        let image = mem.controller_mut().take_crash_image().expect("fired");
-        let mut rec = RecoveredMemory::from_image(&cfg, image);
+        let image = mem
+            .controller_mut()
+            .take_machine_crash_image()
+            .expect("fired");
+        let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, image).expect("recovers");
         let first = recover_redo_transactions(&mut rec, LOG).expect("clean media");
         let second = recover_redo_transactions(&mut rec, LOG).expect("clean media");
         assert!(matches!(first, RecoveryOutcome::RolledBack { .. }));

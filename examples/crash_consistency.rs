@@ -30,10 +30,10 @@ fn demo(name: &str, cfg: &Config) {
     mem.persist(ADDR, &NEW.to_le_bytes());
     let image = mem
         .controller_mut()
-        .take_crash_image()
+        .take_machine_crash_image()
         .expect("crash fired");
 
-    let mut rec = RecoveredMemory::from_image(cfg, image);
+    let mut rec = RecoveredMemory::from_machine_image_checked(cfg, image).expect("image recovers");
     let value = rec.read_u64(ADDR);
     let outcome = match value {
         OLD => "consistent (old value)".to_owned(),

@@ -34,8 +34,9 @@ fn main() {
     // durable root pointer and nodes decrypt through the persisted
     // counters.
     let cfg = sys.config().clone();
-    let image = sys.crash_now();
-    let mut recovered = RecoveredMemory::from_image(&cfg, image);
+    let image = sys.machine_crash_now();
+    let mut recovered =
+        RecoveredMemory::from_machine_image_checked(&cfg, image).expect("image recovers");
 
     // Functional re-read: walk a few keys by consulting the recovered
     // bytes directly (header at region start holds the root pointer).

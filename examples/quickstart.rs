@@ -34,7 +34,7 @@ fn main() {
     let raw = sys.controller().store().read_data(line);
     // (The line may still be queued; drain so the DIMM view is current.)
     let raw = if raw == [0u8; 64] {
-        let image = sys.crash_now();
+        let image = sys.machine_crash_now().merged();
         image.store.read_data(line)
     } else {
         raw
@@ -47,9 +47,10 @@ fn main() {
 
     // Power failure: volatile state is gone, the ADR domain survives,
     // and recovery decrypts with the persisted counters.
-    let image = sys.crash_now();
+    let image = sys.machine_crash_now();
     let cfg = sys.config().clone();
-    let mut recovered = RecoveredMemory::from_image(&cfg, image);
+    let mut recovered =
+        RecoveredMemory::from_machine_image_checked(&cfg, image).expect("image recovers");
     let mut buf = vec![0u8; message.len()];
     recovered.read(0x1000, &mut buf);
     assert_eq!(&buf, message);

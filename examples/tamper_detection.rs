@@ -51,8 +51,7 @@ fn main() {
 
     // The attack: rewind page 3's counter line to its fresh state (a
     // classic replay attack — re-serving old ciphertext+counter pairs).
-    let image = sys.crash_now();
-    let mut tampered = image.store.clone();
+    let mut tampered = sys.machine_crash_now().merged().store;
     tampered.write_counter(PageId(3), CounterLine::new().encode());
     let forged = tampered.read_counter(PageId(3));
     assert!(

@@ -4,7 +4,7 @@
 
 use supermem::crypto::CounterLine;
 use supermem::nvm::addr::PageId;
-use supermem::persist::{verify_image_integrity, IntegrityVerdict, PMem};
+use supermem::persist::{PMem, RecoveredMemory, RecoveryError, TreeRebuild};
 use supermem::sim::Config;
 use supermem::workloads::{WorkloadKind, WorkloadSpec};
 use supermem::{Experiment, Scheme, System};
@@ -25,13 +25,9 @@ fn clean_crash_image_verifies() {
     sys.sfence();
     sys.checkpoint();
     let cfg = sys.config().clone();
-    let mut image = sys.crash_now();
-    let verdict = verify_image_integrity(&cfg, &mut image).unwrap();
-    let IntegrityVerdict::Clean { rebuild } = verdict else {
-        panic!("clean image must verify, got {verdict:?}");
-    };
-    assert_eq!(rebuild.counter_lines_checked, 8);
-    assert!(rebuild.root_matches);
+    let rec = RecoveredMemory::from_machine_image_checked(&cfg, sys.machine_crash_now())
+        .unwrap_or_else(|e| panic!("clean image must verify, got {e}"));
+    assert_eq!(rec.tree_rebuild().counter_lines_checked, 8);
 }
 
 #[test]
@@ -42,16 +38,18 @@ fn counter_rollback_attack_is_detected() {
     sys.sfence();
     sys.checkpoint();
     let cfg = sys.config().clone();
-    let mut image = sys.crash_now();
+    let mut image = sys.machine_crash_now();
     // The attacker rewinds page 3's counter line to fresh (a replay of
     // old DIMM contents).
-    image
+    image.channels[0]
         .store
         .write_counter(PageId(3), CounterLine::new().encode());
-    assert_eq!(
-        verify_image_integrity(&cfg, &mut image).unwrap(),
-        IntegrityVerdict::Tampered
+    let err = RecoveredMemory::from_machine_image_checked(&cfg, image).unwrap_err();
+    assert!(
+        matches!(err, RecoveryError::DetectedCorrupt(_)),
+        "got {err:?}"
     );
+    assert!(err.to_string().contains("integrity root mismatch"));
 }
 
 #[test]
@@ -66,18 +64,16 @@ fn data_only_tampering_is_caught_by_decryption_not_tree() {
     sys.sfence();
     sys.checkpoint();
     let cfg = sys.config().clone();
-    let mut image = sys.crash_now();
+    let mut image = sys.machine_crash_now();
+    let store = &mut image.channels[0].store;
     let line = supermem::nvm::addr::LineAddr(0x3000);
-    let mut cipher = image.store.read_data(line);
+    let mut cipher = store.read_data(line);
     cipher[0] ^= 0xFF;
-    image.store.write_data(line, cipher);
+    store.write_data(line, cipher);
     // Tree still clean (counters untouched)...
-    assert!(matches!(
-        verify_image_integrity(&cfg, &mut image).unwrap(),
-        IntegrityVerdict::Clean { .. }
-    ));
+    let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, image)
+        .unwrap_or_else(|e| panic!("the tree guards only counters, got {e}"));
     // ...but the data no longer decrypts to what was written.
-    let mut rec = supermem::persist::RecoveredMemory::from_image(&cfg, image);
     let mut buf = [0u8; 64];
     rec.read(0x3000, &mut buf);
     assert_ne!(buf, [9u8; 64]);
@@ -111,9 +107,11 @@ fn verification_happens_on_counter_fetches_and_costs_little() {
 }
 
 #[test]
-fn unauthenticated_images_report_a_usable_error() {
+fn unauthenticated_images_recover_without_a_tree_rebuild() {
     let sys = System::new(Scheme::SuperMem.apply(Config::default()));
     let cfg = sys.config().clone();
-    let err = verify_image_integrity(&cfg, &mut sys.crash_now()).unwrap_err();
-    assert!(err.contains("integrity_tree"));
+    let rec = RecoveredMemory::from_machine_image_checked(&cfg, sys.machine_crash_now())
+        .unwrap_or_else(|e| panic!("an image without a root recovers, got {e}"));
+    assert_eq!(rec.tree_rebuild(), &TreeRebuild::default());
+    assert_eq!(rec.recovery_cycles(), 0);
 }

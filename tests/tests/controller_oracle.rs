@@ -69,8 +69,8 @@ fn controller_matches_oracle() {
             }
         }
         // Everything flushed is durable: crash and decrypt.
-        let image = mc.crash_now();
-        let mut rec = RecoveredMemory::from_image(&cfg, image);
+        let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, mc.crash_now().into())
+            .expect("image recovers");
         for (&line, &fill) in &oracle {
             let mut buf = [0u8; 64];
             rec.read(line, &mut buf);
@@ -105,7 +105,8 @@ fn overflow_boundary_is_oracle_clean() {
         assert_eq!(data, [seed; 64]);
         assert_eq!(mc.stats().pages_reencrypted, 1);
 
-        let mut rec = RecoveredMemory::from_image(&cfg, mc.crash_now());
+        let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, mc.crash_now().into())
+            .expect("image recovers");
         let mut buf = [0u8; 64];
         rec.read(0, &mut buf);
         assert_eq!(buf, [last; 64]);

@@ -24,9 +24,9 @@ fn crash_at(
     mutate(&mut mem);
     let image = mem
         .controller_mut()
-        .take_crash_image()
+        .take_machine_crash_image()
         .expect("armed crash must fire");
-    RecoveredMemory::from_image(cfg, image)
+    RecoveredMemory::from_machine_image_checked(cfg, image).expect("image recovers")
 }
 
 fn append_count(base: &DirectMem, mutate: impl Fn(&mut DirectMem)) -> u64 {
@@ -170,8 +170,8 @@ fn workload_crash_mid_run_leaves_decryptable_structures() {
     for _ in 0..50 {
         w.step(&mut sys).expect("txn");
     }
-    let image = sys.take_crash_image().expect("crash fired mid-run");
-    let mut rec = RecoveredMemory::from_image(&cfg, image);
+    let image = sys.take_machine_crash_image().expect("crash fired mid-run");
+    let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, image).expect("image recovers");
     // Queue layout: log (2*256+4096 bytes) then the header line.
     let header = 2 * 256 + 4096;
     let head = rec.read_u64(header);
@@ -203,9 +203,9 @@ fn recovery_completes_interrupted_page_reencryption() {
     mem.persist(0x80, &[0xEE; 8]);
     let image = mem
         .controller_mut()
-        .take_crash_image()
+        .take_machine_crash_image()
         .expect("crash fired");
-    let mut rec = RecoveredMemory::from_image(&cfg, image);
+    let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, image).expect("image recovers");
     let mut buf = [0u8; 64];
     rec.read(0x0, &mut buf);
     assert_eq!(buf, [0x77; 64], "page-0 bystander must survive");

@@ -35,8 +35,10 @@ fn crash_run(kind: WorkloadKind, appends: u64, seed: u64) -> (RecoveredMemory, R
     for _ in 0..TXNS {
         w.step(&mut sys).expect("txn");
     }
-    let image = sys.take_crash_image().unwrap_or_else(|| sys.crash_now()); // ran to completion: crash at end
-    let mut rec = RecoveredMemory::from_image(&cfg, image);
+    let image = sys
+        .take_machine_crash_image()
+        .unwrap_or_else(|| sys.machine_crash_now()); // ran to completion: crash at end
+    let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, image).expect("image recovers");
     let outcome = recover_transactions(&mut rec, 0) // log is the region's first allocation
         .unwrap_or_else(|e| panic!("recovery failed: {e}"));
     (rec, outcome)

@@ -3,7 +3,7 @@
 //! grows with the memory footprint — the §6 trade-off against
 //! SuperMem's strict (and recovery-free) counter persistence.
 
-use supermem::persist::{recover_osiris, recover_transactions, DirectMem, PMem, TxnManager};
+use supermem::persist::{recover_transactions, DirectMem, PMem, RecoveredMemory, TxnManager};
 use supermem::sim::Config;
 use supermem::workloads::{WorkloadKind, WorkloadSpec};
 use supermem::{Scheme, System};
@@ -33,10 +33,17 @@ fn osiris_txn_recovers_at_every_append_boundary_via_ecc() {
         let mut mem = base.clone();
         mem.controller_mut().arm_crash_after_appends(k);
         mutate(&mut mem);
-        let image = mem.controller_mut().take_crash_image().expect("fired");
-        let (mut rec, report) =
-            recover_osiris(&cfg, image).unwrap_or_else(|e| panic!("crash point {k}: {e}"));
-        assert_eq!(report.unrecoverable_lines, 0, "crash point {k}");
+        let image = mem
+            .controller_mut()
+            .take_machine_crash_image()
+            .expect("fired");
+        let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, image)
+            .unwrap_or_else(|e| panic!("crash point {k}: {e}"));
+        assert_eq!(
+            rec.osiris_report().unrecoverable_lines,
+            0,
+            "crash point {k}"
+        );
         recover_transactions(&mut rec, LOG).unwrap_or_else(|e| panic!("crash point {k}: {e}"));
         let mut buf = [0u8; 512];
         rec.read(DATA, &mut buf);
@@ -60,8 +67,10 @@ fn osiris_recovery_cost_scales_with_footprint_supermem_is_free() {
         for _ in 0..20 {
             w.step(&mut sys).expect("txn");
         }
-        let (_, report) = recover_osiris(&cfg, sys.crash_now()).expect("osiris window set");
-        report.trial_decryptions
+        RecoveredMemory::from_machine_image_checked(&cfg, sys.machine_crash_now())
+            .expect("image recovers")
+            .osiris_report()
+            .trial_decryptions
     };
     let small = cost(128 << 10);
     let large = cost(1 << 20);

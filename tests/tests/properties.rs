@@ -99,7 +99,8 @@ fn checkpointed_state_always_recovers() {
         }
         sys.checkpoint();
         let cfg = sys.config().clone();
-        let mut rec = RecoveredMemory::from_image(&cfg, sys.crash_now());
+        let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, sys.machine_crash_now())
+            .expect("image recovers");
         for (addr, bytes) in &writes {
             let mut got = vec![0u8; bytes.len()];
             let mut want = vec![0u8; bytes.len()];

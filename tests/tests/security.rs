@@ -11,7 +11,7 @@ fn flushed_dimm_bytes(scheme: Scheme, addr: u64, data: &[u8]) -> [u8; 64] {
     sys.write(addr, data);
     sys.clwb(addr, data.len() as u64);
     sys.sfence();
-    let image = sys.crash_now();
+    let image = sys.machine_crash_now().merged();
     image
         .store
         .read_data(supermem::nvm::addr::LineAddr(addr & !63))
@@ -45,7 +45,7 @@ fn equal_lines_have_unequal_ciphertexts() {
     sys.clwb(0x1000, 64);
     sys.clwb(0x2000, 64);
     sys.sfence();
-    let image = sys.crash_now();
+    let image = sys.machine_crash_now().merged();
     let a = image.store.read_data(supermem::nvm::addr::LineAddr(0x1000));
     let b = image.store.read_data(supermem::nvm::addr::LineAddr(0x2000));
     assert_ne!(a, b, "same plaintext at different addresses must differ");
@@ -61,7 +61,8 @@ fn rewriting_same_value_changes_ciphertext() {
     sys.clwb(0x3000, 64);
     sys.sfence();
     let first = sys
-        .crash_now()
+        .machine_crash_now()
+        .merged()
         .store
         .read_data(supermem::nvm::addr::LineAddr(0x3000));
     // Touch and rewrite the identical bytes.
@@ -72,7 +73,8 @@ fn rewriting_same_value_changes_ciphertext() {
     sys.clwb(0x3000, 64);
     sys.sfence();
     let second = sys
-        .crash_now()
+        .machine_crash_now()
+        .merged()
         .store
         .read_data(supermem::nvm::addr::LineAddr(0x3000));
     assert_ne!(first, second, "counter-mode must never reuse a pad");
@@ -88,7 +90,8 @@ fn different_seeds_produce_unrelated_ciphertexts() {
     sys.clwb(0x1000, 64);
     sys.sfence();
     let b = sys
-        .crash_now()
+        .machine_crash_now()
+        .merged()
         .store
         .read_data(supermem::nvm::addr::LineAddr(0x1000));
     assert_ne!(a, b);
@@ -104,7 +107,7 @@ fn counters_are_not_secret_but_data_is() {
     sys.write(0x5000, &[1u8; 64]);
     sys.clwb(0x5000, 64);
     sys.sfence();
-    let image = sys.crash_now();
+    let image = sys.machine_crash_now().merged();
     let page = supermem::nvm::addr::PageId(0x5000 / 4096);
     let ctr = supermem::crypto::CounterLine::decode(&image.store.read_counter(page));
     // 0x5000 is the first line of its page: minor index 0.
