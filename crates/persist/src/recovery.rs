@@ -13,7 +13,8 @@
 //!    RSR (paper §3.4.4): lines with a set done bit are already under
 //!    `(old_major + 1, 0)`; the rest still decrypt with the *old*
 //!    counter line, which the controller deliberately left untouched in
-//!    NVM.
+//!    NVM (on an Osiris machine, by trial decryption past its stale
+//!    minors).
 //!
 //! The channels then merge into one address space. On an Osiris machine
 //! (`Config::osiris_window`) a trial-decryption scan re-derives the
@@ -193,7 +194,8 @@ impl RecoveredMemory {
     ///   level below, or a recomputed root diverges from its channel's
     ///   trusted root register;
     /// - [`RecoveryError::Unrecoverable`] when an RSR names a page
-    ///   outside the NVM or an old major counter that cannot advance.
+    ///   outside the NVM or outside its channel, or an old major counter
+    ///   that cannot advance.
     pub fn from_machine_image_checked(
         cfg: &Config,
         machine: MachineCrashImage,
@@ -207,7 +209,7 @@ impl RecoveredMemory {
         );
         let engine = EncryptionEngine::new(cfg.encryption_key());
         let mut tree = TreeRebuild::default();
-        let mut settle = |image: CrashImage| -> Result<NvmStore, RecoveryError> {
+        let mut settle = |channel: usize, image: CrashImage| -> Result<NvmStore, RecoveryError> {
             let CrashImage {
                 mut store,
                 rsr,
@@ -218,19 +220,19 @@ impl RecoveredMemory {
                 rebuild_image_tree(cfg, &mut store, root, &mut tree)?;
             }
             if let (true, Some(rsr)) = (cfg.encryption, rsr) {
-                complete_rsr(&map, &engine, &mut store, &rsr)?;
+                complete_rsr(&map, &engine, &mut store, &rsr, channel, cfg.osiris_window)?;
             }
             Ok(store)
         };
-        let mut channels = machine.channels.into_iter();
-        let Some(first) = channels.next() else {
+        let mut channels = machine.channels.into_iter().enumerate();
+        let Some((_, first)) = channels.next() else {
             return Err(RecoveryError::Config(
                 "machine crash image holds no channels".into(),
             ));
         };
-        let mut store = settle(first)?;
-        for image in channels {
-            store.absorb(settle(image)?);
+        let mut store = settle(0, first)?;
+        for (channel, image) in channels {
+            store.absorb(settle(channel, image)?);
         }
         let mut rec = Self {
             store,
@@ -405,26 +407,19 @@ impl RecoveredMemory {
                 continue;
             };
             let stored = ctr.minor(idx);
-            let mut found = false;
-            for delta in 0..=window {
-                let candidate = stored.saturating_add(delta);
-                if candidate >= 128 {
-                    break;
-                }
+            let found = trial_minors(stored, window).find(|&candidate| {
                 report.trial_decryptions += 1;
                 let plain = engine.decrypt_line(&cipher, line.0, ctr.major(), candidate);
-                if supermem_crypto::line_tag(&plain) == tag {
-                    if candidate != stored {
-                        ctr.set_minor(idx, candidate);
-                        *changed = true;
-                        report.counters_corrected += 1;
-                    }
-                    found = true;
-                    break;
+                supermem_crypto::line_tag(&plain) == tag
+            });
+            match found {
+                Some(candidate) if candidate != stored => {
+                    ctr.set_minor(idx, candidate);
+                    *changed = true;
+                    report.counters_corrected += 1;
                 }
-            }
-            if !found {
-                report.unrecoverable_lines += 1;
+                Some(_) => {}
+                None => report.unrecoverable_lines += 1,
             }
         }
         if let Some((p, ctr, true)) = current_page {
@@ -473,21 +468,36 @@ impl PMem for RecoveredMemory {
     fn sfence(&mut self) {}
 }
 
+/// The candidate minors of an Osiris trial decryption: `stored` and the
+/// `window` counters after it, up to the largest minor.
+fn trial_minors(stored: u8, window: u8) -> impl Iterator<Item = u8> {
+    (0..=window).map_while(move |delta| Some(stored.saturating_add(delta)).filter(|&m| m < 128))
+}
+
 /// Finishes the page re-encryption an RSR recorded as in flight: done
 /// lines already decrypt under `(old_major + 1, 0)`, the rest still
 /// decrypt with the old counter line the controller left untouched;
 /// everything is rewritten under the new epoch and the counter line
 /// reset (paper §3.4.4).
 ///
+/// On an Osiris machine (`osiris_window` set) the old counter line's
+/// minors may lag the ones the controller encrypted with, so an undone
+/// line is recovered by trial decryption under the old major against its
+/// tag, as the Osiris scan does. A line no trial matches is rewritten
+/// from its stored minor, and the scan then counts it unrecoverable.
+///
 /// # Errors
 ///
 /// [`RecoveryError::Unrecoverable`] for an RSR no controller writes: a
-/// page outside the NVM, or an old major counter that cannot advance.
+/// page outside the NVM or outside `channel`, or an old major counter
+/// that cannot advance.
 fn complete_rsr(
     map: &AddressMap,
     engine: &EncryptionEngine,
     store: &mut NvmStore,
     rsr: &Rsr,
+    channel: usize,
+    osiris_window: Option<u8>,
 ) -> Result<(), RecoveryError> {
     let page = rsr.page();
     if page.0 >= map.pages() {
@@ -495,6 +505,13 @@ fn complete_rsr(
             "RSR names page {}, outside the {}-page NVM",
             page.0,
             map.pages()
+        )));
+    }
+    if map.page_channel(page) != channel {
+        return Err(RecoveryError::Unrecoverable(format!(
+            "RSR of channel {channel} names page {}, which channel {} owns",
+            page.0,
+            map.page_channel(page)
         )));
     }
     let Some(new_major) = rsr.old_major().checked_add(1) else {
@@ -508,10 +525,16 @@ fn complete_rsr(
     for idx in 0..map.lines_per_page() as usize {
         let line = map.line_in_page(page, idx);
         let cipher = store.read_data(line);
-        let plain = if rsr.is_done(idx) {
-            engine.decrypt_line(&cipher, line.0, new_major, 0)
-        } else {
-            engine.decrypt_line(&cipher, line.0, old.major(), old.minor(idx))
+        let stored = old.minor(idx);
+        let old_plain = |minor| engine.decrypt_line(&cipher, line.0, old.major(), minor);
+        let tag = store.read_tag(line);
+        let plain = match osiris_window {
+            _ if rsr.is_done(idx) => engine.decrypt_line(&cipher, line.0, new_major, 0),
+            Some(window) if tag != 0 => trial_minors(stored, window)
+                .map(old_plain)
+                .find(|plain| supermem_crypto::line_tag(plain) == tag)
+                .unwrap_or_else(|| old_plain(stored)),
+            _ => old_plain(stored),
         };
         store.write_data(line, engine.encrypt_line(&plain, line.0, new_major, 0));
     }
@@ -791,12 +814,19 @@ mod tests {
         assert_eq!(rec.store().read_data(LineAddr(0))[0], 4, "plaintext store");
     }
 
-    /// Writes a bystander line at 64, overflows line 0's minor counter
-    /// and crashes `appends` appends into the page re-encryption.
+    /// Writes line 0 to minor 124, a bystander line 5 twice, line 0 to
+    /// minor 127, then overflows line 0's minor counter and crashes
+    /// `appends` appends into the page re-encryption. Under
+    /// [`osiris_cfg`] the NVM counter line was last persisted at minor
+    /// 124, so it holds a stale minor for line 5.
     fn crash_mid_reencryption(cfg: &Config, appends: u64) -> CrashImage {
         let mut mc = MemoryController::new(cfg);
-        let mut t = mc.flush_line(LineAddr(64), [0x77; 64], 0);
+        let mut t = 0;
         for i in 0..127u64 {
+            if i == 124 {
+                t = mc.flush_line(LineAddr(5 * 64), [0x76; 64], t);
+                t = mc.flush_line(LineAddr(5 * 64), [0x77; 64], t);
+            }
             t = mc.flush_line(LineAddr(0), [i as u8; 64], t);
         }
         // The next flush overflows and starts the re-encryption.
@@ -811,7 +841,7 @@ mod tests {
     /// consistent versions.
     fn assert_consistent_after_reencryption_crash(rec: &mut RecoveredMemory, what: &str) {
         let mut buf = [0u8; 64];
-        rec.read(64, &mut buf);
+        rec.read(5 * 64, &mut buf);
         assert_eq!(buf, [0x77; 64], "{what}: bystander line survives the crash");
         rec.read(0, &mut buf);
         // Line 0 is either the pre-overflow value (126) or the new one.
@@ -830,7 +860,8 @@ mod tests {
 
     /// The RSR is completed before the Osiris scan, so the lines the
     /// interrupted re-encryption already rewrote under the new major
-    /// are not mistaken for unrecoverable ones.
+    /// are not mistaken for unrecoverable ones, and the lines it had not
+    /// yet rewritten are recovered past their stale NVM minors.
     #[test]
     fn osiris_crash_mid_reencryption_reports_no_damage() {
         let cfg = osiris_cfg();
@@ -1346,6 +1377,24 @@ mod tests {
         assert!(
             buf == [126; 8] || buf == [0xEE; 8],
             "re-encrypted line must decrypt to old or new value, got {buf:?}"
+        );
+    }
+
+    #[test]
+    fn an_rsr_naming_another_channels_page_is_refused() {
+        use supermem_memctrl::ChannelSet;
+        let cfg = cfg().with_channels(2);
+        let mut set = ChannelSet::new(&cfg);
+        let t = set.flush_line(LineAddr(0x40), [0x11; 64], 0);
+        set.flush_line(LineAddr(cfg.page_bytes + 0x40), [0x22; 64], t);
+        let mut machine = set.machine_crash_now();
+        // Page 0 belongs to channel 0; channel 1 comes later and would
+        // win the merge with its rewrite of the page.
+        machine.channels[1].rsr = Some(Rsr::new(PageId(0), 0));
+        let err = RecoveredMemory::from_machine_image_checked(&cfg, machine).unwrap_err();
+        assert!(
+            matches!(err, RecoveryError::Unrecoverable(_)),
+            "got {err:?}"
         );
     }
 
