@@ -20,8 +20,7 @@
 //!   figure exists to show this column is zero everywhere.
 //!
 //! Every cell is deterministic in the seed set: re-running this figure
-//! reproduces the table byte for byte, at any `SUPERMEM_THREADS` or
-//! `SUPERMEM_RUN_THREADS`.
+//! reproduces the table byte for byte, at any `SUPERMEM_THREADS`.
 
 use supermem::campaign::{Fault, Subject, Verdict};
 use supermem_kv::kv_campaign;

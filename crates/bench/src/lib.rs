@@ -43,17 +43,13 @@ pub use runs::Runs;
 
 use supermem::metrics::TextTable;
 use supermem::sim::Config;
-use supermem::{env_run_threads, Scheme};
+use supermem::Scheme;
 
 /// The machine of every figure run: `scheme`'s preset over the Table 2
-/// defaults, machine seed 1 (it derives the AES key; the committed
-/// figures were generated with it), and `SUPERMEM_RUN_THREADS`
-/// intra-run workers.
+/// defaults and machine seed 1 (it derives the AES key; the committed
+/// figures were generated with it).
 pub fn machine(scheme: Scheme) -> Config {
-    scheme
-        .apply(Config::default())
-        .with_seed(1)
-        .with_run_threads(env_run_threads())
+    scheme.apply(Config::default()).with_seed(1)
 }
 
 /// A table whose headers are `headers` split at ` | `.

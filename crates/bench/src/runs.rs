@@ -1,11 +1,11 @@
 //! The figures' batch executor: [`Runs`] simulates each distinct [`Run`]
 //! once per process and answers repeats from the earlier result.
 //!
-//! A run is a pure function of its key (the simulator is seeded, and
-//! its intra-run threads merge deterministically), so reuse changes no
-//! byte. Keys are matched with `PartialEq` against the few hundred keys
-//! of a figure pass, so `Config`, whose timing fields are `f64`, needs
-//! neither `Eq` nor `Hash`.
+//! A run is a pure function of its key (the simulator is seeded and
+//! single-threaded), so reuse changes no byte. Keys are matched with
+//! `PartialEq` against the few hundred keys of a figure pass, so
+//! `Config`, whose timing fields are `f64`, needs neither `Eq` nor
+//! `Hash`.
 
 use supermem::sim::Config;
 use supermem::workloads::WorkloadSpec;

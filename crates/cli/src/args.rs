@@ -2,7 +2,7 @@
 
 use supermem::sim::Config;
 use supermem::workloads::{WorkloadKind, WorkloadSpec};
-use supermem::{env_run_threads, Scheme};
+use supermem::Scheme;
 
 /// A human-readable argument error.
 #[derive(Debug)]
@@ -69,9 +69,7 @@ pub fn parse_size(s: &str) -> Result<u64, ArgError> {
 /// scheme's preset is applied last (it sets only knobs no flag touches).
 pub fn parse_run_flags(argv: &[String]) -> Result<Parsed, ArgError> {
     let mut scheme = Scheme::SuperMem;
-    let mut cfg = Config::default()
-        .with_seed(1)
-        .with_run_threads(env_run_threads());
+    let mut cfg = Config::default().with_seed(1);
     let mut spec = WorkloadSpec::new(WorkloadKind::Array).with_txns(150);
     let mut programs = 1;
     let mut csv = false;
@@ -130,12 +128,6 @@ pub fn parse_run_flags(argv: &[String]) -> Result<Parsed, ArgError> {
                 // The frontier only means anything with the tree armed.
                 cfg.integrity_tree = true;
                 cfg.persisted_levels = Some(n);
-            }
-            "--run-threads" => {
-                cfg.run_threads = number(&mut it, "--run-threads")? as usize;
-                if cfg.run_threads == 0 {
-                    return Err(ArgError("--run-threads must be at least 1".into()));
-                }
             }
             "--csv" => csv = true,
             other => {
@@ -226,14 +218,6 @@ mod tests {
         assert!(p.cfg.integrity_tree);
         assert_eq!(p.cfg.persisted_levels, None);
         assert!(parse_run_flags(&strs(&["--persisted-levels", "x"])).is_err());
-    }
-
-    #[test]
-    fn run_threads_flag_parses_and_validates() {
-        let p = parse_run_flags(&strs(&["--run-threads", "4"])).unwrap();
-        assert_eq!(p.cfg.run_threads, 4);
-        assert!(parse_run_flags(&strs(&["--run-threads", "0"])).is_err());
-        assert!(parse_run_flags(&strs(&["--run-threads", "x"])).is_err());
     }
 
     #[test]

@@ -240,13 +240,7 @@ pub fn cmd_profile(argv: &[String]) -> Result<(), ArgError> {
     // than one channel the table splits the id into its two coordinates.
     let banks_per_channel = p.cfg.banks;
     let multi = p.cfg.channels > 1;
-    println!(
-        "channels: {} × {} banks, {} intra-run worker thread{}",
-        p.cfg.channels,
-        banks_per_channel,
-        p.cfg.run_threads,
-        if p.cfg.run_threads == 1 { "" } else { "s" },
-    );
+    println!("channels: {} × {} banks", p.cfg.channels, banks_per_channel);
     let headers: &[&str] = if multi {
         &["ch", "bank", "reads", "writes", "busy cyc", "util"]
     } else {
@@ -599,7 +593,7 @@ fn cmd_tree_torture(argv: &[String]) -> Result<(), ArgError> {
 
 /// `supermem serve [--structure S] [--scheme S] [--cores N] [--requests N]
 /// [--read-pct P] [--mean-gap G] [--zipf T] [--keyspace K] [--buckets B]
-/// [--seed X] [--channels N] [--run-threads N] [--degraded BANK] [--json]`
+/// [--seed X] [--channels N] [--degraded BANK] [--json]`
 /// — drive a shared lock-free structure open-loop and print the tail
 /// table; or `supermem serve --torture [--structure S] [--scheme S]
 /// [--fault F|none] [--point K] [--seed N] [--seeds COUNT] [--json]` —
@@ -651,13 +645,6 @@ pub fn cmd_serve(argv: &[String]) -> Result<(), ArgError> {
                 cfg.channels = parse_num(value(&mut it, "--channels")?, "--channels")? as usize;
                 if cfg.channels == 0 || !cfg.channels.is_power_of_two() {
                     return Err(ArgError("--channels must be a power of two".into()));
-                }
-            }
-            "--run-threads" => {
-                cfg.run_threads =
-                    parse_num(value(&mut it, "--run-threads")?, "--run-threads")? as usize;
-                if cfg.run_threads == 0 {
-                    return Err(ArgError("--run-threads must be at least 1".into()));
                 }
             }
             "--degraded" => {

@@ -1,29 +1,8 @@
 //! `supermem` — command-line experiment driver.
 //!
-//! ```text
-//! supermem run   [--scheme S] [--workload W] [--txns N] [--req BYTES]
-//!                [--wq ENTRIES] [--cc BYTES] [--programs P] [--seed X]
-//!                [--integrity-tree] [--persisted-levels L] [--csv]
-//! supermem sweep --param {wq|cc|req|programs} --values a,b,c [run flags]
-//! supermem profile [run flags] [--json]
-//! supermem crash [--scheme S] [--json]
-//! supermem torture [--scheme S] [--fault F|none] [--point K]
-//!                  [--seed N] [--seeds COUNT] [--json]
-//! supermem torture --tree [--persisted-levels L] [--fault F|tamper|none]
-//!                  [--point K] [--seed N] [--seeds COUNT] [--json]
-//! supermem serve [--structure S] [--scheme S] [--cores N] [--requests N]
-//!                [--read-pct P] [--mean-gap G] [--degraded BANK]
-//!                [--torture [--fault F|none] [--point K]] [--json]
-//! supermem kv {run|torture|recover} [--scheme S] [--fault F|none]
-//!             [--point K] [--seed N] [--requests N] [--json]
-//! supermem check [--json] [--txns N] [--config NAME] [--mutate M]
-//! supermem lincheck [--structure S|all] [--cores N] [--ops N] [--depth N]
-//!                   [--crash {all|none|K}] [--reduce] [--mutate M] [--json]
-//! supermem list
-//! ```
-//!
-//! Sizes accept `K`/`M` suffixes (`--cc 256K`). Everything is
-//! deterministic in `--seed`.
+//! Run `supermem help` for the commands and every flag they accept (the
+//! one listing is `usage()` below). Sizes accept `K`/`M` suffixes
+//! (`--cc 256K`). Everything is deterministic in `--seed`.
 
 use std::process::ExitCode;
 
@@ -46,7 +25,43 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  supermem run     [--scheme S] [--workload W] [--txns N] [--req BYTES]\n                   [--wq ENTRIES] [--cc BYTES] [--programs P] [--seed X]\n                   [--integrity-tree] [--persisted-levels L] [--csv]\n  supermem sweep   --param {wq|cc|req|programs} --values a,b,c [run flags]\n  supermem profile [run flags] [--json]\n  supermem crash   [--scheme S] [--json]\n  supermem torture [--scheme S] [--fault F|none] [--point K]\n                   [--seed N] [--seeds COUNT] [--json]\n  supermem torture --tree [--persisted-levels L] [--fault F|tamper|none]\n                   [--point K] [--seed N] [--seeds COUNT] [--json]\n  supermem serve   [--structure {stack|queue|hash}] [--scheme S] [--cores N]\n                   [--requests N] [--read-pct P] [--mean-gap CYC] [--zipf T]\n                   [--keyspace K] [--buckets B] [--seed X] [--channels N]\n                   [--run-threads N] [--degraded BANK] [--json]\n  supermem serve   --torture [--structure S] [--scheme S] [--fault F|none]\n                   [--point K] [--seed N] [--seeds COUNT] [--json]\n  supermem kv      run     [--scheme S] [--requests N] [--read-pct P] [--zipf T]\n                           [--keyspace K] [--snapshot-every N] [--seed X] [--json]\n  supermem kv      torture [--scheme S] [--fault F|none] [--point K] [--seed N]\n                           [--seeds COUNT] [--channels N] [--json]\n  supermem kv      recover [--scheme S] [--point K] [--seed N] [--json]\n  supermem check   [--json] [--txns N] [--config NAME]\n                   [--mutate {wt-off|pair-split|cwc-newest|rsr-skip|\n                            tree-skip|tree-late|tree-double-root}]\n  supermem lincheck [--structure {stack|queue|hash|all}] [--cores N] [--ops N]\n                   [--depth N] [--crash {all|none|K}] [--reduce] [--json]\n                   [--mutate {skip-linearize|complete-first|drop-invalidate|skip-scan}]\n  supermem list\n\nschemes: unsec wb wt wt+cwc wt+xbank supermem wt+samebank osiris sca\nfaults:  torn bit-flip double-flip stuck-at transient-read bank-fail\nworkloads: array queue btree hash rbtree\nsizes accept K/M suffixes (e.g. --cc 256K)"
+    concat!(
+        "usage:\n",
+        "  supermem run     [--scheme S] [--workload W] [--txns N] [--req BYTES]\n",
+        "                   [--wq ENTRIES] [--cc BYTES] [--channels N] [--programs P]\n",
+        "                   [--seed X] [--read-pct P] [--integrity-tree]\n",
+        "                   [--persisted-levels L] [--csv]\n",
+        "  supermem sweep   --param {wq|cc|req|programs} --values a,b,c [run flags]\n",
+        "  supermem profile [run flags] [--json]\n",
+        "  supermem crash   [--scheme S] [--channels N] [--json]\n",
+        "  supermem torture [--scheme S] [--fault F|none] [--point K]\n",
+        "                   [--seed N] [--seeds COUNT] [--channels N] [--json]\n",
+        "  supermem torture --tree [--persisted-levels L] [--fault F|tamper|none]\n",
+        "                   [--point K] [--seed N] [--seeds COUNT] [--json]\n",
+        "  supermem serve   [--structure {stack|queue|hash}] [--scheme S] [--cores N]\n",
+        "                   [--requests N] [--read-pct P] [--mean-gap CYC] [--zipf T]\n",
+        "                   [--keyspace K] [--buckets B] [--seed X] [--channels N]\n",
+        "                   [--degraded BANK] [--json]\n",
+        "  supermem serve   --torture [--structure S] [--scheme S] [--fault F|none]\n",
+        "                   [--point K] [--seed N] [--seeds COUNT] [--json]\n",
+        "  supermem kv      run     [--scheme S] [--requests N] [--read-pct P] [--zipf T]\n",
+        "                           [--keyspace K] [--snapshot-every N] [--seed X] [--json]\n",
+        "  supermem kv      torture [--scheme S] [--fault F|none] [--point K] [--seed N]\n",
+        "                           [--seeds COUNT] [--channels N] [--json]\n",
+        "  supermem kv      recover [--scheme S] [--point K] [--seed N] [--json]\n",
+        "  supermem check   [--json] [--txns N] [--config NAME] [--channels N]\n",
+        "                   [--mutate {wt-off|pair-split|cwc-newest|rsr-skip|\n",
+        "                            tree-skip|tree-late|tree-double-root}]\n",
+        "  supermem lincheck [--structure {stack|queue|hash|all}] [--cores N] [--ops N]\n",
+        "                   [--depth N] [--crash {all|none|K}] [--reduce] [--json]\n",
+        "                   [--mutate {skip-linearize|complete-first|drop-invalidate|skip-scan}]\n",
+        "  supermem list\n",
+        "\n",
+        "schemes: unsec wb wt wt+cwc wt+xbank supermem wt+samebank osiris sca\n",
+        "faults:  torn bit-flip double-flip stuck-at transient-read bank-fail\n",
+        "workloads: array queue btree hash rbtree ycsb (--read-pct sets its read share)\n",
+        "sizes accept K/M suffixes (e.g. --cc 256K)"
+    )
 }
 
 fn dispatch(argv: &[String]) -> Result<(), ArgError> {

@@ -80,7 +80,7 @@ pub use experiment::{ConfigError, Experiment};
 pub use metrics::RunResult;
 pub use sca::ScaSystem;
 pub use scheme::Scheme;
-pub use sweep::{env_run_threads, sweep, thread_budget, worker_count};
+pub use sweep::{sweep, worker_count};
 pub use system::System;
 pub use torture::{torture_campaign, tree_campaign, TxnSubject, TORTURE_SCHEMES};
 pub use verify::{

@@ -2,20 +2,16 @@
 //!
 //! Every figure in the evaluation is a grid of independent runs: each
 //! `(Config, WorkloadSpec)` pair fully determines its [`RunResult`](crate::RunResult)
-//! (the simulator is seeded, and its intra-run threads merge
-//! deterministically), so a figure's cell jobs can execute on any host
-//! thread in any order without changing a single output bit. This
-//! module fans a job list over a scoped worker pool and returns results
-//! **in input order**, which is what makes the figures' tables
-//! byte-identical to their sequential output.
+//! (the simulator is seeded and single-threaded), so a figure's cell
+//! jobs can execute on any host thread in any order without changing a
+//! single output bit. This module fans a job list over a scoped worker
+//! pool and returns results **in input order**, which is what makes the
+//! figures' tables byte-identical to their sequential output.
 //!
 //! Worker count comes from [`worker_count`]: the `SUPERMEM_THREADS`
 //! environment variable when set (a value of `1` forces the sequential
 //! path, useful for A/B timing), otherwise
-//! [`std::thread::available_parallelism`] — divided by
-//! `SUPERMEM_RUN_THREADS` ([`env_run_threads`]) when intra-run
-//! parallelism is on, so the two levels of parallelism share one host
-//! budget instead of multiplying.
+//! [`std::thread::available_parallelism`].
 //!
 //! ```
 //! use supermem::sim::Config;
@@ -34,33 +30,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The intra-run worker-thread count requested via the
-/// `SUPERMEM_RUN_THREADS` environment variable, or 1 (sequential) when
-/// unset or unparsable. Figure runs and CLI commands set
-/// [`Config::run_threads`](crate::sim::Config::run_threads) from this, and [`worker_count`] divides the
-/// sweep's worker budget by it so that `run_threads × sweep workers`
-/// never oversubscribes the host.
-pub fn env_run_threads() -> usize {
-    std::env::var("SUPERMEM_RUN_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Number of worker threads a sweep will use: the host thread budget
-/// ([`thread_budget`]) divided by the intra-run worker count
-/// ([`env_run_threads`]), so `sweep workers × run_threads` never
-/// oversubscribes the host. With `SUPERMEM_RUN_THREADS` unset (the
-/// default `run_threads = 1`) this is exactly the budget.
+/// Number of worker threads a sweep will use: `SUPERMEM_THREADS` if set
+/// to an integer (0 counts as 1), else the host's available
+/// parallelism.
 pub fn worker_count() -> usize {
-    (thread_budget() / env_run_threads()).max(1)
-}
-
-/// The host thread budget before intra-run arbitration:
-/// `SUPERMEM_THREADS` if set to a positive integer, else the host's
-/// available parallelism.
-pub fn thread_budget() -> usize {
     if let Some(n) = std::env::var("SUPERMEM_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

@@ -23,7 +23,7 @@
 use supermem_nvm::addr::{AddressMap, LineAddr, PageId};
 use supermem_nvm::fault::FaultSpec;
 use supermem_nvm::{LineData, NvmStore, WearReport};
-use supermem_sim::{Config, Cycle, EventTape, Observer, Probes, Stats};
+use supermem_sim::{Config, Cycle, Observer, Probes, Stats};
 
 use crate::controller::{CrashImage, MemoryController};
 
@@ -106,10 +106,6 @@ pub struct ChannelSet {
     armed: Option<u64>,
     machine_image: Option<MachineCrashImage>,
     banks_per_channel: usize,
-    /// Host worker threads for sibling-channel drains between barriers
-    /// (`Config::run_threads`; 1 = fully sequential). Results are
-    /// identical at every setting — see [`ChannelSet::drain_others`].
-    run_threads: usize,
 }
 
 impl ChannelSet {
@@ -128,14 +124,8 @@ impl ChannelSet {
             armed: None,
             machine_image: None,
             banks_per_channel: cfg.banks,
-            run_threads: cfg.run_threads.max(1),
             channels,
         }
-    }
-
-    /// Worker threads used for sibling-channel drains (diagnostics).
-    pub fn run_threads(&self) -> usize {
-        self.run_threads
     }
 
     /// The per-channel controllers, in channel order (diagnostics).
@@ -257,98 +247,16 @@ impl ChannelSet {
 
     /// Advances every channel but `target` to `at`, so the banks of the
     /// whole machine share one clock. A no-op on a single channel.
-    ///
-    /// This call is the cross-channel *barrier* of the intra-run
-    /// parallel engine. Two exact shortcuts apply at every
-    /// `run_threads` setting:
-    ///
-    /// * channels whose write queue provably cannot issue by `at`
-    ///   ([`MemoryController::would_drain`]) are skipped outright — the
-    ///   skipped drain would have had no side effects;
-    /// * with `run_threads > 1`, the remaining sibling drains run on
-    ///   worker threads. A drain touches only channel-local state
-    ///   (pages interleave `channel = page % channels`, so banks,
-    ///   store, and queue are disjoint per channel), never appends
-    ///   (the armed-crash countdown cannot trip), and never records
-    ///   transactions, so each channel accumulates into a private
-    ///   [`Stats`] and a private event tape; after the join the stats
-    ///   merge additively and the tapes replay into the shared hub in
-    ///   ascending channel order — byte-for-byte the sequential
-    ///   stream.
+    /// Channels whose write queue provably cannot issue by `at`
+    /// ([`MemoryController::would_drain`]) are skipped outright: the
+    /// skipped drain would have had no side effects.
     fn drain_others(&mut self, target: usize, at: Cycle) {
         if self.channels.len() == 1 {
-            return;
-        }
-        if self.run_threads > 1 {
-            self.drain_others_threaded(target, at);
             return;
         }
         for ch in 0..self.channels.len() {
             if ch != target && self.channels[ch].would_drain(at) {
                 self.with_channel(ch, |mc| mc.drain_until(at));
-            }
-        }
-    }
-
-    /// The `run_threads > 1` body of [`ChannelSet::drain_others`]:
-    /// fork-join over the sibling channels that have work, merging
-    /// deterministically afterwards.
-    fn drain_others_threaded(&mut self, target: usize, at: Cycle) {
-        let record_events = self.probes.is_active();
-        let mut pending: Vec<(usize, &mut MemoryController)> = self
-            .channels
-            .iter_mut()
-            .enumerate()
-            .filter(|(ch, mc)| *ch != target && mc.would_drain(at))
-            .collect();
-        if pending.is_empty() {
-            return;
-        }
-        if record_events {
-            for (_, mc) in &mut pending {
-                mc.attach_observer(Box::new(EventTape::default()));
-            }
-        }
-        let workers = self.run_threads.min(pending.len());
-        if workers > 1 {
-            let chunk = pending.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for batch in pending.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for (_, mc) in batch {
-                            mc.drain_until(at);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (_, mc) in &mut pending {
-                mc.drain_until(at);
-            }
-        }
-        // Deterministic merge, in ascending channel order (`pending`
-        // preserves it): fold each channel's private stats delta into
-        // the machine stats — drains only bump additive counters, so
-        // the sums equal the sequential path's — and replay each
-        // channel's event tape into the shared hub.
-        for (_, mc) in &mut pending {
-            let delta = std::mem::take(mc.stats_mut());
-            self.stats.merge(&delta);
-            if record_events {
-                for mut obs in mc.take_observers() {
-                    // Justified panic: sibling drains attach only EventTape
-                    // observers (see the attach sites in this fn's callers),
-                    // so the downcast cannot fail.
-                    #[allow(clippy::disallowed_methods)]
-                    let tape = obs
-                        .as_any_mut()
-                        .downcast_mut::<EventTape>()
-                        .map(std::mem::take)
-                        .expect("sibling drains attach only EventTape observers");
-                    for ev in tape.into_events() {
-                        self.probes.emit_with(move || ev);
-                    }
-                }
             }
         }
     }
@@ -607,44 +515,6 @@ mod tests {
             merged.store.faults().is_some(),
             "merge keeps the fault plan"
         );
-    }
-
-    #[test]
-    fn worker_threads_preserve_stats_and_event_stream() {
-        // Queue work on every channel at small cycles, then force one
-        // sibling drain at a far-future cycle: with run_threads > 1
-        // that drain takes the fork-join path (3 pending siblings), so
-        // this exercises the scoped-thread barrier, the private-stats
-        // merge, and the event-tape replay. Also the test the CI miri
-        // job interprets to check the barrier for UB and races.
-        let run = |threads: usize| {
-            let mut set = ChannelSet::new(&cfg(4).with_run_threads(threads));
-            set.attach_observer(Box::new(EventTape::default()));
-            for i in 0..24u64 {
-                let line = LineAddr((i % 4) * 4096 + (i / 4) * 64);
-                set.flush_line(line, [i as u8; 64], i);
-            }
-            let pending = (1..4)
-                .filter(|&ch| set.channels()[ch].would_drain(100_000))
-                .count();
-            assert!(pending >= 2, "barrier must have siblings to fork over");
-            let (_, done) = set.read_line(LineAddr(0), 100_000);
-            set.finish(done);
-            let mut events = Vec::new();
-            for mut obs in set.take_observers() {
-                if let Some(tape) = obs.as_any_mut().downcast_mut::<EventTape>() {
-                    events = std::mem::take(tape).into_events();
-                }
-            }
-            (set.stats().clone(), events)
-        };
-        let (seq_stats, seq_events) = run(1);
-        assert!(!seq_events.is_empty(), "the run must emit events");
-        for threads in [2, 4] {
-            let (stats, events) = run(threads);
-            assert_eq!(stats, seq_stats, "threads={threads}");
-            assert_eq!(events, seq_events, "threads={threads}");
-        }
     }
 
     #[test]

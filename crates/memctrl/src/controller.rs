@@ -24,7 +24,7 @@ use supermem_nvm::addr::{AddressMap, LineAddr, PageId};
 use supermem_nvm::bank::{BankTimer, OpKind};
 use supermem_nvm::fault::{FaultSpec, MediaError};
 use supermem_nvm::{LineData, NvmStore};
-use supermem_sim::{Config, Cycle, Event, Mutation, Observer, Probes, Stats};
+use supermem_sim::{Config, Cycle, Event, Mutation, Probes, Stats};
 
 use crate::bankmap::counter_bank;
 use crate::rsr::Rsr;
@@ -211,18 +211,6 @@ impl MemoryController {
         }
     }
 
-    /// Attaches an [`Observer`] to the controller's event stream. With no
-    /// observer attached the probe layer is a single branch per emission
-    /// site and event payloads are never constructed.
-    pub fn attach_observer(&mut self, obs: Box<dyn Observer>) {
-        self.probes.attach(obs);
-    }
-
-    /// Detaches and returns all attached observers.
-    pub fn take_observers(&mut self) -> Vec<Box<dyn Observer>> {
-        self.probes.take()
-    }
-
     /// The probe hub (the system layer emits core-level events here).
     pub fn probes_mut(&mut self) -> &mut Probes {
         &mut self.probes
@@ -241,12 +229,6 @@ impl MemoryController {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &Stats {
         &self.stats
-    }
-
-    /// Mutable statistics (the system layer records transaction
-    /// latencies here).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
     }
 
     /// The boxed statistics, for lending machine stats by pointer swap.
@@ -817,9 +799,8 @@ mod tests {
 
     #[test]
     fn stats_accessors() {
-        let mut mc = MemoryController::new(&cfg());
-        mc.stats_mut().record_txn(10);
-        assert_eq!(mc.stats().txn_commits, 1);
+        let mc = MemoryController::new(&cfg());
+        assert_eq!(mc.stats().txn_commits, 0);
         assert_eq!(mc.wq_len(), 0);
     }
 

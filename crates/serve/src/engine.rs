@@ -9,7 +9,7 @@
 //! op in flight) or its next request's arrival, whichever is later —
 //! so cross-core interleavings are exactly the ones simulated time
 //! dictates, and a fixed `(config, seed)` always produces the identical
-//! schedule, op stream, and latency table at any `run_threads` setting.
+//! schedule, op stream, and latency table.
 //!
 //! Latency is **sojourn time** (completion minus *arrival*, not minus
 //! issue): a request that waits behind a counter-overflow
@@ -94,8 +94,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Interleaved memory channels.
     pub channels: usize,
-    /// Intra-run worker threads (byte-identical at any setting).
-    pub run_threads: usize,
     /// Hash bucket count (hash structure only).
     pub hash_buckets: u64,
     /// Persistent region bytes for the structure + nodes.
@@ -119,7 +117,6 @@ impl Default for ServeConfig {
             mean_gap: 200,
             seed: 1,
             channels: 1,
-            run_threads: 1,
             hash_buckets: 16,
             region_len: 1 << 22,
             degraded_bank: None,
@@ -175,8 +172,7 @@ impl ServeConfig {
         let mut cfg = self
             .scheme
             .apply(Config::default())
-            .with_channels(self.channels)
-            .with_run_threads(self.run_threads);
+            .with_channels(self.channels);
         cfg.cores = self.cores;
         cfg.seed = self.seed;
         cfg
@@ -482,17 +478,6 @@ mod tests {
         let b = run_serve(&cfg).unwrap();
         assert_eq!(a.digest, b.digest);
         assert_eq!((a.p50, a.p99, a.p999, a.max), (b.p50, b.p99, b.p999, b.max));
-        assert_eq!(a.total_cycles, b.total_cycles);
-    }
-
-    #[test]
-    fn run_threads_do_not_change_the_run() {
-        let mut cfg = quick(StructureKind::Stack);
-        let a = run_serve(&cfg).unwrap();
-        cfg.run_threads = 4;
-        let b = run_serve(&cfg).unwrap();
-        assert_eq!(a.digest, b.digest, "run_threads must be byte-identical");
-        assert_eq!((a.p50, a.p99, a.p999), (b.p50, b.p99, b.p999));
         assert_eq!(a.total_cycles, b.total_cycles);
     }
 

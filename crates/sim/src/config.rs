@@ -358,15 +358,6 @@ pub struct Config {
     /// faithful design; see [`Mutation`]).
     pub mutation: Option<Mutation>,
 
-    /// Host worker threads advancing channels *within* one run (a host
-    /// execution knob, not a machine parameter: results are identical
-    /// at every setting, only wall-clock changes). Channel controllers
-    /// between two cross-channel barriers touch disjoint state — pages
-    /// interleave `channel = page % channels` — so sibling-channel
-    /// drains may run on `run_threads` worker threads and merge
-    /// deterministically at the barrier. `1` (the default) keeps the
-    /// fully sequential path.
-    pub run_threads: usize,
     /// Whether the write-queue drain fast path may skip slab scans that
     /// provably issue nothing (on by default; exact either way). Off
     /// gives the tick-by-tick reference behavior for equivalence tests.
@@ -419,7 +410,6 @@ impl Default for Config {
             persisted_levels: None,
             wear_psi: None,
             mutation: None,
-            run_threads: 1,
             fast_forward: true,
             seed: 0xC0FFEE,
         }
@@ -448,13 +438,6 @@ impl Config {
     /// Sets the memory channel count and returns the config.
     pub fn with_channels(mut self, channels: usize) -> Self {
         self.channels = channels;
-        self
-    }
-
-    /// Sets the intra-run worker-thread count and returns the config.
-    /// Values below 1 are treated as 1 (the sequential path).
-    pub fn with_run_threads(mut self, run_threads: usize) -> Self {
-        self.run_threads = run_threads.max(1);
         self
     }
 

@@ -275,11 +275,7 @@ pub enum Event {
 /// because the memory controller itself is `Clone` and collectors are
 /// retrieved by downcast; see the module-level example for the two-line
 /// implementations.
-///
-/// Observers are `Send` so a controller carrying one can be advanced on
-/// an intra-run worker thread (the per-channel barrier engine); they
-/// are plain accumulators, so the bound costs implementations nothing.
-pub trait Observer: fmt::Debug + Send + 'static {
+pub trait Observer: fmt::Debug + 'static {
     /// Called once per emitted event, in simulation order.
     fn on_event(&mut self, ev: &Event);
     /// Clone this observer behind a fresh box ([`Probes`] is `Clone`).
@@ -338,14 +334,8 @@ impl Probes {
     }
 }
 
-/// An observer that records every event verbatim, in emission order.
-///
-/// This is the replay buffer of the intra-run parallel engine: when
-/// sibling channels drain on worker threads, each drains into its own
-/// tape, and the tapes are replayed into the shared machine hub in
-/// ascending channel order after the join — reproducing byte-for-byte
-/// the stream the sequential path emits. Also handy in tests that want
-/// to assert on exact event sequences.
+/// An observer that records every event verbatim, in emission order,
+/// for tests and tools that assert on exact event sequences.
 ///
 /// # Examples
 ///

@@ -135,23 +135,6 @@ impl Stats {
         Some(sum as f64 / self.txn_latencies.len() as f64)
     }
 
-    /// The `p`-quantile (0.0..=1.0) of transaction latency, by
-    /// nearest-rank on a sorted copy; `None` if no transactions ran.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn txn_latency_quantile(&self, p: f64) -> Option<Cycle> {
-        assert!((0.0..=1.0).contains(&p), "quantile must be in [0,1]");
-        if self.txn_latencies.is_empty() {
-            return None;
-        }
-        let mut sorted = self.txn_latencies.clone();
-        sorted.sort_unstable();
-        let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-
     /// Folds another run's counters into this one (used by the multi-core
     /// driver to merge per-core statistics).
     pub fn merge(&mut self, other: &Stats) {
@@ -233,23 +216,7 @@ mod tests {
         }
         assert_eq!(s.txn_commits, 4);
         assert_eq!(s.mean_txn_latency(), Some(250.0));
-        assert_eq!(s.txn_latency_quantile(0.5), Some(200));
-        assert_eq!(s.txn_latency_quantile(1.0), Some(400));
-        assert_eq!(s.txn_latency_quantile(0.0), Some(100));
-    }
-
-    #[test]
-    fn quantile_none_when_empty() {
-        assert_eq!(Stats::default().txn_latency_quantile(0.5), None);
         assert_eq!(Stats::default().mean_txn_latency(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn quantile_rejects_out_of_range() {
-        let mut s = Stats::default();
-        s.record_txn(1);
-        let _ = s.txn_latency_quantile(1.5);
     }
 
     #[test]
