@@ -68,7 +68,7 @@ pub fn check(name: &str, reference_ns: f64, measured_ns: f64, tolerance: f64) ->
 ///
 /// Returns a message naming the bad value when it does not parse as a
 /// finite number greater than zero.
-pub fn parse_tolerance(raw: Option<&str>) -> Result<f64, String> {
+fn parse_tolerance(raw: Option<&str>) -> Result<f64, String> {
     let Some(raw) = raw else {
         return Ok(4.0);
     };
@@ -86,8 +86,8 @@ pub fn parse_tolerance(raw: Option<&str>) -> Result<f64, String> {
 ///
 /// # Errors
 ///
-/// Propagates [`parse_tolerance`] errors when the variable is set to
-/// something unusable.
+/// Returns a message naming the bad value when the variable is set to
+/// something other than a finite number greater than zero.
 pub fn tolerance() -> Result<f64, String> {
     parse_tolerance(std::env::var("SUPERMEM_BENCH_TOLERANCE").ok().as_deref())
 }

@@ -17,7 +17,8 @@ use std::time::Instant;
 
 use supermem::metrics::TextTable;
 
-use crate::report::{json_escape, json_requested};
+use crate::report::json_requested;
+use supermem::sim::json_escape;
 
 /// One benchmark's measurement.
 #[derive(Debug, Clone)]

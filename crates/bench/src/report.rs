@@ -8,31 +8,15 @@
 //! committed outputs.
 
 use supermem::metrics::TextTable;
+use supermem::sim::json_escape;
 
 /// True when the process was invoked with a `--json` argument.
 pub fn json_requested() -> bool {
     std::env::args().skip(1).any(|a| a == "--json")
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a list of strings as a JSON array of string literals.
-pub fn json_string_array(items: &[String]) -> String {
+fn json_string_array(items: &[String]) -> String {
     let quoted: Vec<String> = items
         .iter()
         .map(|s| format!("\"{}\"", json_escape(s)))

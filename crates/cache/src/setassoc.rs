@@ -213,18 +213,6 @@ impl<V> SetAssocCache<V> {
         }
     }
 
-    /// Marks a resident entry dirty. Returns `false` if `key` is absent.
-    pub fn mark_dirty(&mut self, key: u64) -> bool {
-        let set = self.set_of(key);
-        match self.sets[set].iter_mut().find(|s| s.key == key) {
-            Some(s) => {
-                s.dirty = true;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Clears a resident entry's dirty bit. Returns `false` if absent.
     pub fn clear_dirty(&mut self, key: u64) -> bool {
         let set = self.set_of(key);
@@ -305,8 +293,7 @@ mod tests {
     #[test]
     fn reinsert_updates_in_place() {
         let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2);
-        c.insert(1, 10);
-        c.mark_dirty(1);
+        c.insert_with_dirty(1, 10, true);
         assert!(c.insert(1, 11).is_none());
         assert_eq!(c.peek(1), Some(&11));
         assert!(c.is_dirty(1), "dirty survives value replacement");
@@ -317,21 +304,20 @@ mod tests {
         let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2);
         c.insert(4, 1);
         assert!(!c.is_dirty(4));
-        assert!(c.mark_dirty(4));
+        c.insert_with_dirty(4, 1, true);
         assert!(c.is_dirty(4));
         assert!(c.clear_dirty(4));
         assert!(!c.is_dirty(4));
-        assert!(!c.mark_dirty(99), "absent keys cannot be dirtied");
+        assert!(!c.clear_dirty(99), "absent keys cannot be cleaned");
     }
 
     #[test]
     fn take_dirty_returns_the_value_once_and_keeps_lru() {
         let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2);
-        c.insert(1, 10);
+        c.insert_with_dirty(1, 10, true);
         c.insert(2, 20);
-        assert_eq!(c.take_dirty(1), None, "clean entries yield nothing");
+        assert_eq!(c.take_dirty(2), None, "clean entries yield nothing");
         assert_eq!(c.take_dirty(99), None, "absent keys yield nothing");
-        c.mark_dirty(1);
         assert_eq!(c.take_dirty(1), Some(&10));
         assert!(!c.is_dirty(1), "the dirty bit is cleared");
         assert_eq!(c.take_dirty(1), None, "a second take finds it clean");
@@ -345,8 +331,7 @@ mod tests {
     #[test]
     fn eviction_reports_dirty() {
         let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 1);
-        c.insert(1, 10);
-        c.mark_dirty(1);
+        c.insert_with_dirty(1, 10, true);
         let ev = c.insert(2, 20).unwrap();
         assert!(ev.dirty);
         assert_eq!(ev.value, 10);
@@ -364,8 +349,7 @@ mod tests {
     #[test]
     fn remove_returns_value_and_dirty() {
         let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2);
-        c.insert(7, 70);
-        c.mark_dirty(7);
+        c.insert_with_dirty(7, 70, true);
         assert_eq!(c.remove(7), Some((70, true)));
         assert_eq!(c.remove(7), None);
     }

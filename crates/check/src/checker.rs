@@ -8,7 +8,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
-use supermem_sim::{Config, CounterCacheMode, Cycle, Event, Observer};
+use supermem_sim::{json_escape, Config, CounterCacheMode, Cycle, Event, Observer};
 
 /// How many trailing events the checker retains as the context window
 /// attached to each violation.
@@ -134,12 +134,6 @@ impl CheckReport {
         self.violations.is_empty()
     }
 
-    /// Distinct rules that fired, in catalog order.
-    pub fn rules_fired(&self) -> Vec<Rule> {
-        let set: BTreeSet<Rule> = self.violations.iter().map(|v| v.rule).collect();
-        set.into_iter().collect()
-    }
-
     /// Render the report as a JSON object (no external dependencies).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
@@ -194,20 +188,6 @@ impl fmt::Display for CheckReport {
         }
         Ok(())
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// In-flight state of the 2-line staging register (P2).
@@ -774,7 +754,7 @@ impl Checker {
     }
 
     /// End-of-stream checks: nothing may be left half-done on any channel.
-    pub fn finalize(&mut self) {
+    fn finalize(&mut self) {
         for ch in 0..self.stage.len() {
             if let Some(stage) = self.stage[ch].take() {
                 let line = stage.line;
@@ -839,7 +819,8 @@ impl Checker {
         }
     }
 
-    /// Run [`Checker::finalize`] and drain the report.
+    /// Runs the end-of-stream checks (nothing may be left half-done on
+    /// any channel) and drains the report.
     pub fn take_report(&mut self) -> CheckReport {
         self.finalize();
         CheckReport {
@@ -929,6 +910,12 @@ impl Observer for Checker {
 mod tests {
     use super::*;
 
+    /// Distinct rules that fired, in catalog order.
+    fn rules_fired(report: &CheckReport) -> Vec<Rule> {
+        let set: BTreeSet<Rule> = report.violations.iter().map(|v| v.rule).collect();
+        set.into_iter().collect()
+    }
+
     fn enq(counter: bool, addr: u64, seq: u64, at: Cycle) -> Event {
         Event::WqEnqueue {
             counter,
@@ -989,7 +976,7 @@ mod tests {
     #[test]
     fn p1_fires_on_uncovered_data_at_sfence() {
         let report = run(&[enq(false, 0x40, 1, 10), sfence(20)]);
-        assert_eq!(report.rules_fired(), vec![Rule::P1]);
+        assert_eq!(rules_fired(&report), vec![Rule::P1]);
         assert_eq!(report.violations[0].at, 20);
     }
 
@@ -1013,7 +1000,7 @@ mod tests {
         // first to retire and must still trip P1 — a shared structure's
         // readers order on any core's fence, not just the writer's.
         let dirty = run(&[enq(false, 0x40, 1, 10), sfence_on(1, 20)]);
-        assert_eq!(dirty.rules_fired(), vec![Rule::P1]);
+        assert_eq!(rules_fired(&dirty), vec![Rule::P1]);
         assert!(
             dirty.violations[0].message.contains("core 1"),
             "fencing core not attributed: {}",
@@ -1029,7 +1016,7 @@ mod tests {
             enq(false, 4096 + 0x40, 2, 11),
             sfence(20),
         ]);
-        assert_eq!(report.rules_fired(), vec![Rule::P1]);
+        assert_eq!(rules_fired(&report), vec![Rule::P1]);
     }
 
     #[test]
@@ -1044,7 +1031,7 @@ mod tests {
             // Data arrives a cycle late — the pair was split.
             enq(false, 0x40, 2, 11),
         ]);
-        assert!(report.rules_fired().contains(&Rule::P2));
+        assert!(rules_fired(&report).contains(&Rule::P2));
     }
 
     #[test]
@@ -1058,7 +1045,7 @@ mod tests {
             enq(true, 0, 1, 10),
             issue(true, 0, 1, 12),
         ]);
-        assert!(report.rules_fired().contains(&Rule::P2));
+        assert!(rules_fired(&report).contains(&Rule::P2));
     }
 
     #[test]
@@ -1074,7 +1061,7 @@ mod tests {
             },
             enq(true, 0, 3, 12),
         ]);
-        assert_eq!(report.rules_fired(), vec![Rule::P3]);
+        assert_eq!(rules_fired(&report), vec![Rule::P3]);
     }
 
     #[test]
@@ -1090,7 +1077,7 @@ mod tests {
             enq(false, 0x80, 2, 12),
             sfence(20),
         ]);
-        assert!(report.rules_fired().contains(&Rule::P3));
+        assert!(rules_fired(&report).contains(&Rule::P3));
     }
 
     #[test]
@@ -1122,7 +1109,7 @@ mod tests {
                 forwarded: false,
             },
         ]);
-        assert!(report.rules_fired().contains(&Rule::P4));
+        assert!(rules_fired(&report).contains(&Rule::P4));
     }
 
     #[test]
@@ -1179,7 +1166,7 @@ mod tests {
     #[test]
     fn r3_fires_on_skipped_done_bit() {
         let report = run(&reencrypt_events(Some(0)));
-        assert_eq!(report.rules_fired(), vec![Rule::R3]);
+        assert_eq!(rules_fired(&report), vec![Rule::R3]);
         assert!(report.violations[0].message.contains("[0]"));
     }
 
@@ -1189,7 +1176,7 @@ mod tests {
             Event::ReencryptStart { page: 7, at: 100 },
             Event::ReencryptStart { page: 9, at: 101 },
         ]);
-        assert!(report.rules_fired().contains(&Rule::R1));
+        assert!(rules_fired(&report).contains(&Rule::R1));
     }
 
     #[test]
@@ -1198,13 +1185,13 @@ mod tests {
             Event::ReencryptStart { page: 7, at: 100 },
             Event::RsrRetired { page: 7, at: 101 },
         ]);
-        assert!(report.rules_fired().contains(&Rule::R4));
+        assert!(rules_fired(&report).contains(&Rule::R4));
     }
 
     #[test]
     fn r5_fires_on_live_rsr_at_end() {
         let report = run(&[Event::ReencryptStart { page: 7, at: 100 }]);
-        assert_eq!(report.rules_fired(), vec![Rule::R5]);
+        assert_eq!(rules_fired(&report), vec![Rule::R5]);
     }
 
     #[test]
@@ -1213,7 +1200,7 @@ mod tests {
         // Drop the post-done counter enqueues: retire without persistence.
         evs.retain(|e| !matches!(e, Event::WqEnqueue { counter: true, .. }));
         let report = run(&evs);
-        assert!(report.rules_fired().contains(&Rule::R6), "got {report}");
+        assert!(rules_fired(&report).contains(&Rule::R6), "got {report}");
     }
 
     #[test]
@@ -1224,7 +1211,7 @@ mod tests {
         evs.push(enq(false, 0x40_0000, 100, 50));
         evs.push(sfence(60));
         let report = run(&evs);
-        assert_eq!(report.rules_fired(), vec![Rule::P1]);
+        assert_eq!(rules_fired(&report), vec![Rule::P1]);
         let v = &report.violations[0];
         assert!(v.window.len() <= WINDOW_CAP);
         assert!(v.window.last().expect("non-empty").1.contains("Sfence"));
@@ -1260,7 +1247,7 @@ mod tests {
         c.on_event(&Event::ReencryptStart { page: 8, at: 101 });
         let report = c.take_report();
         assert!(
-            !report.rules_fired().contains(&Rule::R1),
+            !rules_fired(&report).contains(&Rule::R1),
             "independent channels must not trip R1: {report}"
         );
         // Same-channel nesting still fires: pages 7 and 9 share channel 1.
@@ -1269,7 +1256,7 @@ mod tests {
         let mut c = Checker::new(mode);
         c.on_event(&Event::ReencryptStart { page: 7, at: 100 });
         c.on_event(&Event::ReencryptStart { page: 9, at: 101 });
-        assert!(c.take_report().rules_fired().contains(&Rule::R1));
+        assert!(rules_fired(&c.take_report()).contains(&Rule::R1));
     }
 
     #[test]
@@ -1361,7 +1348,7 @@ mod tests {
             // No propagation before the fence retires.
             sfence(20),
         ]);
-        assert_eq!(report.rules_fired(), vec![Rule::T1]);
+        assert_eq!(rules_fired(&report), vec![Rule::T1]);
         assert!(report.violations[0].message.contains("[0]"));
     }
 
@@ -1377,7 +1364,7 @@ mod tests {
             enq(true, 0, 1, 10),
             enq(false, 0x40, 2, 10),
         ]);
-        assert!(report.rules_fired().contains(&Rule::T2), "got {report}");
+        assert!(rules_fired(&report).contains(&Rule::T2), "got {report}");
     }
 
     #[test]
@@ -1409,7 +1396,7 @@ mod tests {
             Event::TreeRootUpdate { at: 15 }, // the forged second update
             sfence(20),
         ]);
-        assert_eq!(report.rules_fired(), vec![Rule::T3]);
+        assert_eq!(rules_fired(&report), vec![Rule::T3]);
     }
 
     #[test]
@@ -1419,7 +1406,7 @@ mod tests {
             Event::TreePropagate { page: 0, at: 15 },
             // Missing TreeRootUpdate; caught at end of run.
         ]);
-        assert!(report.rules_fired().contains(&Rule::T3), "got {report}");
+        assert!(rules_fired(&report).contains(&Rule::T3), "got {report}");
     }
 
     #[test]
@@ -1430,7 +1417,7 @@ mod tests {
         let mut c = Checker::new(mode);
         c.on_event(&arm(3, 10));
         let report = c.take_report();
-        assert!(report.rules_fired().contains(&Rule::T1), "got {report}");
+        assert!(rules_fired(&report).contains(&Rule::T1), "got {report}");
     }
 
     #[test]
@@ -1463,5 +1450,22 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"rule\":\"P1\""));
         assert!(json.contains("\"clean\":false"));
+
+        // Quotes, backslashes and control characters are escaped.
+        let report = CheckReport {
+            violations: vec![Violation {
+                rule: Rule::P1,
+                at: 7,
+                message: "say \"hi\" \\ then\ttab\u{1}".to_string(),
+                window: vec![(1, "a\nb\r".to_string())],
+            }],
+            events_seen: 1,
+        };
+        let json = report.to_json();
+        assert!(
+            json.contains("\"message\":\"say \\\"hi\\\" \\\\ then\\ttab\\u0001\""),
+            "{json}"
+        );
+        assert!(json.contains("\"event\":\"a\\nb\\r\""), "{json}");
     }
 }

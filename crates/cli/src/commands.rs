@@ -777,18 +777,17 @@ fn cmd_serve_torture(argv: &[String]) -> Result<(), ArgError> {
 }
 
 /// One named figure configuration the checker sweeps: a batch of runs
-/// (mirroring the corresponding bench binary's parameter points, each a
-/// machine, a workload and a program count) and whether they replay
-/// through the event-granularity trace pipeline.
+/// (mirroring the parameter points of the `figures` entry of the same
+/// name, each a machine, a workload and a program count) and whether
+/// they replay through the event-granularity trace pipeline.
 struct CheckConfig {
     name: &'static str,
     runs: Vec<(Config, WorkloadSpec, usize)>,
     trace: bool,
 }
 
-/// The 17 figure configurations, one per bench binary, with `txns`
-/// transactions per run. Each mirrors its binary's distinctive knobs at
-/// checker-sweep scale.
+/// The 18 figure configurations, with `txns` transactions per run. Each
+/// mirrors its figure's distinctive knobs at checker-sweep scale.
 fn check_configs(txns: u64) -> Vec<CheckConfig> {
     let spec = |kind| {
         WorkloadSpec::new(kind)

@@ -37,7 +37,7 @@
 
 use std::fmt;
 
-use supermem_persist::{PMem, VecMem};
+use supermem_persist::VecMem;
 use supermem_sim::{Config, Cycle, Observer, Telemetry};
 use supermem_trace::{TraceEvent, TraceRecorder};
 use supermem_workloads::{SpecError, WorkloadSpec};
@@ -415,10 +415,10 @@ impl Experiment {
     }
 }
 
-/// Applies one [`TraceEvent`] to `sys` — the single dispatch shared by
-/// [`Experiment::replay`] and [`Experiment::run_multicore_trace`].
-/// `txn_start` carries the open transaction's begin cycle between the
-/// `TxnBegin` and `TxnEnd` markers.
+/// Applies one [`TraceEvent`] to `sys` for [`Experiment::replay`] and
+/// [`Experiment::run_multicore_trace`]: memory events go through
+/// [`TraceEvent::apply`]; the markers time the transaction, `txn_start`
+/// carrying its begin cycle from `TxnBegin` to `TxnEnd`.
 fn apply_event(
     sys: &mut System,
     event: &TraceEvent,
@@ -426,13 +426,6 @@ fn apply_event(
     txn_start: &mut Option<Cycle>,
 ) {
     match event {
-        TraceEvent::Read { addr, len } => {
-            scratch.resize(*len as usize, 0);
-            sys.read(*addr, scratch);
-        }
-        TraceEvent::Write { addr, bytes } => sys.write(*addr, bytes),
-        TraceEvent::Clwb { addr, len } => sys.clwb(*addr, *len),
-        TraceEvent::Sfence => sys.sfence(),
         TraceEvent::TxnBegin => *txn_start = Some(sys.now()),
         TraceEvent::TxnEnd => {
             if let Some(start) = txn_start.take() {
@@ -440,6 +433,7 @@ fn apply_event(
                 sys.record_txn(start, end);
             }
         }
+        _ => event.apply(sys, scratch),
     }
 }
 

@@ -128,26 +128,6 @@ impl Scheme {
         }
         cfg
     }
-
-    /// Whether this scheme guarantees counter atomicity across a crash
-    /// (i.e. the Table 1 "recoverable at every stage" property) without
-    /// post-crash counter reconstruction.
-    pub fn counter_atomic(self) -> bool {
-        // Arms stay separate: each scheme is atomic (or not) for a
-        // different reason, recorded per-arm.
-        #[allow(clippy::match_same_arms)]
-        match self {
-            Scheme::Unsec => true,          // no counters to lose
-            Scheme::WriteBackIdeal => true, // battery persists the cache
-            Scheme::WriteThrough
-            | Scheme::WtCwc
-            | Scheme::WtXbank
-            | Scheme::SuperMem
-            | Scheme::WtSameBank => true, // write-through + atomic register
-            Scheme::Osiris => false,        // recoverable, but only via ECC search
-            Scheme::Sca => false,           // atomic only at software-inserted points
-        }
-    }
 }
 
 impl std::fmt::Display for Scheme {
@@ -217,19 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn all_schemes_counter_atomic() {
-        for s in FIGURE_SCHEMES {
-            assert!(s.counter_atomic());
-        }
-    }
-
-    #[test]
     fn osiris_relaxes_counter_persistence() {
         let cfg = Scheme::Osiris.apply(Config::default());
         assert_eq!(cfg.counter_cache_mode, CounterCacheMode::WriteBack);
         assert_eq!(cfg.counter_cache_backing, CounterCacheBacking::None);
         assert_eq!(cfg.osiris_window, Some(4));
-        assert!(!Scheme::Osiris.counter_atomic());
         assert!(cfg.validate().is_ok());
     }
 }

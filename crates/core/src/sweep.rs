@@ -67,7 +67,7 @@ where
 
 /// [`sweep`] with an explicit thread count (testable without touching
 /// the process environment).
-pub fn sweep_on<J, T, F>(threads: usize, jobs: &[J], worker: F) -> Vec<T>
+fn sweep_on<J, T, F>(threads: usize, jobs: &[J], worker: F) -> Vec<T>
 where
     J: Sync,
     T: Send,

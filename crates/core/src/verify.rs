@@ -83,7 +83,7 @@ pub fn check_run_trace(exp: Experiment) -> CheckReport {
 /// The machine configuration [`run_mutant`] drives: the full SuperMem
 /// scheme with an optional fault injection. Tree mutants additionally
 /// arm the streaming integrity tree — the subsystem they corrupt.
-pub fn mutant_config(mutation: Option<Mutation>) -> Config {
+fn mutant_config(mutation: Option<Mutation>) -> Config {
     let mut cfg = Scheme::SuperMem.apply(Config::default());
     if matches!(
         mutation,

@@ -402,7 +402,7 @@ impl Bmt {
     /// # Panics
     ///
     /// Panics if `level` is out of range.
-    pub fn line_payload(&self, level: usize, group: u64) -> [u8; 64] {
+    fn line_payload(&self, level: usize, group: u64) -> [u8; 64] {
         let mut out = [0u8; 64];
         let start = group as usize * ARITY;
         for i in 0..ARITY {
@@ -512,14 +512,13 @@ impl Bmt {
         }
         digest == self.root
     }
+}
 
-    /// Test hook: corrupts a stored (NVM-resident) node, modeling an
-    /// active bus/DIMM attacker. `level` 0 addresses leaf digests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of range.
-    pub fn tamper_node(&mut self, level: usize, index: usize, xor: u64) {
+#[cfg(test)]
+impl Bmt {
+    /// Corrupts a stored (NVM-resident) node, modeling an active
+    /// bus/DIMM attacker. `level` 0 addresses leaf digests.
+    fn tamper_node(&mut self, level: usize, index: usize, xor: u64) {
         self.levels[level][index] ^= xor;
     }
 }

@@ -101,7 +101,7 @@ impl KvLayout {
     }
 
     /// Address of the manifest line.
-    pub fn manifest_addr(&self) -> u64 {
+    fn manifest_addr(&self) -> u64 {
         self.base
     }
 

@@ -118,7 +118,7 @@ fn seal_slot<M: PMem>(mem: &mut M, layout: &KvLayout, slot: u32, fields: [u64; 4
     mem.persist(base, &h);
 }
 
-/// A slot that passed every check of [`load_slot`], with its payload
+/// A slot that passed every check of [`validate_slot`], with its payload
 /// still unparsed: discovery validates every slot but builds the map
 /// of the winner alone.
 struct ValidSlot {
@@ -228,13 +228,6 @@ fn validate_slot<M: PMem>(mem: &mut M, layout: &KvLayout, slot: u32) -> Option<V
     })
 }
 
-/// Validates slot `slot` end to end — header magic/version/CRC, then
-/// payload CRC and entry framing — and only then parses entries.
-/// `None` on any disagreement.
-pub fn load_slot<M: PMem>(mem: &mut M, layout: &KvLayout, slot: u32) -> Option<LoadedSnapshot> {
-    validate_slot(mem, layout, slot).map(ValidSlot::materialize)
-}
-
 /// True when the slot's header is still all-zero — never written, as
 /// opposed to written and damaged. A store that has not yet rotated
 /// into its second slot is healthy, not degraded.
@@ -269,6 +262,13 @@ pub fn discover<M: PMem>(mem: &mut M, layout: &KvLayout) -> (Option<LoadedSnapsh
 #[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
+
+    /// Validates slot `slot` end to end — header magic/version/CRC, then
+    /// payload CRC and entry framing — and only then parses entries.
+    /// `None` on any disagreement.
+    fn load_slot<M: PMem>(mem: &mut M, layout: &KvLayout, slot: u32) -> Option<LoadedSnapshot> {
+        validate_slot(mem, layout, slot).map(ValidSlot::materialize)
+    }
     use supermem_persist::VecMem;
 
     fn layout() -> KvLayout {

@@ -67,7 +67,7 @@ pub const KV_TORTURE_SCHEMES: [Scheme; 2] = [Scheme::SuperMem, Scheme::WriteThro
 ///
 /// Never: the constants above satisfy [`KvLayout::new`] by
 /// construction (checked in tests).
-pub fn kv_torture_layout() -> KvLayout {
+fn kv_torture_layout() -> KvLayout {
     #[allow(clippy::disallowed_methods)]
     // Justified panic: compile-time constants; the layout test pins them.
     KvLayout::new(KV_TORTURE_BASE, KV_TORTURE_WAL_BODY, KV_TORTURE_SNAP_CAP)

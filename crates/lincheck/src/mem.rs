@@ -89,7 +89,7 @@ impl ModelMem {
     }
 
     /// Selects the core whose cache subsequent accesses use.
-    pub fn set_core(&mut self, core: usize) {
+    fn set_core(&mut self, core: usize) {
         assert!(core < self.caches.len(), "core {core} out of range");
         self.core = core;
     }

@@ -119,7 +119,7 @@ impl MemoryController {
     /// # Panics
     ///
     /// Panics if `cfg` fails [`Config::validate`].
-    pub fn with_store(cfg: &Config, store: NvmStore) -> Self {
+    fn with_store(cfg: &Config, store: NvmStore) -> Self {
         Self::with_store_for_channel(cfg, store, 0)
     }
 
@@ -141,7 +141,7 @@ impl MemoryController {
     ///
     /// Panics if `cfg` fails [`Config::validate`] or `channel` is out of
     /// range.
-    pub fn with_store_for_channel(cfg: &Config, mut store: NvmStore, channel: usize) -> Self {
+    fn with_store_for_channel(cfg: &Config, mut store: NvmStore, channel: usize) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid configuration: {e}");
         }
@@ -251,12 +251,6 @@ impl MemoryController {
     /// count.
     pub fn append_events(&self) -> u64 {
         self.append_events
-    }
-
-    /// Number of leaf updates armed in the streaming tree's pending
-    /// cache (0 in eager mode or without an integrity tree).
-    pub fn tree_pending_len(&self) -> usize {
-        self.bmt.as_ref().map_or(0, Bmt::pending_len)
     }
 
     /// This controller's channel index (0 for a single-channel machine).
@@ -476,6 +470,12 @@ mod tests {
 
     fn cfg() -> Config {
         Config::default()
+    }
+
+    /// Leaf updates armed in the streaming tree's pending cache (0 in
+    /// eager mode or without an integrity tree).
+    fn tree_pending_len(mc: &MemoryController) -> usize {
+        mc.bmt.as_ref().map_or(0, Bmt::pending_len)
     }
 
     fn unsec() -> Config {
@@ -907,11 +907,11 @@ mod tests {
         }
         assert!(mc.stats().tree_updates_enqueued > 0);
         assert!(
-            mc.tree_pending_len() > 0,
+            tree_pending_len(&mc) > 0,
             "updates stay armed until a fence"
         );
         mc.fence_tree_flush(t);
-        assert_eq!(mc.tree_pending_len(), 0, "fence drains the pending cache");
+        assert_eq!(tree_pending_len(&mc), 0, "fence drains the pending cache");
         assert!(mc.stats().tree_propagations >= 8);
         mc.finish(t);
         assert!(mc.stats().nvm_tree_writes > 0, "node lines reach the media");
@@ -940,7 +940,7 @@ mod tests {
             t = mc.flush_line(LineAddr(i * 64), [i as u8; 64], t);
         }
         assert!(mc.stats().tree_updates_coalesced >= 7);
-        assert_eq!(mc.tree_pending_len(), 1);
+        assert_eq!(tree_pending_len(&mc), 1);
         let _ = t;
     }
 
@@ -979,7 +979,7 @@ mod tests {
         mc.finish(t);
         assert_eq!(mc.stats().tree_updates_enqueued, 0);
         assert_eq!(mc.stats().nvm_tree_writes, 0);
-        assert_eq!(mc.tree_pending_len(), 0);
+        assert_eq!(tree_pending_len(&mc), 0);
         assert!(mc.store().tree_lines().is_empty());
     }
 }

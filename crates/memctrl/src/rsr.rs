@@ -82,11 +82,6 @@ impl Rsr {
     pub fn all_done(&self) -> bool {
         self.done == u64::MAX
     }
-
-    /// Number of lines already re-encrypted.
-    pub fn done_count(&self) -> u32 {
-        self.done.count_ones()
-    }
 }
 
 #[cfg(test)]
@@ -96,13 +91,11 @@ mod tests {
     #[test]
     fn tracks_progress_bit_per_line() {
         let mut r = Rsr::new(PageId(1), 7);
-        assert_eq!(r.done_count(), 0);
+        assert!((0..64).all(|i| !r.is_done(i)));
         r.set_done(0);
         r.set_done(63);
-        assert!(r.is_done(0));
-        assert!(r.is_done(63));
-        assert!(!r.is_done(32));
-        assert_eq!(r.done_count(), 2);
+        let done: Vec<usize> = (0..64).filter(|&i| r.is_done(i)).collect();
+        assert_eq!(done, [0, 63]);
     }
 
     #[test]
@@ -121,7 +114,8 @@ mod tests {
         let mut r = Rsr::new(PageId(0), 0);
         r.set_done(5);
         r.set_done(5);
-        assert_eq!(r.done_count(), 1);
+        let done: Vec<usize> = (0..64).filter(|&i| r.is_done(i)).collect();
+        assert_eq!(done, [5]);
     }
 
     #[test]

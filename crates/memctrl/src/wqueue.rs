@@ -61,7 +61,7 @@ pub struct WqEntry {
 
 impl WqEntry {
     /// The paper's flag bit: `true` for entries from the counter cache.
-    pub fn is_counter(&self) -> bool {
+    fn is_counter(&self) -> bool {
         matches!(self.target, WqTarget::Counter(_))
     }
 }
@@ -152,8 +152,9 @@ impl BankSched {
 /// use supermem_memctrl::{WriteQueue, WqTarget};
 /// use supermem_nvm::addr::LineAddr;
 ///
-/// let mut wq = WriteQueue::new(32, true);
-/// assert_eq!(wq.free_slots(), 32);
+/// let wq = WriteQueue::new(32, true);
+/// assert!(wq.is_empty());
+/// assert_eq!(wq.capacity(), 32);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteQueue {
@@ -278,7 +279,7 @@ impl WriteQueue {
     }
 
     /// Free slots right now.
-    pub fn free_slots(&self) -> usize {
+    fn free_slots(&self) -> usize {
         self.free.len()
     }
 

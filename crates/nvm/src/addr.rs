@@ -189,59 +189,46 @@ impl AddressMap {
     pub fn line_channel(&self, line: LineAddr) -> usize {
         self.page_channel(self.page_of_line(line))
     }
-
-    /// Decomposes a line address into `(channel, bank, row)`.
-    ///
-    /// The row encodes the line's position within its `(channel, bank)`
-    /// slice: `row = (page / (channels * banks)) * lines_per_page + idx`.
-    /// Together with [`AddressMap::recompose`] this forms a bijection —
-    /// every line maps to exactly one `(channel, bank, row)` triple and
-    /// round-trips (pinned by the seeded property test in this module).
-    pub fn decompose(&self, line: LineAddr) -> (usize, usize, u64) {
-        let page = self.page_of_line(line);
-        let idx = self.line_index_in_page(line) as u64;
-        let row_page = page.0 / (self.channels as u64 * self.banks as u64);
-        (
-            self.page_channel(page),
-            self.page_bank(page),
-            row_page * self.lines_per_page() + idx,
-        )
-    }
-
-    /// Inverse of [`AddressMap::decompose`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` or `bank` is out of range.
-    pub fn recompose(&self, channel: usize, bank: usize, row: u64) -> LineAddr {
-        assert!(channel < self.channels, "channel {channel} out of range");
-        assert!(bank < self.banks, "bank {bank} out of range");
-        let row_page = row / self.lines_per_page();
-        let idx = row % self.lines_per_page();
-        let page =
-            (row_page * self.banks as u64 + bank as u64) * self.channels as u64 + channel as u64;
-        LineAddr(page * self.page_bytes + idx * self.line_bytes)
-    }
-
-    /// Iterates over the line addresses covered by `[start, start+len)`.
-    ///
-    /// Useful for turning a byte-granularity store into line flushes.
-    pub fn lines_covering(&self, start: u64, len: u64) -> impl Iterator<Item = LineAddr> + '_ {
-        let first = if len == 0 { 1 } else { self.line_of(start).0 };
-        let last = if len == 0 {
-            0
-        } else {
-            self.line_of(start + len - 1).0
-        };
-        (first..=last)
-            .step_by(self.line_bytes as usize)
-            .map(LineAddr)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AddressMap {
+        /// Decomposes a line address into `(channel, bank, row)`.
+        ///
+        /// The row encodes the line's position within its `(channel, bank)`
+        /// slice: `row = (page / (channels * banks)) * lines_per_page + idx`.
+        /// Together with [`AddressMap::recompose`] this forms a bijection —
+        /// every line maps to exactly one `(channel, bank, row)` triple and
+        /// round-trips (pinned by the seeded property test below).
+        fn decompose(&self, line: LineAddr) -> (usize, usize, u64) {
+            let page = self.page_of_line(line);
+            let idx = self.line_index_in_page(line) as u64;
+            let row_page = page.0 / (self.channels as u64 * self.banks as u64);
+            (
+                self.page_channel(page),
+                self.page_bank(page),
+                row_page * self.lines_per_page() + idx,
+            )
+        }
+
+        /// Inverse of [`AddressMap::decompose`].
+        ///
+        /// # Panics
+        ///
+        /// Panics if `channel` or `bank` is out of range.
+        fn recompose(&self, channel: usize, bank: usize, row: u64) -> LineAddr {
+            assert!(channel < self.channels, "channel {channel} out of range");
+            assert!(bank < self.banks, "bank {bank} out of range");
+            let row_page = row / self.lines_per_page();
+            let idx = row % self.lines_per_page();
+            let page = (row_page * self.banks as u64 + bank as u64) * self.channels as u64
+                + channel as u64;
+            LineAddr(page * self.page_bytes + idx * self.line_bytes)
+        }
+    }
 
     fn map() -> AddressMap {
         AddressMap::new(8 << 30, 64, 4096, 8)
@@ -275,22 +262,6 @@ mod tests {
             let last = m.line_in_page(PageId(p), 63);
             assert_eq!(m.data_bank(last), m.data_bank(line));
         }
-    }
-
-    #[test]
-    fn lines_covering_spans() {
-        let m = map();
-        let lines: Vec<_> = m.lines_covering(0x100, 256).collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0].0, 0x100);
-        assert_eq!(lines[3].0, 0x1C0);
-
-        // Unaligned start covering an extra line.
-        let lines: Vec<_> = m.lines_covering(0x13F, 2).collect();
-        assert_eq!(lines.len(), 2);
-
-        // Empty ranges produce nothing.
-        assert_eq!(m.lines_covering(0x100, 0).count(), 0);
     }
 
     #[test]

@@ -337,11 +337,6 @@ impl FaultPlan {
         self.lost_counters.contains(&page.0)
     }
 
-    /// Number of lines (data + counter) lost with a failed bank.
-    pub fn lost_lines(&self) -> usize {
-        self.lost_data.len() + self.lost_counters.len()
-    }
-
     /// Resolves a checked read of a data line whose stored (true) bytes
     /// are `stored`, applying loss, transient failure, and the SECDED
     /// correct-vs-detect model, in that order.
@@ -588,7 +583,7 @@ mod tests {
         // Still lost after the dropped write.
         assert_eq!(p.filter_data_read(LINE, [5; 64]), Err(MediaError::Lost));
         assert_eq!(p.counters().dropped_writes, 2);
-        assert_eq!(p.lost_lines(), 2);
+        assert!(p.data_lost(LINE) && p.counter_lost(PAGE));
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl DirectMem {
     }
 
     /// Wraps an existing channel set.
-    pub fn from_channels(mc: ChannelSet) -> Self {
+    fn from_channels(mc: ChannelSet) -> Self {
         Self {
             mc,
             buffer: supermem_sim::FxHashMap::default(),

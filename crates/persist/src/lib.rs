@@ -45,7 +45,6 @@ pub mod direct;
 pub mod log;
 pub mod pmem;
 pub mod recovery;
-pub mod redo;
 pub mod slot;
 pub mod txn;
 
@@ -56,6 +55,5 @@ pub use recovery::{
     recover_transactions, OsirisReport, RecoveredMemory, RecoveryError, RecoveryOutcome,
     TreeRebuild,
 };
-pub use redo::{recover_redo_transactions, RedoTxn, RedoTxnManager};
 pub use slot::{SlotArray, SlotError, SlotRecord, SlotState, SlotView};
 pub use txn::{Txn, TxnError, TxnManager};

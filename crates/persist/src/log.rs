@@ -47,7 +47,7 @@ pub struct UndoRecord {
 }
 
 /// FNV-1a 64-bit, the log checksum.
-pub fn fnv1a(parts: &[&[u8]]) -> u64 {
+fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
         for &b in *part {

@@ -94,7 +94,7 @@ impl TxnManager {
     }
 
     /// Payload capacity in bytes.
-    pub fn payload_capacity(&self) -> u64 {
+    fn payload_capacity(&self) -> u64 {
         self.log_bytes - LOG_HEADER_BYTES
     }
 
@@ -140,16 +140,6 @@ impl Txn<'_> {
                 buf[(a - bs) as usize] = wbytes[(a - s) as usize];
             }
         }
-    }
-
-    /// Number of staged writes.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// Total staged bytes.
-    pub fn staged_bytes(&self) -> u64 {
-        self.writes.iter().map(|(_, b)| b.len() as u64).sum()
     }
 
     /// Commits: prepare (undo log), mutate (in-place), commit
@@ -317,7 +307,7 @@ mod tests {
         let mut mem = VecMem::new();
         let mut txm = TxnManager::new(0x10000, 4096);
         let txn = txm.begin();
-        assert_eq!(txn.write_count(), 0);
+        assert!(txn.writes.is_empty());
         txn.commit(&mut mem).unwrap();
     }
 
@@ -328,8 +318,8 @@ mod tests {
         txn.write(0, vec![0; 10]);
         txn.write(100, vec![0; 20]);
         txn.write(200, vec![]); // ignored
-        assert_eq!(txn.write_count(), 2);
-        assert_eq!(txn.staged_bytes(), 30);
+        let staged: Vec<(u64, usize)> = txn.writes.iter().map(|(a, b)| (*a, b.len())).collect();
+        assert_eq!(staged, [(0, 10), (100, 20)]);
     }
 
     #[test]

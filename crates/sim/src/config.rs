@@ -290,8 +290,6 @@ pub struct Config {
     pub tcl_ns: f64,
     /// PCM write delay tCWD in ns.
     pub tcwd_ns: f64,
-    /// PCM four-activation window tFAW in ns.
-    pub tfaw_ns: f64,
     /// PCM write-to-read turnaround tWTR in ns.
     pub twtr_ns: f64,
     /// PCM write-recovery time tWR in ns (the dominant PCM write cost).
@@ -389,7 +387,6 @@ impl Default for Config {
             trcd_ns: 48.0,
             tcl_ns: 15.0,
             tcwd_ns: 13.0,
-            tfaw_ns: 50.0,
             twtr_ns: 7.5,
             twr_ns: 300.0,
             write_queue_entries: 32,
@@ -468,7 +465,7 @@ impl Config {
 
     /// Height of the integrity tree over `integrity_pages` leaves
     /// (8-ary levels above the leaf digests; 4096 pages -> 4).
-    pub fn integrity_tree_height(&self) -> u32 {
+    fn integrity_tree_height(&self) -> u32 {
         let mut n = self.integrity_pages.max(1);
         let mut height = 0;
         while n > 1 {

@@ -22,6 +22,7 @@
 
 pub mod config;
 pub mod hash;
+pub mod json;
 pub mod probe;
 pub mod rng;
 pub mod stats;
@@ -31,6 +32,7 @@ pub use config::{
     Config, ConfigError, CounterCacheBacking, CounterCacheMode, CounterPlacement, Mutation,
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use json::json_escape;
 pub use probe::{
     BankUtilization, Event, EventTape, LatencyBreakdown, Log2Histogram, Observer, OccupancySeries,
     Probes, Telemetry,

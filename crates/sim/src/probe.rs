@@ -306,12 +306,6 @@ impl Probes {
         self.observers.push(obs);
     }
 
-    /// `true` if at least one observer is attached.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        !self.observers.is_empty()
-    }
-
     /// Detach and return all observers.
     pub fn take(&mut self) -> Vec<Box<dyn Observer>> {
         std::mem::take(&mut self.observers)
@@ -482,7 +476,7 @@ impl Log2Histogram {
     }
 
     /// Inclusive lower bound of bucket `idx`.
-    pub fn bucket_lo(idx: usize) -> u64 {
+    fn bucket_lo(idx: usize) -> u64 {
         if idx == 0 {
             0
         } else {
@@ -964,7 +958,6 @@ mod tests {
             }
         });
         assert!(!constructed);
-        assert!(!probes.is_active());
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl Stats {
         self.nvm_data_writes + self.nvm_counter_writes
     }
 
-    /// Total read requests issued to NVM (data + counters).
-    pub fn nvm_reads_total(&self) -> u64 {
-        self.nvm_data_reads + self.nvm_counter_reads
-    }
-
     /// Counter-cache hit rate in `[0, 1]`; `None` when there were no
     /// counter-cache accesses.
     pub fn counter_cache_hit_rate(&self) -> Option<f64> {
@@ -189,8 +184,7 @@ mod tests {
         s.nvm_counter_writes = 3;
         s.nvm_data_reads = 2;
         s.nvm_counter_reads = 5;
-        assert_eq!(s.nvm_writes_total(), 10);
-        assert_eq!(s.nvm_reads_total(), 7);
+        assert_eq!(s.nvm_writes_total(), 10, "reads are not counted");
     }
 
     #[test]

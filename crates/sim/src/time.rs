@@ -37,6 +37,7 @@ mod tests {
     #[test]
     fn converts_paper_pcm_timings_at_2ghz() {
         // Table 2: tRCD/tCL/tCWD/tFAW/tWTR/tWR = 48/15/13/50/7.5/300 ns.
+        // tFAW is not modeled: no bank timing reads it.
         assert_eq!(ns_to_cycles(48.0, 2.0), 96);
         assert_eq!(ns_to_cycles(15.0, 2.0), 30);
         assert_eq!(ns_to_cycles(13.0, 2.0), 26);

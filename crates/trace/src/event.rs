@@ -1,5 +1,7 @@
 //! Trace events.
 
+use supermem_persist::PMem;
+
 /// One recorded memory operation.
 ///
 /// Writes carry their payload so a replay reconstructs identical NVM
@@ -41,6 +43,22 @@ impl TraceEvent {
     /// True for the marker events that carry no memory semantics.
     pub fn is_marker(&self) -> bool {
         matches!(self, TraceEvent::TxnBegin | TraceEvent::TxnEnd)
+    }
+
+    /// Performs this event's memory operation on `mem`; markers do
+    /// nothing. A read lands in `scratch`, which is resized to its
+    /// length and reused across calls.
+    pub fn apply<M: PMem>(&self, mem: &mut M, scratch: &mut Vec<u8>) {
+        match self {
+            TraceEvent::Read { addr, len } => {
+                scratch.resize(*len as usize, 0);
+                mem.read(*addr, scratch);
+            }
+            TraceEvent::Write { addr, bytes } => mem.write(*addr, bytes),
+            TraceEvent::Clwb { addr, len } => mem.clwb(*addr, *len),
+            TraceEvent::Sfence => mem.sfence(),
+            TraceEvent::TxnBegin | TraceEvent::TxnEnd => {}
+        }
     }
 }
 

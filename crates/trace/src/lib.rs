@@ -45,4 +45,4 @@ pub mod replay;
 pub use codec::{decode, encode, CodecError};
 pub use event::TraceEvent;
 pub use record::TraceRecorder;
-pub use replay::{replay, replay_transactions, TxnSpan};
+pub use replay::replay;

@@ -10,64 +10,8 @@ use crate::event::TraceEvent;
 pub fn replay<M: PMem>(events: &[TraceEvent], mem: &mut M) {
     let mut scratch = Vec::new();
     for e in events {
-        match e {
-            TraceEvent::Read { addr, len } => {
-                scratch.resize(*len as usize, 0);
-                mem.read(*addr, &mut scratch);
-            }
-            TraceEvent::Write { addr, bytes } => mem.write(*addr, bytes),
-            TraceEvent::Clwb { addr, len } => mem.clwb(*addr, *len),
-            TraceEvent::Sfence => mem.sfence(),
-            TraceEvent::TxnBegin | TraceEvent::TxnEnd => {}
-        }
+        e.apply(mem, &mut scratch);
     }
-}
-
-/// A replayed transaction's position within the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxnSpan {
-    /// Index of the `TxnBegin` marker.
-    pub begin: usize,
-    /// Index of the matching `TxnEnd` marker.
-    pub end: usize,
-}
-
-/// Replays a trace into `mem`, invoking `observe` with each completed
-/// [`TxnSpan`] immediately after its `TxnEnd` marker is reached. The
-/// observer typically samples the target system's clock to compute
-/// per-transaction latency under a different scheme than the trace was
-/// recorded on.
-///
-/// Returns the spans. Unbalanced markers are tolerated: an unmatched
-/// `TxnEnd` is ignored, an unmatched `TxnBegin` never completes.
-pub fn replay_transactions<M: PMem>(
-    events: &[TraceEvent],
-    mem: &mut M,
-    mut observe: impl FnMut(TxnSpan, &mut M),
-) -> Vec<TxnSpan> {
-    let mut spans = Vec::new();
-    let mut open: Option<usize> = None;
-    let mut scratch = Vec::new();
-    for (i, e) in events.iter().enumerate() {
-        match e {
-            TraceEvent::Read { addr, len } => {
-                scratch.resize(*len as usize, 0);
-                mem.read(*addr, &mut scratch);
-            }
-            TraceEvent::Write { addr, bytes } => mem.write(*addr, bytes),
-            TraceEvent::Clwb { addr, len } => mem.clwb(*addr, *len),
-            TraceEvent::Sfence => mem.sfence(),
-            TraceEvent::TxnBegin => open = Some(i),
-            TraceEvent::TxnEnd => {
-                if let Some(begin) = open.take() {
-                    let span = TxnSpan { begin, end: i };
-                    observe(span, mem);
-                    spans.push(span);
-                }
-            }
-        }
-    }
-    spans
 }
 
 #[cfg(test)]
@@ -116,35 +60,19 @@ mod tests {
     }
 
     #[test]
-    fn transaction_spans_are_reported_in_order() {
-        let mut mem = VecMem::new();
-        let trace = vec![
-            TraceEvent::TxnBegin,
-            TraceEvent::Write {
-                addr: 0,
-                bytes: vec![1],
-            },
-            TraceEvent::TxnEnd,
-            TraceEvent::TxnBegin,
-            TraceEvent::Sfence,
-            TraceEvent::TxnEnd,
-        ];
-        let mut seen = Vec::new();
-        let spans = replay_transactions(&trace, &mut mem, |s, _| seen.push(s));
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans, seen);
-        assert_eq!(spans[0], TxnSpan { begin: 0, end: 2 });
-        assert_eq!(spans[1], TxnSpan { begin: 3, end: 5 });
-    }
-
-    #[test]
     fn unbalanced_markers_are_tolerated() {
         let mut mem = VecMem::new();
         let trace = vec![
-            TraceEvent::TxnEnd,   // stray end
+            TraceEvent::TxnEnd, // stray end
+            TraceEvent::Write {
+                addr: 0x40,
+                bytes: vec![9],
+            },
             TraceEvent::TxnBegin, // never closed
         ];
-        let spans = replay_transactions(&trace, &mut mem, |_, _| {});
-        assert!(spans.is_empty());
+        replay(&trace, &mut mem);
+        let mut b = [0u8; 1];
+        mem.read(0x40, &mut b);
+        assert_eq!(b, [9]);
     }
 }

@@ -26,8 +26,6 @@ pub struct YcsbWorkload {
     read_pct: u8,
     value_bytes: usize,
     rng: SplitMix64,
-    reads: u64,
-    inserts: u64,
 }
 
 impl YcsbWorkload {
@@ -92,14 +90,7 @@ impl YcsbWorkload {
             read_pct,
             value_bytes,
             rng,
-            reads: 0,
-            inserts: 0,
         })
-    }
-
-    /// (lookups, inserts) performed so far.
-    pub fn op_counts(&self) -> (u64, u64) {
-        (self.reads, self.inserts)
     }
 
     /// Committed insert transactions.
@@ -117,14 +108,12 @@ impl YcsbWorkload {
             let key = self.inserted[self.rng.next_below(self.inserted.len() as u64) as usize];
             let value = self.tree.get(mem, key);
             assert!(value.is_some(), "inserted key {key} must be found");
-            self.reads += 1;
         } else {
             let key = self.rng.next_u64() >> 1;
             let mut value = vec![0u8; self.value_bytes];
             self.rng.fill_bytes(&mut value);
             self.tree.insert(mem, key, value)?;
             self.inserted.push(key);
-            self.inserts += 1;
         }
         Ok(())
     }
@@ -144,6 +133,13 @@ mod tests {
     use super::*;
     use supermem_persist::VecMem;
 
+    /// (lookups, inserts) after `steps` operations: each insert adds a
+    /// key to the 8 seeded ones, each lookup adds none.
+    fn op_counts(w: &YcsbWorkload, steps: u64) -> (u64, u64) {
+        let inserts = w.inserted.len() as u64 - 8;
+        (steps - inserts, inserts)
+    }
+
     #[test]
     fn pure_read_mix_never_inserts_after_seeding() {
         let mut mem = VecMem::new();
@@ -151,7 +147,7 @@ mod tests {
         for _ in 0..50 {
             w.step(&mut mem).unwrap();
         }
-        let (reads, inserts) = w.op_counts();
+        let (reads, inserts) = op_counts(&w, 50);
         assert_eq!(reads, 50);
         assert_eq!(inserts, 0);
         w.verify(&mut mem).unwrap();
@@ -164,7 +160,7 @@ mod tests {
         for _ in 0..50 {
             w.step(&mut mem).unwrap();
         }
-        let (reads, inserts) = w.op_counts();
+        let (reads, inserts) = op_counts(&w, 50);
         assert_eq!(reads, 0);
         assert_eq!(inserts, 50);
         w.verify(&mut mem).unwrap();
@@ -177,7 +173,7 @@ mod tests {
         for _ in 0..500 {
             w.step(&mut mem).unwrap();
         }
-        let (reads, inserts) = w.op_counts();
+        let (reads, inserts) = op_counts(&w, 500);
         let read_share = reads as f64 / (reads + inserts) as f64;
         assert!(
             (0.7..0.9).contains(&read_share),
