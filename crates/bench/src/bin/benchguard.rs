@@ -8,6 +8,7 @@
 use std::hint::black_box;
 use std::process::ExitCode;
 
+use supermem::cache::CacheHierarchy;
 use supermem::campaign::{Case, Fault, Verdict};
 use supermem::memctrl::{ChannelSet, MemoryController};
 use supermem::nvm::addr::LineAddr;
@@ -138,6 +139,46 @@ fn main() -> ExitCode {
             let (data, done) = mc.read_line(black_box(line), t);
             t = done;
             data
+        });
+    }
+    {
+        // The cache hierarchy alone, in an array build's shape: each
+        // iteration write-allocates the next line of an 8 MiB region on
+        // the default 8-core machine (a load that misses every level, the
+        // inclusive fill with its victims, the store). Each pass over the
+        // region starts from a fresh, cold hierarchy.
+        const LINES: u64 = (8 << 20) / 64;
+        let cfg = Config::default();
+        let mut caches = CacheHierarchy::new(&cfg);
+        let mut i = 0u64;
+        h.bench("cache/write_allocate_8MiB", || {
+            if i.is_multiple_of(LINES) {
+                caches = CacheHierarchy::new(&cfg);
+            }
+            let line = LineAddr(i % LINES * 64);
+            i += 1;
+            if caches.load(0, black_box(line)).data.is_none() {
+                black_box(caches.fill(0, line, [0; 64]));
+            }
+            caches.store(0, line, [i as u8; 64])
+        });
+    }
+    {
+        // Verification's read path: System::peek of one line at a time
+        // over a checkpointed 8 MiB SuperMem array, so every line comes
+        // from NVM and is decrypted under the counter cache's counters.
+        const LINES: u64 = (8 << 20) / 64;
+        let mut sys = System::new(Scheme::SuperMem.apply(Config::default()));
+        for l in 0..LINES {
+            sys.write(l * 64, &[l as u8; 64]);
+        }
+        sys.checkpoint();
+        let mut i = 0u64;
+        let mut buf = [0u8; 64];
+        h.bench("system/peek", || {
+            sys.peek(black_box(i % LINES * 64), &mut buf);
+            i += 1;
+            buf[0]
         });
     }
     {

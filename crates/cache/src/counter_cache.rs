@@ -57,7 +57,12 @@ impl CounterCache {
     /// Panics if the geometry yields zero sets.
     pub fn new(capacity_bytes: u64, line_bytes: u64, ways: usize, mode: CounterCacheMode) -> Self {
         Self {
-            cache: SetAssocCache::with_geometry(capacity_bytes, line_bytes, ways),
+            cache: SetAssocCache::with_geometry(
+                capacity_bytes,
+                line_bytes,
+                ways,
+                CounterLine::new(),
+            ),
             mode,
             drop_write_through: false,
         }

@@ -15,14 +15,24 @@ use supermem_nvm::addr::LineAddr;
 use supermem_nvm::LineData;
 use supermem_sim::{Config, Cycle};
 
-use crate::setassoc::SetAssocCache;
+use crate::setassoc::{Evicted, SetAssocCache};
 
 /// A dirty line leaving the hierarchy toward the memory controller.
 pub type Writeback = (LineAddr, LineData);
 
+/// The dirty lines the current [`CacheHierarchy::load`] or
+/// [`CacheHierarchy::fill`] displaces toward memory, kept inline in the
+/// hierarchy and lent out as a slice: a fill displaces at most one line
+/// per level, so three slots always suffice, and no call allocates.
+#[derive(Debug, Clone)]
+struct Writebacks {
+    len: usize,
+    lines: [Writeback; 3],
+}
+
 /// Result of a load probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadResult {
+pub struct LoadResult<'a> {
     /// The line contents if any level hit.
     pub data: Option<LineData>,
     /// Core-visible latency of the probe (sum of traversed levels).
@@ -30,7 +40,7 @@ pub struct LoadResult {
     /// Which level hit: 1, 2, 3, or 0 for a full miss.
     pub level: u8,
     /// Dirty lines displaced to memory by promotions.
-    pub writebacks: Vec<Writeback>,
+    pub writebacks: &'a [Writeback],
 }
 
 /// The simulated L1/L2/L3 cache hierarchy.
@@ -56,15 +66,27 @@ pub struct CacheHierarchy {
     l1_latency: Cycle,
     l2_latency: Cycle,
     l3_latency: Cycle,
-    line_bytes: u64,
+    /// `log2(line_bytes)`: line sizes are powers of two.
+    line_shift: u32,
+    wb: Writebacks,
 }
 
 impl CacheHierarchy {
     /// Builds the hierarchy described by `cfg` (sizes, ways, latencies,
     /// core count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line size is not a power of two (which
+    /// [`Config::validate`] rejects).
     pub fn new(cfg: &Config) -> Self {
-        let mk =
-            |bytes: u64, ways: usize| SetAssocCache::with_geometry(bytes, cfg.line_bytes, ways);
+        assert!(
+            cfg.line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        let mk = |bytes: u64, ways: usize| {
+            SetAssocCache::with_geometry(bytes, cfg.line_bytes, ways, [0; 64])
+        };
         Self {
             l1: (0..cfg.cores)
                 .map(|_| mk(cfg.l1_bytes, cfg.l1_ways))
@@ -76,58 +98,62 @@ impl CacheHierarchy {
             l1_latency: cfg.l1_latency,
             l2_latency: cfg.l2_latency,
             l3_latency: cfg.l3_latency,
-            line_bytes: cfg.line_bytes,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            wb: Writebacks {
+                len: 0,
+                lines: [(LineAddr(0), [0; 64]); 3],
+            },
         }
     }
 
     fn key(&self, line: LineAddr) -> u64 {
-        line.0 / self.line_bytes
+        line.0 >> self.line_shift
     }
 
     /// Probes L1→L2→L3 for `line` on behalf of `core`.
     ///
     /// On an inner miss with an outer hit, the line is promoted into the
     /// inner levels; promotions may displace dirty lines all the way to
-    /// memory, returned in [`LoadResult::writebacks`].
+    /// memory, lent out in [`LoadResult::writebacks`].
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn load(&mut self, core: usize, line: LineAddr) -> LoadResult {
+    pub fn load(&mut self, core: usize, line: LineAddr) -> LoadResult<'_> {
         let key = self.key(line);
-        if let Some(data) = self.l1[core].get(key) {
-            return LoadResult {
-                data: Some(*data),
-                latency: self.l1_latency,
-                level: 1,
-                writebacks: Vec::new(),
-            };
-        }
-        if let Some(data) = self.l2[core].get(key).copied() {
-            let writebacks = self.install_l1(core, line, data, false);
-            return LoadResult {
-                data: Some(data),
-                latency: self.l1_latency + self.l2_latency,
-                level: 2,
-                writebacks,
-            };
-        }
-        if let Some(data) = self.l3.get(key).copied() {
-            let mut writebacks = self.install_l2(core, line, data, false);
-            writebacks.extend(self.install_l1(core, line, data, false));
-            return LoadResult {
-                data: Some(data),
-                latency: self.l1_latency + self.l2_latency + self.l3_latency,
-                level: 3,
-                writebacks,
-            };
-        }
+        self.wb.len = 0;
+        let (data, level) = if let Some(data) = self.l1[core].get(key) {
+            (Some(*data), 1)
+        } else if let Some(data) = self.l2[core].get(key).copied() {
+            self.install_l1(core, key, data, false, true);
+            (Some(data), 2)
+        } else if let Some(data) = self.l3.get(key).copied() {
+            self.install_l2(core, key, data, false, true);
+            self.install_l1(core, key, data, false, true);
+            (Some(data), 3)
+        } else {
+            (None, 0)
+        };
+        let latency = match level {
+            1 => self.l1_latency,
+            2 => self.l1_latency + self.l2_latency,
+            _ => self.l1_latency + self.l2_latency + self.l3_latency,
+        };
         LoadResult {
-            data: None,
-            latency: self.l1_latency + self.l2_latency + self.l3_latency,
-            level: 0,
-            writebacks: Vec::new(),
+            data,
+            latency,
+            level,
+            writebacks: &self.wb.lines[..self.wb.len],
         }
+    }
+
+    /// The newest cached copy of `line`, if any level of any core holds
+    /// it, with no effect on LRU state, dirty bits or hit counts. The
+    /// hierarchy is inclusive and every store updates the copies it
+    /// keeps, so the shared L3 holds every resident line at its newest
+    /// value.
+    pub fn peek(&self, line: LineAddr) -> Option<LineData> {
+        self.l3.peek(self.key(line)).copied()
     }
 
     /// Installs a line fetched from memory into all levels (inclusive
@@ -136,11 +162,15 @@ impl CacheHierarchy {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn fill(&mut self, core: usize, line: LineAddr, data: LineData) -> Vec<Writeback> {
-        let mut writebacks = self.install_l3(line, data, false);
-        writebacks.extend(self.install_l2(core, line, data, false));
-        writebacks.extend(self.install_l1(core, line, data, false));
-        writebacks
+    pub fn fill(&mut self, core: usize, line: LineAddr, data: LineData) -> &[Writeback] {
+        let key = self.key(line);
+        self.wb.len = 0;
+        // Inclusion: a line missing from L3 is missing everywhere.
+        let absent = self.l3.peek(key).is_none();
+        self.install_l3(key, data, false, absent);
+        self.install_l2(core, key, data, false, absent);
+        self.install_l1(core, key, data, false, absent);
+        &self.wb.lines[..self.wb.len]
     }
 
     /// Overwrites a line that is resident in L1 and marks it dirty.
@@ -171,14 +201,15 @@ impl CacheHierarchy {
         // Write-invalidate: other cores' private copies are now stale.
         // Their next load falls through to the shared (value-coherent)
         // L3, which is how shared lock-free structures observe each
-        // other's CAS publications.
+        // other's CAS publications. An empty private cache cannot hold
+        // the line.
         for (c, l1) in self.l1.iter_mut().enumerate() {
-            if c != core {
+            if c != core && !l1.is_empty() {
                 l1.remove(key);
             }
         }
         for (c, l2) in self.l2.iter_mut().enumerate() {
-            if c != core {
+            if c != core && !l2.is_empty() {
                 l2.remove(key);
             }
         }
@@ -217,111 +248,93 @@ impl CacheHierarchy {
     /// Flushes every dirty line out of the hierarchy (clean shutdown /
     /// end-of-run accounting). Inner copies win over outer ones.
     pub fn drain_dirty(&mut self) -> Vec<Writeback> {
-        use std::collections::HashMap;
-        let mut newest: HashMap<u64, LineData> = HashMap::new();
-        // Outer to inner so inner levels overwrite.
-        for ev in self.l3.drain() {
-            if ev.dirty {
-                newest.insert(ev.key, ev.value);
+        // Outer to inner, so among one line's copies the innermost comes
+        // last and wins the dedup below.
+        let mut dirty: Vec<(u64, LineData)> = Vec::new();
+        let levels = std::iter::once(&mut self.l3)
+            .chain(&mut self.l2)
+            .chain(&mut self.l1);
+        for cache in levels {
+            dirty.extend(
+                cache
+                    .drain()
+                    .into_iter()
+                    .filter(|ev| ev.dirty)
+                    .map(|ev| (ev.key, ev.value)),
+            );
+        }
+        // Stable: copies of one line keep their outer-to-inner order.
+        dirty.sort_by_key(|&(key, _)| key);
+        let mut out: Vec<Writeback> = Vec::with_capacity(dirty.len());
+        for (key, data) in dirty {
+            let line = LineAddr(key << self.line_shift);
+            match out.last_mut() {
+                Some(last) if last.0 == line => last.1 = data,
+                _ => out.push((line, data)),
             }
         }
-        for c in &mut self.l2 {
-            for ev in c.drain() {
-                if ev.dirty {
-                    newest.insert(ev.key, ev.value);
-                }
-            }
-        }
-        for c in &mut self.l1 {
-            for ev in c.drain() {
-                if ev.dirty {
-                    newest.insert(ev.key, ev.value);
-                }
-            }
-        }
-        let line_bytes = self.line_bytes;
-        let mut out: Vec<Writeback> = newest
-            .into_iter()
-            .map(|(key, data)| (LineAddr(key * line_bytes), data))
-            .collect();
-        out.sort_by_key(|(a, _)| a.0);
         out
     }
 
-    fn install_l1(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        data: LineData,
-        dirty: bool,
-    ) -> Vec<Writeback> {
-        let key = self.key(line);
-        let mut writebacks = Vec::new();
-        if let Some(ev) = self.l1[core].insert_with_dirty(key, data, dirty) {
+    /// Inserts into `core`'s L1; `absent` says the line is known not to
+    /// be there, which spares the lookup.
+    fn install_l1(&mut self, core: usize, key: u64, data: LineData, dirty: bool, absent: bool) {
+        if let Some(ev) = insert(&mut self.l1[core], key, data, dirty, absent) {
             if ev.dirty {
                 // Dirty L1 victim sinks into L2.
-                writebacks.extend(self.install_l2(
-                    core,
-                    LineAddr(ev.key * self.line_bytes),
-                    ev.value,
-                    true,
-                ));
+                self.install_l2(core, ev.key, ev.value, true, false);
             }
         }
-        writebacks
     }
 
-    fn install_l2(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        data: LineData,
-        dirty: bool,
-    ) -> Vec<Writeback> {
-        let key = self.key(line);
-        let mut writebacks = Vec::new();
-        if let Some(ev) = self.l2[core].insert_with_dirty(key, data, dirty) {
+    fn install_l2(&mut self, core: usize, key: u64, data: LineData, dirty: bool, absent: bool) {
+        if let Some(ev) = insert(&mut self.l2[core], key, data, dirty, absent) {
             if ev.dirty {
-                writebacks.extend(self.install_l3(
-                    LineAddr(ev.key * self.line_bytes),
-                    ev.value,
-                    true,
-                ));
+                self.install_l3(ev.key, ev.value, true, false);
             }
         }
-        writebacks
     }
 
-    fn install_l3(&mut self, line: LineAddr, data: LineData, dirty: bool) -> Vec<Writeback> {
-        let key = self.key(line);
-        let mut writebacks = Vec::new();
-        if let Some(ev) = self.l3.insert_with_dirty(key, data, dirty) {
-            let victim_line = LineAddr(ev.key * self.line_bytes);
-            // Inclusive back-invalidation: pull the newest copy out of the
-            // inner levels before the line leaves the hierarchy.
-            let mut newest = ev.value;
-            let mut dirty_any = ev.dirty;
-            for c in &mut self.l2 {
-                if let Some((v, d)) = c.remove(ev.key) {
-                    if d {
-                        newest = v;
-                        dirty_any = true;
-                    }
-                }
+    fn install_l3(&mut self, key: u64, data: LineData, dirty: bool, absent: bool) {
+        let Some(ev) = insert(&mut self.l3, key, data, dirty, absent) else {
+            return;
+        };
+        // Inclusive back-invalidation: pull the newest copy out of the
+        // inner levels before the line leaves the hierarchy. An empty
+        // private cache cannot hold it.
+        let mut newest = ev.value;
+        let mut dirty_any = ev.dirty;
+        for c in self.l2.iter_mut().chain(&mut self.l1) {
+            if c.is_empty() {
+                continue;
             }
-            for c in &mut self.l1 {
-                if let Some((v, d)) = c.remove(ev.key) {
-                    if d {
-                        newest = v;
-                        dirty_any = true;
-                    }
+            if let Some((v, d)) = c.remove(ev.key) {
+                if d {
+                    newest = v;
+                    dirty_any = true;
                 }
-            }
-            if dirty_any {
-                writebacks.push((victim_line, newest));
             }
         }
-        writebacks
+        if dirty_any {
+            self.wb.lines[self.wb.len] = (LineAddr(ev.key << self.line_shift), newest);
+            self.wb.len += 1;
+        }
+    }
+}
+
+/// One level's insertion, without the lookup when the line is known to
+/// be absent.
+fn insert(
+    cache: &mut SetAssocCache<LineData>,
+    key: u64,
+    data: LineData,
+    dirty: bool,
+    absent: bool,
+) -> Option<Evicted<LineData>> {
+    if absent {
+        cache.insert_absent(key, data, dirty)
+    } else {
+        cache.insert_with_dirty(key, data, dirty)
     }
 }
 
@@ -404,7 +417,7 @@ mod tests {
         // must eventually come back out as a writeback, never vanish.
         let mut writebacks = Vec::new();
         for i in 1..64u64 {
-            writebacks.extend(h.fill(0, LineAddr(i * 2 * 64 * 8), [i as u8; 64]));
+            writebacks.extend_from_slice(h.fill(0, LineAddr(i * 2 * 64 * 8), [i as u8; 64]));
         }
         writebacks.extend(h.drain_dirty());
         let found = writebacks.iter().find(|(l, _)| *l == a);

@@ -16,7 +16,7 @@
 //! ```
 //! use supermem_cache::setassoc::SetAssocCache;
 //!
-//! let mut c: SetAssocCache<u32> = SetAssocCache::new(4, 2);
+//! let mut c: SetAssocCache<u32> = SetAssocCache::new(4, 2, 0);
 //! c.insert(1, 100);
 //! assert_eq!(c.get(1), Some(&100));
 //! assert_eq!(c.get(2), None);

@@ -1,10 +1,22 @@
 //! A generic set-associative cache with true-LRU replacement.
 //!
-//! Keys are abstract line identifiers (`u64`); the set index is
-//! `key % sets`, matching the usual low-bits indexing once callers strip
-//! the line offset. Values are arbitrary, so the same structure backs the
-//! data caches (64-byte payloads) and the counter cache (decoded
-//! [`supermem_crypto::CounterLine`]s).
+//! Keys are abstract line identifiers (`u64`); the set index is the
+//! key's low bits (`key & (sets - 1)`) when the set count is a power of
+//! two and `key % sets` otherwise, matching the usual low-bits indexing
+//! once callers strip the line offset. Values are arbitrary, so the same
+//! structure backs the data caches (64-byte payloads) and the counter
+//! cache (decoded [`supermem_crypto::CounterLine`]s).
+//!
+//! The layout is flat: one array each of keys, LRU stamps, dirty bits
+//! and values, `ways` slots per set. A lookup scans only the set's keys,
+//! 8 bytes a way, and touches a payload only on a hit. A set's resident
+//! entries fill its first slots in insertion order; an eviction or a
+//! removal moves the set's last entry into the hole (`Vec::swap_remove`
+//! order), so [`SetAssocCache::iter`] and [`SetAssocCache::drain`] visit
+//! entries in a fixed order that depends only on the call sequence.
+
+// Test-only: the module file is compiled only for tests.
+mod reference;
 
 /// An entry evicted to make room for an insertion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,14 +29,6 @@ pub struct Evicted<V> {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Slot<V> {
-    key: u64,
-    value: V,
-    dirty: bool,
-    stamp: u64,
-}
-
 /// A set-associative LRU cache.
 ///
 /// # Examples
@@ -33,7 +37,7 @@ struct Slot<V> {
 /// use supermem_cache::SetAssocCache;
 ///
 /// // 2 sets x 2 ways.
-/// let mut c: SetAssocCache<&str> = SetAssocCache::new(2, 2);
+/// let mut c: SetAssocCache<&str> = SetAssocCache::new(2, 2, "");
 /// c.insert(0, "a");
 /// c.insert(2, "b"); // same set as 0
 /// c.get(0);          // touch 0 so 2 becomes LRU
@@ -42,24 +46,46 @@ struct Slot<V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<V> {
-    sets: Vec<Vec<Slot<V>>>,
+    keys: Vec<u64>,
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    values: Vec<V>,
+    /// What a vacant value slot holds.
+    empty: V,
+    /// Resident entries per set; they fill the set's first slots.
+    lens: Vec<u32>,
     ways: usize,
+    sets: u64,
+    /// `sets - 1` when `sets` is a power of two.
+    mask: Option<u64>,
+    resident: usize,
     tick: u64,
     hits: u64,
     misses: u64,
 }
 
-impl<V> SetAssocCache<V> {
-    /// Creates a cache with `sets` sets of `ways` ways.
+impl<V: Clone> SetAssocCache<V> {
+    /// Creates a cache with `sets` sets of `ways` ways. Vacant slots hold
+    /// copies of `empty`. The slot arrays are allocated by the first
+    /// insertion, so a cache that is never filled (a private cache of an
+    /// idle core) costs only its per-set counts.
     ///
     /// # Panics
     ///
     /// Panics if `sets` or `ways` is zero.
-    pub fn new(sets: usize, ways: usize) -> Self {
+    pub fn new(sets: usize, ways: usize, empty: V) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
         Self {
-            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+            keys: Vec::new(),
+            stamps: Vec::new(),
+            dirty: Vec::new(),
+            values: Vec::new(),
+            empty,
+            lens: vec![0; sets],
             ways,
+            sets: sets as u64,
+            mask: sets.is_power_of_two().then_some(sets as u64 - 1),
+            resident: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -72,14 +98,14 @@ impl<V> SetAssocCache<V> {
     /// # Panics
     ///
     /// Panics if the division yields zero sets.
-    pub fn with_geometry(capacity_bytes: u64, line_bytes: u64, ways: usize) -> Self {
+    pub fn with_geometry(capacity_bytes: u64, line_bytes: u64, ways: usize, empty: V) -> Self {
         let sets = capacity_bytes / (line_bytes * ways as u64);
-        Self::new(sets as usize, ways)
+        Self::new(sets as usize, ways, empty)
     }
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets.len()
+        self.lens.len()
     }
 
     /// Ways per set.
@@ -89,12 +115,12 @@ impl<V> SetAssocCache<V> {
 
     /// Total entries currently resident.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.resident
     }
 
     /// True if no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.resident == 0
     }
 
     /// Lifetime (hits, misses) counted by [`Self::get`]/[`Self::get_mut`].
@@ -103,7 +129,41 @@ impl<V> SetAssocCache<V> {
     }
 
     fn set_of(&self, key: u64) -> usize {
-        (key % self.sets.len() as u64) as usize
+        match self.mask {
+            Some(mask) => (key & mask) as usize,
+            None => (key % self.sets) as usize,
+        }
+    }
+
+    /// The slot holding `key`, if resident.
+    fn slot(&self, key: u64) -> Option<usize> {
+        let set = self.set_of(key);
+        let len = self.lens[set] as usize;
+        if len == 0 {
+            // Also the case of a cache whose slots are not yet allocated.
+            return None;
+        }
+        let base = set * self.ways;
+        let at = self.keys[base..base + len].iter().position(|&k| k == key)?;
+        Some(base + at)
+    }
+
+    /// Copies slot `from` over slot `to`.
+    fn move_slot(&mut self, from: usize, to: usize) {
+        if from != to {
+            self.keys[to] = self.keys[from];
+            self.stamps[to] = self.stamps[from];
+            self.dirty[to] = self.dirty[from];
+            self.values[to] = self.values[from].clone();
+        }
+    }
+
+    /// Fills slot `i` with a freshly used entry.
+    fn put(&mut self, i: usize, key: u64, value: V, dirty: bool) {
+        self.keys[i] = key;
+        self.values[i] = value;
+        self.dirty[i] = dirty;
+        self.stamps[i] = self.tick;
     }
 
     /// Looks up `key`, refreshing its LRU position.
@@ -119,13 +179,10 @@ impl<V> SetAssocCache<V> {
     /// Looks up `key` mutably and exposes its dirty flag, refreshing LRU.
     pub fn get_entry(&mut self, key: u64) -> Option<(&mut V, &mut bool)> {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(key);
-        let slot = self.sets[set].iter_mut().find(|s| s.key == key);
-        if let Some(s) = slot {
-            s.stamp = tick;
+        if let Some(i) = self.slot(key) {
+            self.stamps[i] = self.tick;
             self.hits += 1;
-            Some((&mut s.value, &mut s.dirty))
+            Some((&mut self.values[i], &mut self.dirty[i]))
         } else {
             self.misses += 1;
             None
@@ -134,20 +191,12 @@ impl<V> SetAssocCache<V> {
 
     /// Checks residency without perturbing LRU or hit counters.
     pub fn peek(&self, key: u64) -> Option<&V> {
-        let set = self.set_of(key);
-        self.sets[set]
-            .iter()
-            .find(|s| s.key == key)
-            .map(|s| &s.value)
+        self.slot(key).map(|i| &self.values[i])
     }
 
     /// True if `key` is resident and dirty (no LRU side effects).
     pub fn is_dirty(&self, key: u64) -> bool {
-        let set = self.set_of(key);
-        self.sets[set]
-            .iter()
-            .find(|s| s.key == key)
-            .is_some_and(|s| s.dirty)
+        self.slot(key).is_some_and(|i| self.dirty[i])
     }
 
     /// Inserts `key` clean, evicting the set's LRU entry if full.
@@ -161,40 +210,65 @@ impl<V> SetAssocCache<V> {
     /// For an already-resident key the value is replaced and the dirty
     /// flag is OR-ed in.
     pub fn insert_with_dirty(&mut self, key: u64, value: V, dirty: bool) -> Option<Evicted<V>> {
+        let Some(i) = self.slot(key) else {
+            return self.insert_absent(key, value, dirty);
+        };
         self.tick += 1;
-        let tick = self.tick;
-        let ways = self.ways;
-        let set_idx = self.set_of(key);
-        let set = &mut self.sets[set_idx];
-        if let Some(s) = set.iter_mut().find(|s| s.key == key) {
-            s.value = value;
-            s.dirty |= dirty;
-            s.stamp = tick;
+        self.values[i] = value;
+        self.dirty[i] |= dirty;
+        self.stamps[i] = self.tick;
+        None
+    }
+
+    /// [`Self::insert_with_dirty`] of a key the caller knows is not
+    /// resident, without the lookup: the same stamp, victim and slot
+    /// order.
+    pub fn insert_absent(&mut self, key: u64, value: V, dirty: bool) -> Option<Evicted<V>> {
+        debug_assert!(self.slot(key).is_none(), "key {key} is resident");
+        self.tick += 1;
+        let set = self.set_of(key);
+        let len = self.lens[set] as usize;
+        let base = set * self.ways;
+        if len < self.ways {
+            if self.keys.is_empty() {
+                let slots = self.lens.len() * self.ways;
+                self.keys = vec![0; slots];
+                self.stamps = vec![0; slots];
+                self.dirty = vec![false; slots];
+                self.values = vec![self.empty.clone(); slots];
+            }
+            self.lens[set] += 1;
+            self.resident += 1;
+            self.put(base + len, key, value, dirty);
             return None;
         }
-        let evicted = if set.len() == ways {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(i, _)| i)
-                .expect("non-empty full set");
-            let victim = set.swap_remove(lru);
-            Some(Evicted {
-                key: victim.key,
-                value: victim.value,
-                dirty: victim.dirty,
-            })
+        // The first slot with the oldest stamp leaves; the set's last
+        // entry fills its hole and the new entry takes the last slot.
+        let tick = self.tick;
+        let keys = &mut self.keys[base..base + len];
+        let stamps = &mut self.stamps[base..base + len];
+        let dirt = &mut self.dirty[base..base + len];
+        let (mut lru, mut oldest) = (0, stamps[0]);
+        for (i, &stamp) in stamps.iter().enumerate().skip(1) {
+            if stamp < oldest {
+                (lru, oldest) = (i, stamp);
+            }
+        }
+        let last = len - 1;
+        let (victim_key, victim_dirty) = (keys[lru], dirt[lru]);
+        (keys[lru], stamps[lru], dirt[lru]) = (keys[last], stamps[last], dirt[last]);
+        (keys[last], stamps[last], dirt[last]) = (key, tick, dirty);
+        let moved = std::mem::replace(&mut self.values[base + last], value);
+        let victim_value = if lru == last {
+            moved
         } else {
-            None
+            std::mem::replace(&mut self.values[base + lru], moved)
         };
-        set.push(Slot {
-            key,
-            value,
-            dirty,
-            stamp: tick,
-        });
-        evicted
+        Some(Evicted {
+            key: victim_key,
+            value: victim_value,
+            dirty: victim_dirty,
+        })
     }
 
     /// Overwrites the value of a resident entry without touching LRU
@@ -203,10 +277,9 @@ impl<V> SetAssocCache<V> {
     /// Used to keep outer-level copies value-coherent when an inner
     /// level absorbs a store.
     pub fn set_value_quiet(&mut self, key: u64, value: V) -> bool {
-        let set = self.set_of(key);
-        match self.sets[set].iter_mut().find(|s| s.key == key) {
-            Some(s) => {
-                s.value = value;
+        match self.slot(key) {
+            Some(i) => {
+                self.values[i] = value;
                 true
             }
             None => false,
@@ -215,10 +288,9 @@ impl<V> SetAssocCache<V> {
 
     /// Clears a resident entry's dirty bit. Returns `false` if absent.
     pub fn clear_dirty(&mut self, key: u64) -> bool {
-        let set = self.set_of(key);
-        match self.sets[set].iter_mut().find(|s| s.key == key) {
-            Some(s) => {
-                s.dirty = false;
+        match self.slot(key) {
+            Some(i) => {
+                self.dirty[i] = false;
                 true
             }
             None => false,
@@ -229,39 +301,45 @@ impl<V> SetAssocCache<V> {
     /// bit was set; `None` if `key` is absent or clean. One set scan, no
     /// LRU side effects.
     pub fn take_dirty(&mut self, key: u64) -> Option<&V> {
-        let set = self.set_of(key);
-        let s = self.sets[set].iter_mut().find(|s| s.key == key)?;
-        std::mem::take(&mut s.dirty).then_some(&s.value)
+        let i = self.slot(key)?;
+        std::mem::take(&mut self.dirty[i]).then_some(&self.values[i])
     }
 
     /// Removes `key`, returning its value and dirty flag.
     pub fn remove(&mut self, key: u64) -> Option<(V, bool)> {
+        let i = self.slot(key)?;
         let set = self.set_of(key);
-        let idx = self.sets[set].iter().position(|s| s.key == key)?;
-        let slot = self.sets[set].swap_remove(idx);
-        Some((slot.value, slot.dirty))
+        let last = set * self.ways + self.lens[set] as usize - 1;
+        let out = (self.values[i].clone(), self.dirty[i]);
+        self.move_slot(last, i);
+        self.lens[set] -= 1;
+        self.resident -= 1;
+        Some(out)
     }
 
     /// Drains every resident entry (used to flush or discard a cache).
     pub fn drain(&mut self) -> Vec<Evicted<V>> {
-        let mut out = Vec::with_capacity(self.len());
-        for set in &mut self.sets {
-            for slot in set.drain(..) {
+        let mut out = Vec::with_capacity(self.resident);
+        for set in 0..self.lens.len() {
+            let base = set * self.ways;
+            for i in base..base + std::mem::take(&mut self.lens[set]) as usize {
                 out.push(Evicted {
-                    key: slot.key,
-                    value: slot.value,
-                    dirty: slot.dirty,
+                    key: self.keys[i],
+                    value: self.values[i].clone(),
+                    dirty: self.dirty[i],
                 });
             }
         }
+        self.resident = 0;
         out
     }
 
     /// Iterates over `(key, &value, dirty)` without LRU side effects.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V, bool)> {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter().map(|s| (s.key, &s.value, s.dirty)))
+        self.lens.iter().enumerate().flat_map(move |(set, &len)| {
+            let base = set * self.ways;
+            (base..base + len as usize).map(move |i| (self.keys[i], &self.values[i], self.dirty[i]))
+        })
     }
 }
 
@@ -271,7 +349,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_accounting() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(4, 2);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(4, 2, 0);
         assert_eq!(c.get(5), None);
         c.insert(5, 1);
         assert_eq!(c.get(5), Some(&1));
@@ -280,7 +358,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2, 0);
         c.insert(1, 10);
         c.insert(2, 20);
         c.get(1); // 2 is now LRU
@@ -292,7 +370,7 @@ mod tests {
 
     #[test]
     fn reinsert_updates_in_place() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2, 0);
         c.insert_with_dirty(1, 10, true);
         assert!(c.insert(1, 11).is_none());
         assert_eq!(c.peek(1), Some(&11));
@@ -301,7 +379,7 @@ mod tests {
 
     #[test]
     fn dirty_flag_lifecycle() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2, 0);
         c.insert(4, 1);
         assert!(!c.is_dirty(4));
         c.insert_with_dirty(4, 1, true);
@@ -313,7 +391,7 @@ mod tests {
 
     #[test]
     fn take_dirty_returns_the_value_once_and_keeps_lru() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2, 0);
         c.insert_with_dirty(1, 10, true);
         c.insert(2, 20);
         assert_eq!(c.take_dirty(2), None, "clean entries yield nothing");
@@ -330,7 +408,7 @@ mod tests {
 
     #[test]
     fn eviction_reports_dirty() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 1);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 1, 0);
         c.insert_with_dirty(1, 10, true);
         let ev = c.insert(2, 20).unwrap();
         assert!(ev.dirty);
@@ -339,7 +417,7 @@ mod tests {
 
     #[test]
     fn keys_map_to_distinct_sets() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 1);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 1, 0);
         c.insert(0, 1); // set 0
         c.insert(1, 2); // set 1
         assert!(c.insert(2, 3).is_some()); // set 0 again -> evicts key 0
@@ -348,7 +426,7 @@ mod tests {
 
     #[test]
     fn remove_returns_value_and_dirty() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2, 0);
         c.insert_with_dirty(7, 70, true);
         assert_eq!(c.remove(7), Some((70, true)));
         assert_eq!(c.remove(7), None);
@@ -356,7 +434,7 @@ mod tests {
 
     #[test]
     fn drain_empties_cache() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(2, 2, 0);
         for k in 0..4 {
             c.insert(k, k as u8);
         }
@@ -368,14 +446,14 @@ mod tests {
     #[test]
     fn with_geometry_matches_paper_counter_cache() {
         // 256 KB, 64 B lines, 8 ways -> 512 sets.
-        let c: SetAssocCache<u8> = SetAssocCache::with_geometry(256 * 1024, 64, 8);
+        let c: SetAssocCache<u8> = SetAssocCache::with_geometry(256 * 1024, 64, 8, 0);
         assert_eq!(c.sets(), 512);
         assert_eq!(c.ways(), 8);
     }
 
     #[test]
     fn peek_does_not_touch_lru() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 2, 0);
         c.insert(1, 10);
         c.insert(2, 20);
         let _ = c.peek(1); // does NOT refresh key 1
@@ -385,7 +463,7 @@ mod tests {
 
     #[test]
     fn get_entry_exposes_dirty_flag() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 1);
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(1, 1, 0);
         c.insert(1, 10);
         {
             let (v, dirty) = c.get_entry(1).unwrap();
@@ -399,7 +477,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_geometry_rejected() {
-        let _: SetAssocCache<u8> = SetAssocCache::new(0, 1);
+        let _: SetAssocCache<u8> = SetAssocCache::new(0, 1, 0);
     }
 }
 
@@ -417,7 +495,7 @@ mod randomized {
     fn capacity_and_coherence() {
         let mut rng = SplitMix64::new(0xCAC4E);
         for _ in 0..64 {
-            let mut c: SetAssocCache<u16> = SetAssocCache::new(4, 2);
+            let mut c: SetAssocCache<u16> = SetAssocCache::new(4, 2, 0);
             let mut shadow: HashMap<u64, u16> = HashMap::new();
             for _ in 0..rng.next_range(1, 200) {
                 let k = rng.next_below(32);
@@ -441,7 +519,7 @@ mod randomized {
     fn no_silent_dirty_loss() {
         let mut rng = SplitMix64::new(0xD127);
         for _ in 0..64 {
-            let mut c: SetAssocCache<u64> = SetAssocCache::new(2, 2);
+            let mut c: SetAssocCache<u64> = SetAssocCache::new(2, 2, 0);
             let mut dirty_outstanding = std::collections::HashSet::new();
             for _ in 0..rng.next_range(1, 100) {
                 let k = rng.next_below(16);
@@ -456,6 +534,91 @@ mod randomized {
                     assert!(c.is_dirty(*d), "dirty key {d} lost");
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod differential {
+    //! The flat cache against the per-set `Vec` cache it replaced
+    //! ([`reference::NestedCache`]): every call's result, the
+    //! `iter()`/`drain()` order and the hit/miss counts must agree.
+    use super::reference::NestedCache;
+    use super::*;
+    use supermem_sim::SplitMix64;
+
+    fn entries<'a>(it: impl Iterator<Item = (u64, &'a u64, bool)>) -> Vec<(u64, u64, bool)> {
+        it.map(|(k, v, d)| (k, *v, d)).collect()
+    }
+
+    fn run(sets: usize, ways: usize, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let mut flat: SetAssocCache<u64> = SetAssocCache::new(sets, ways, 0);
+        let mut nested: NestedCache<u64> = NestedCache::new(sets, ways);
+        let keys = 4 * (sets * ways) as u64 + 3;
+        for step in 0..4_000u64 {
+            let k = rng.next_below(keys);
+            let v = rng.next_u64();
+            let d = rng.next_below(2) == 1;
+            match rng.next_below(12) {
+                0 => assert_eq!(flat.get(k), nested.get(k)),
+                1 => {
+                    let (a, b) = (flat.get_mut(k), nested.get_mut(k));
+                    assert_eq!(a.is_some(), b.is_some());
+                    if let (Some(a), Some(b)) = (a, b) {
+                        assert_eq!(*a, *b);
+                        (*a, *b) = (v, v);
+                    }
+                }
+                2 => {
+                    let (a, b) = (flat.get_entry(k), nested.get_entry(k));
+                    assert_eq!(a.is_some(), b.is_some());
+                    if let (Some((av, ad)), Some((bv, bd))) = (a, b) {
+                        assert_eq!((*av, *ad), (*bv, *bd));
+                        (*ad, *bd) = (d, d);
+                    }
+                }
+                3 => assert_eq!(flat.peek(k), nested.peek(k)),
+                4 => assert_eq!(flat.is_dirty(k), nested.is_dirty(k)),
+                5 => assert_eq!(flat.insert(k, v), nested.insert(k, v)),
+                6 | 7 => assert_eq!(
+                    flat.insert_with_dirty(k, v, d),
+                    nested.insert_with_dirty(k, v, d)
+                ),
+                8 => assert_eq!(flat.set_value_quiet(k, v), nested.set_value_quiet(k, v)),
+                9 => assert_eq!(flat.clear_dirty(k), nested.clear_dirty(k)),
+                10 => assert_eq!(flat.take_dirty(k), nested.take_dirty(k)),
+                _ if step % 997 == 0 => assert_eq!(flat.drain(), nested.drain()),
+                _ => assert_eq!(flat.remove(k), nested.remove(k)),
+            }
+            assert_eq!(flat.len(), nested.len());
+            assert_eq!(flat.hit_miss(), nested.hit_miss());
+            if step % 50 == 0 {
+                assert_eq!(entries(flat.iter()), entries(nested.iter()), "step {step}");
+            }
+        }
+        assert_eq!(entries(flat.iter()), entries(nested.iter()));
+        assert_eq!(flat.drain(), nested.drain());
+        assert!(flat.is_empty());
+    }
+
+    #[test]
+    fn flat_layout_matches_the_nested_reference_at_power_of_two_set_counts() {
+        for (i, (sets, ways)) in [(1, 1), (1, 4), (2, 2), (8, 4), (64, 8)]
+            .into_iter()
+            .enumerate()
+        {
+            run(sets, ways, 0xF1A7 + i as u64);
+        }
+    }
+
+    #[test]
+    fn flat_layout_matches_the_nested_reference_at_other_set_counts() {
+        for (i, (sets, ways)) in [(3, 1), (5, 2), (6, 3), (12, 4), (100, 8)]
+            .into_iter()
+            .enumerate()
+        {
+            run(sets, ways, 0x0DD5 + i as u64);
         }
     }
 }

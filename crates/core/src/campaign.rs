@@ -7,8 +7,9 @@
 //! state, the workload, the application-level recovery and the oracle.
 //! For each case the engine:
 //!
-//! 1. builds the subject's base system (the crash points of a
-//!    `(cell, seed)` pair are counted once, by a dry run of the workload
+//! 1. takes a clone of the subject's base system, which depends only on
+//!    the `(cell, seed)` pair and is built once per sweep job (the crash
+//!    points of a pair are counted once, by a dry run of the workload
 //!    from that base, shutdown drain included);
 //! 2. arms a crash after `point` appends (machine-wide across channels)
 //!    and, for a power-event [`FaultClass`], plans it before the workload
@@ -59,7 +60,7 @@ use supermem_persist::{DirectMem, RecoveredMemory};
 use supermem_sim::Config;
 
 use crate::scheme::Scheme;
-use crate::sweep::sweep;
+use crate::sweep::{sweep, worker_count};
 
 /// What one case amounted to after recovery and the oracle check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,7 +268,8 @@ pub trait Subject: Sync {
     /// One row of the machine axis (a labelled config, a structure, ...).
     type Cell: Clone + Send + Sync;
     /// Per-case state beside the memory: store handles and the oracle.
-    type State;
+    /// Cloned with the base for every case of a `(cell, seed)` pair.
+    type State: Clone;
     /// The subject's typed recovery report carried into results (`()`
     /// when it has none).
     type Evidence: Clone + Send;
@@ -447,9 +449,12 @@ impl<S: Subject> Campaign<S> {
         mem.controller().append_events() - before
     }
 
-    /// Every case, ordered cell, seed, fault, point.
-    fn cases(&self) -> Vec<Case<S::Cell>> {
-        let mut cases = Vec::new();
+    /// Every case, ordered cell, seed, fault, point, in sweep jobs that
+    /// share a base: the cases of one `(cell, seed)` pair, cut into up to
+    /// `workers` contiguous runs so that a campaign of few pairs still
+    /// fills the pool. Concatenated, the jobs are the cases in order.
+    fn jobs(&self, workers: usize) -> Vec<Vec<Case<S::Cell>>> {
+        let mut jobs = Vec::new();
         for cell in &self.cells {
             for &seed in &self.seeds {
                 let total = self.crash_points(cell, seed);
@@ -457,6 +462,7 @@ impl<S: Subject> Campaign<S> {
                     Some(p) => p.clamp(1, total)..=p.clamp(1, total),
                     None => 1..=total,
                 };
+                let mut cases = Vec::new();
                 for &fault in &self.faults {
                     for point in points.clone() {
                         cases.push(Case {
@@ -467,23 +473,46 @@ impl<S: Subject> Campaign<S> {
                         });
                     }
                 }
+                let run = cases.len().div_ceil(workers.max(1)).max(1);
+                jobs.extend(cases.chunks(run).map(<[Case<S::Cell>]>::to_vec));
             }
         }
-        cases
+        jobs
     }
 
-    /// Runs every case over the parallel sweep engine.
+    /// Runs every case over the parallel sweep engine. Each job builds
+    /// its `(cell, seed)` base once and gives every case its own clone,
+    /// the state a fresh build would produce.
     pub fn run(&self) -> SubjectReport<S> {
+        let jobs = self.jobs(worker_count());
+        let results = sweep(&jobs, |run| {
+            let first = &run[0];
+            let cfg = self.subject.config(&first.cell);
+            let base = self.subject.base(&cfg, &first.cell, first.seed);
+            run.iter()
+                .map(|case| self.run_case_from(&cfg, base.clone(), case))
+                .collect::<Vec<_>>()
+        });
         Report {
-            results: sweep(&self.cases(), |c| self.run_case(c)),
+            results: results.into_iter().flatten().collect(),
         }
     }
 
     /// Executes one case end to end.
     pub fn run_case(&self, case: &Case<S::Cell>) -> CaseResult<S::Cell, S::Evidence> {
+        let cfg = self.subject.config(&case.cell);
+        let base = self.subject.base(&cfg, &case.cell, case.seed);
+        self.run_case_from(&cfg, base, case)
+    }
+
+    /// Executes `case` from its base (`cfg` is the cell's machine).
+    fn run_case_from(
+        &self,
+        cfg: &Config,
+        (mut mem, mut state): (DirectMem, S::State),
+        case: &Case<S::Cell>,
+    ) -> CaseResult<S::Cell, S::Evidence> {
         let s = &self.subject;
-        let cfg = s.config(&case.cell);
-        let (mut mem, mut state) = s.base(&cfg, &case.cell, case.seed);
         let spec = case.fault.class().map(|class| FaultSpec {
             class,
             seed: case.seed,
@@ -524,7 +553,7 @@ impl<S: Subject> Campaign<S> {
             _ => {}
         }
 
-        let (verdict, detail, evidence) = self.recover_and_judge(&cfg, machine, &state, case.point);
+        let (verdict, detail, evidence) = self.recover_and_judge(cfg, machine, &state, case.point);
         CaseResult {
             case: case.clone(),
             verdict,

@@ -11,6 +11,7 @@ mod tests {
     use crate::experiment::Experiment;
     use crate::metrics::RunResult;
     use crate::scheme::Scheme;
+    use supermem_trace::TraceEvent;
 
     fn machine(scheme: Scheme) -> Config {
         scheme.apply(Config::default()).with_seed(1)
@@ -115,7 +116,11 @@ mod tests {
         // preserve the live ordering Unsec < SuperMem < WT.
         let spec = quick(WorkloadKind::Queue);
         let trace = session(Scheme::SuperMem, spec.clone(), 1).record_trace();
-        assert!(trace.iter().filter(|e| e.is_marker()).count() as u64 == 2 * spec.txns);
+        let markers = trace
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::TxnBegin | TraceEvent::TxnEnd))
+            .count();
+        assert_eq!(markers as u64, 2 * spec.txns);
         let lat = |scheme: Scheme| {
             session(scheme, spec.clone(), 1)
                 .replay(&trace)

@@ -230,7 +230,7 @@ impl System {
             3 => self.mc.stats_mut().l3_hits += 1,
             _ => {}
         }
-        for (wb_line, wb_data) in res.writebacks {
+        for &(wb_line, wb_data) in res.writebacks {
             // Evictions do not block the core.
             self.mc.flush_line(wb_line, wb_data, now);
         }
@@ -242,7 +242,7 @@ impl System {
         self.mc.stats_mut().mem_accesses += 1;
         let (data, done) = self.mc.read_line(line, now + res.latency);
         self.cores[core].now = done;
-        for (wb_line, wb_data) in self.caches.fill(core, line, data) {
+        for &(wb_line, wb_data) in self.caches.fill(core, line, data) {
             let t = self.cores[core].now;
             self.mc.flush_line(wb_line, wb_data, t);
         }
@@ -250,34 +250,54 @@ impl System {
     }
 }
 
+/// The pieces of `[addr, addr + len)` by cache line: `(line, offset in
+/// the line, offset in the range, length)`.
+fn line_pieces(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        (i < len).then(|| {
+            let a = addr + i as u64;
+            let line = System::line_of(a);
+            let off = (a - line) as usize;
+            let n = (64 - off).min(len - i);
+            let piece = (line, off, i, n);
+            i += n;
+            piece
+        })
+    })
+}
+
 impl PMem for System {
     fn read(&mut self, addr: u64, buf: &mut [u8]) {
-        let mut i = 0usize;
-        while i < buf.len() {
-            let a = addr + i as u64;
-            let line = Self::line_of(a);
-            let off = (a - line) as usize;
-            let n = (64 - off).min(buf.len() - i);
+        for (line, off, i, n) in line_pieces(addr, buf.len()) {
             let data = self.load_line(line);
             buf[i..i + n].copy_from_slice(&data[off..off + n]);
-            i += n;
+        }
+    }
+
+    /// The newest architectural bytes: a cached copy, else what the
+    /// memory system would answer a demand read with
+    /// ([`ChannelSet::peek_line`]). Clocks, statistics, probe events,
+    /// caches, the counter cache and the banks are left untouched.
+    fn peek(&mut self, addr: u64, buf: &mut [u8]) {
+        for (line, off, i, n) in line_pieces(addr, buf.len()) {
+            let line = LineAddr(line);
+            let data = self
+                .caches
+                .peek(line)
+                .unwrap_or_else(|| self.mc.peek_line(line));
+            buf[i..i + n].copy_from_slice(&data[off..off + n]);
         }
     }
 
     fn write(&mut self, addr: u64, bytes: &[u8]) {
-        let mut i = 0usize;
-        while i < bytes.len() {
-            let a = addr + i as u64;
-            let line = Self::line_of(a);
-            let off = (a - line) as usize;
-            let n = (64 - off).min(bytes.len() - i);
+        for (line, off, i, n) in line_pieces(addr, bytes.len()) {
             // Write-allocate: establish residency, then store.
             let mut data = self.load_line(line);
             data[off..off + n].copy_from_slice(&bytes[i..i + n]);
             let core = self.active;
             let lat = self.caches.store(core, LineAddr(line), data);
             self.cores[core].now += lat;
-            i += n;
         }
     }
 
@@ -327,7 +347,9 @@ impl PMem for System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supermem_nvm::NvmStore;
     use supermem_persist::{RecoveredMemory, VecMem};
+    use supermem_sim::probe::EventTape;
 
     use crate::scheme::Scheme;
 
@@ -501,6 +523,156 @@ mod tests {
         let unsec = run(Scheme::Unsec);
         let wt = run(Scheme::WriteThrough);
         assert_eq!(wt, unsec * 2, "WT doubles NVM writes (paper §5.2)");
+    }
+
+    /// A small machine, so that random histories evict dirty lines from
+    /// every level and keep the write queue busy.
+    fn small(scheme: Scheme, channels: usize) -> Config {
+        Config {
+            l1_bytes: 1024,
+            l2_bytes: 4096,
+            l3_bytes: 8192,
+            write_queue_entries: 8,
+            ..scheme.apply(Config::default())
+        }
+        .with_channels(channels)
+    }
+
+    /// Events, statistics, clocks and the crash image: everything a
+    /// later observer of the machine can tell apart.
+    fn observable(s: &mut System) -> (Vec<Event>, Stats, Vec<Cycle>, Vec<NvmStore>) {
+        let tape = s
+            .take_observers()
+            .pop()
+            .and_then(|mut o| {
+                o.as_any_mut()
+                    .downcast_mut::<EventTape>()
+                    .map(std::mem::take)
+            })
+            .expect("the tape is attached");
+        s.attach_observer(Box::new(EventTape::default()));
+        let clocks = (0..2).map(|c| s.core_now(c)).collect();
+        let image = s
+            .machine_crash_now()
+            .channels
+            .into_iter()
+            .map(|c| c.store)
+            .collect();
+        (tape.into_events(), s.stats().clone(), clocks, image)
+    }
+
+    #[test]
+    fn peek_returns_what_read_would_and_leaves_the_machine_untouched() {
+        use supermem_nvm::{FaultClass, FaultSpec};
+        let mut scheme_cfgs: Vec<Config> = Vec::new();
+        for scheme in crate::scheme::FIGURE_SCHEMES
+            .into_iter()
+            .chain([Scheme::Osiris])
+        {
+            for channels in [1, 2] {
+                scheme_cfgs.push(small(scheme, channels));
+            }
+        }
+        scheme_cfgs.push(
+            small(Scheme::SuperMem, 1)
+                .with_integrity_tree(true)
+                .with_persisted_levels(Some(1)),
+        );
+        let mut rng = supermem_sim::SplitMix64::new(0x9EE4);
+        for (n, cfg) in scheme_cfgs.into_iter().enumerate() {
+            let mut plain = System::new(cfg);
+            let class = FaultClass::ALL[n % FaultClass::ALL.len()];
+            plain.controller_mut().set_fault_plan(FaultSpec {
+                class,
+                seed: n as u64,
+            });
+            plain.attach_observer(Box::new(EventTape::default()));
+            let mut peeked = plain.clone();
+            let (mut compared, mut queued, mut cached) = (0, 0, 0);
+            for _ in 0..600 {
+                let addr = rng.next_below(48 << 10);
+                let len = 1 + rng.next_below(300) as usize;
+                match rng.next_below(20) {
+                    0..=7 => {
+                        let mut bytes = vec![0u8; len];
+                        rng.fill_bytes(&mut bytes);
+                        plain.write(addr, &bytes);
+                        peeked.write(addr, &bytes);
+                    }
+                    8..=10 => {
+                        let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
+                        plain.read(addr, &mut a);
+                        peeked.read(addr, &mut b);
+                        assert_eq!(a, b);
+                    }
+                    11..=12 => {
+                        plain.clwb(addr, len as u64);
+                        peeked.clwb(addr, len as u64);
+                    }
+                    13 => {
+                        plain.sfence();
+                        peeked.sfence();
+                    }
+                    14 => {
+                        let core = rng.next_below(2) as usize;
+                        plain.set_active_core(core);
+                        peeked.set_active_core(core);
+                    }
+                    15 if rng.next_below(8) == 0 => {
+                        plain.checkpoint();
+                        peeked.checkpoint();
+                    }
+                    _ => {
+                        let (mut got, mut want) = (vec![0u8; len], vec![0u8; len]);
+                        peeked.peek(addr, &mut got);
+                        plain.clone().read(addr, &mut want);
+                        assert_eq!(got, want, "{n}: peek of {addr:#x}+{len}");
+                        compared += 1;
+                        queued += usize::from(plain.controller().wq_len() > 0);
+                        cached += usize::from(plain.caches.peek(LineAddr(addr & !63)).is_some());
+                    }
+                }
+            }
+            assert!(compared > 50 && queued > 10 && cached > 10 && compared - cached > 10);
+            assert!(
+                observable(&mut peeked) == observable(&mut plain),
+                "{n}: peeking changed the run"
+            );
+            plain.checkpoint();
+            peeked.checkpoint();
+            assert!(
+                observable(&mut peeked) == observable(&mut plain),
+                "{n}: peeking changed the run"
+            );
+        }
+    }
+
+    #[test]
+    fn peek_matches_read_in_degraded_mode() {
+        // Reads only, from a drained queue, on write-through counter
+        // caches: no timed read can drop a queued write on the failed
+        // bank, so peek and read agree exactly (see
+        // `MemoryController::peek_line`).
+        for scheme in [Scheme::Unsec, Scheme::WriteThrough, Scheme::SuperMem] {
+            let mut s = System::new(small(scheme, 2));
+            let mut rng = supermem_sim::SplitMix64::new(0xBAD);
+            let mut bytes = vec![0u8; 32 << 10];
+            rng.fill_bytes(&mut bytes);
+            s.write(0, &bytes);
+            s.checkpoint();
+            s.controller_mut().mark_bank_failed(3);
+            s.controller_mut().mark_bank_failed(9);
+            let mut poisoned = 0;
+            for _ in 0..400 {
+                let addr = rng.next_below(32 << 10);
+                let (mut got, mut want) = ([0u8; 64], [0u8; 64]);
+                s.peek(addr, &mut got);
+                s.read(addr, &mut want);
+                assert_eq!(got, want, "{scheme}: {addr:#x}");
+                poisoned += usize::from(got == [0; 64]);
+            }
+            assert!(poisoned > 0, "{scheme}: some reads must hit a failed bank");
+        }
     }
 
     #[test]

@@ -259,11 +259,6 @@ impl KvStore {
         self.wal_seq
     }
 
-    /// Next WAL body append offset.
-    pub fn wal_offset(&self) -> u64 {
-        self.wal_off
-    }
-
     /// Latest checkpoint sequence.
     pub fn snapshot_seq(&self) -> u64 {
         self.snap_seq
@@ -362,6 +357,14 @@ impl KvStore {
         self.ops_since_snapshot = 0;
         self.stats.snapshots += 1;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl KvStore {
+    /// Next WAL body append offset.
+    pub(crate) fn wal_offset(&self) -> u64 {
+        self.wal_off
     }
 }
 

@@ -90,6 +90,7 @@ impl Default for KvSubject {
 
 /// The store positioned before the op stream, with the stream and its
 /// shadow oracle (acknowledged ops with their append counts).
+#[derive(Clone)]
 pub struct KvState {
     store: KvStore,
     stream: Vec<KvOp>,

@@ -277,6 +277,14 @@ impl ChannelSet {
         self.with_channel(ch, |mc| mc.read_line(line, at))
     }
 
+    /// The plaintext a demand read of `line` would return now, from the
+    /// owning channel, with no effect on any channel
+    /// ([`MemoryController::peek_line`]).
+    pub fn peek_line(&self, line: LineAddr) -> LineData {
+        let ch = self.channels[0].map().line_channel(line);
+        self.channels[ch].peek_line(line)
+    }
+
     /// Lets every channel's write queue issue what can start by `now`.
     pub fn drain_until(&mut self, now: Cycle) {
         for ch in 0..self.channels.len() {
@@ -405,6 +413,33 @@ mod tests {
         let b = mc.crash_now();
         for line in b.store.data_lines() {
             assert_eq!(a.store.read_data(line), b.store.read_data(line));
+        }
+    }
+
+    #[test]
+    fn peek_decrypts_what_the_dimm_holds() {
+        // A peek opens the NVM ciphertext under the line's counters, as
+        // a timed read does: one rewritten ciphertext byte shows up in
+        // the peeked plaintext, and the untampered twin peeks back what
+        // was written.
+        for channels in [1, 2] {
+            let mut set = ChannelSet::new(&cfg(channels));
+            let mut t = 0;
+            for i in 0..16u64 {
+                t = set.flush_line(LineAddr(i * 64 * 37), [i as u8; 64], t);
+            }
+            t = set.finish(t);
+            let twin = set.clone();
+            let line = LineAddr(5 * 64 * 37);
+            let ch = set.map().line_channel(line);
+            let mut mask = [0; 64];
+            mask[7] = 0x10;
+            set.channels[ch].tamper_data_line(line, mask);
+            assert_eq!(twin.peek_line(line), [5; 64]);
+            let mut want = [5; 64];
+            want[7] ^= 0x10;
+            assert_eq!(set.peek_line(line), want);
+            assert_eq!(set.read_line(line, t).0, want);
         }
     }
 

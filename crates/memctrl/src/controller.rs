@@ -18,6 +18,7 @@
 //! the data append when the atomic register is disabled (Figure 6).
 
 use supermem_cache::CounterCache;
+use supermem_crypto::CounterLine;
 use supermem_crypto::EncryptionEngine;
 use supermem_integrity::Bmt;
 use supermem_nvm::addr::{AddressMap, LineAddr, PageId};
@@ -28,7 +29,7 @@ use supermem_sim::{Config, Cycle, Event, Mutation, Probes, Stats};
 
 use crate::bankmap::counter_bank;
 use crate::rsr::Rsr;
-use crate::wqueue::WriteQueue;
+use crate::wqueue::{WqEntry, WriteQueue};
 
 mod append;
 mod counter;
@@ -273,16 +274,9 @@ impl MemoryController {
     pub fn read_line(&mut self, line: LineAddr, at: Cycle) -> (LineData, Cycle) {
         self.drain_until(at);
         if let Some(entry) = self.wq.forward_data(line) {
+            let data = self.open_queued(line, entry);
             self.stats.wq_read_forwards += 1;
-            let payload = entry.payload;
-            let enc = entry.enc_counter;
             let done = at + FORWARD_LATENCY;
-            let data = match enc {
-                Some((major, minor)) if self.cfg.encryption => {
-                    self.engine.decrypt_line(&payload, line.0, major, minor)
-                }
-                _ => payload,
-            };
             self.probes.emit_with(|| Event::ReadServed {
                 line: line.0,
                 issued: at,
@@ -336,12 +330,9 @@ impl MemoryController {
             return (cipher, done_data);
         }
         let page = self.map.page_of_line(line);
-        let idx = self.map.line_index_in_page(line);
         let (ctr, t_ctr) = self.fetch_counter(page, at);
         let otp_ready = t_ctr + self.cfg.aes_latency;
-        let plain = self
-            .engine
-            .decrypt_line(&cipher, line.0, ctr.major(), ctr.minor(idx));
+        let plain = self.open_stored(line, &cipher, &ctr);
         let done = done_data.max(otp_ready) + 1;
         self.probes.emit_with(|| Event::ReadServed {
             line: line.0,
@@ -350,6 +341,57 @@ impl MemoryController {
             forwarded: false,
         });
         (plain, done)
+    }
+
+    /// The plaintext [`Self::read_line`] would return for `line` now,
+    /// with no effect on time, statistics, probes, the counter cache or
+    /// the banks: a queued write's payload, else poison for a failed
+    /// bank, else the NVM ciphertext opened under the counters a read
+    /// would fetch.
+    ///
+    /// Media faults are not modelled: a live store carries a fault plan
+    /// only in this crate's unit tests. A timed read first drains what
+    /// the banks can take by its issue cycle, and a failed bank drops
+    /// what it drains. So in degraded mode a queued write to the failed
+    /// bank can read back here while a timed read already finds poison.
+    pub fn peek_line(&self, line: LineAddr) -> LineData {
+        debug_assert!(self.store.faults().is_none(), "peek of a faulty store");
+        if let Some(entry) = self.wq.forward_data(line) {
+            return self.open_queued(line, entry);
+        }
+        if self.banks[self.map.data_bank(line)].is_failed() {
+            return [0; 64];
+        }
+        let cipher = self.store.read_data(line);
+        if !self.cfg.encryption {
+            return cipher;
+        }
+        let page = self.map.page_of_line(line);
+        let ctr = match self.cc.peek(page) {
+            Some(ctr) => ctr.clone(),
+            None => self.peek_uncached_counter(page),
+        };
+        self.open_stored(line, &cipher, &ctr)
+    }
+
+    /// Plaintext of a queued data write, opened under the counter it was
+    /// sealed with.
+    fn open_queued(&self, line: LineAddr, entry: &WqEntry) -> LineData {
+        match entry.enc_counter {
+            Some((major, minor)) if self.cfg.encryption => {
+                self.engine
+                    .decrypt_line(&entry.payload, line.0, major, minor)
+            }
+            _ => entry.payload,
+        }
+    }
+
+    /// Plaintext of NVM ciphertext `cipher` of `line` under its page's
+    /// counters `ctr`.
+    fn open_stored(&self, line: LineAddr, cipher: &LineData, ctr: &CounterLine) -> LineData {
+        let idx = self.map.line_index_in_page(line);
+        self.engine
+            .decrypt_line(cipher, line.0, ctr.major(), ctr.minor(idx))
     }
 
     /// Handles a cache-line flush arriving at cycle `at` (Figure 7) by

@@ -17,6 +17,16 @@ use crate::wqueue::WqTarget;
 
 use super::{MemoryController, FORWARD_LATENCY};
 
+/// The source of a page's counters on a counter-cache miss.
+enum UncachedCounter {
+    /// The newest queued counter write.
+    Queued(CounterLine),
+    /// The counter bank has fail-stopped: reads are poisoned.
+    FailedBank,
+    /// NVM, on this channel-local bank.
+    Nvm(usize),
+}
+
 impl MemoryController {
     /// Fetches the counter, increments the target minor, and resolves a
     /// minor overflow by re-encrypting the whole page before retrying
@@ -58,19 +68,20 @@ impl MemoryController {
             page: page.0,
             at: t,
         });
-        if let Some(entry) = self.wq.forward_counter(page) {
-            self.stats.wq_read_forwards += 1;
-            let ctr = CounterLine::decode(&entry.payload);
-            self.fill_counter_cache(page, ctr.clone(), t + FORWARD_LATENCY);
-            return (ctr, t + FORWARD_LATENCY);
-        }
-        let bank = self.ctr_bank(page);
-        if self.banks[bank].is_failed() {
-            // Degraded mode: poison (fresh, all-zero) counters; skip
-            // the cache fill so later reads can see a repaired bank.
-            self.stats.poisoned_reads += 1;
-            return (CounterLine::decode(&[0; 64]), t + 1);
-        }
+        let bank = match self.uncached_counter(page) {
+            UncachedCounter::Queued(ctr) => {
+                self.stats.wq_read_forwards += 1;
+                self.fill_counter_cache(page, ctr.clone(), t + FORWARD_LATENCY);
+                return (ctr, t + FORWARD_LATENCY);
+            }
+            UncachedCounter::FailedBank => {
+                // Degraded mode: poison (fresh, all-zero) counters; skip
+                // the cache fill so later reads can see a repaired bank.
+                self.stats.poisoned_reads += 1;
+                return (CounterLine::decode(&[0; 64]), t + 1);
+            }
+            UncachedCounter::Nvm(bank) => bank,
+        };
         let mut done = self.banks[bank].issue(OpKind::Read, t);
         self.stats.nvm_counter_reads += 1;
         let read_service = self.cfg.nvm_read_service_cycles();
@@ -112,6 +123,31 @@ impl MemoryController {
         let ctr = CounterLine::decode(&raw);
         self.fill_counter_cache(page, ctr.clone(), done);
         (ctr, done)
+    }
+
+    /// Where the counters of `page` come from when the counter cache
+    /// misses: a queued counter write (the NVM copy may lag it), else
+    /// NVM, unless the counter bank has failed.
+    fn uncached_counter(&self, page: PageId) -> UncachedCounter {
+        if let Some(entry) = self.wq.forward_counter(page) {
+            return UncachedCounter::Queued(CounterLine::decode(&entry.payload));
+        }
+        let bank = self.ctr_bank(page);
+        if self.banks[bank].is_failed() {
+            UncachedCounter::FailedBank
+        } else {
+            UncachedCounter::Nvm(bank)
+        }
+    }
+
+    /// The counters [`Self::fetch_counter`] would return for a `page`
+    /// the counter cache misses, without its side effects.
+    pub(super) fn peek_uncached_counter(&self, page: PageId) -> CounterLine {
+        match self.uncached_counter(page) {
+            UncachedCounter::Queued(ctr) => ctr,
+            UncachedCounter::FailedBank => CounterLine::decode(&[0; 64]),
+            UncachedCounter::Nvm(_) => CounterLine::decode(&self.store.read_counter(page)),
+        }
     }
 
     /// Inserts counters into the counter cache; a dirty write-back

@@ -150,12 +150,6 @@ impl MemoryController {
         self.fault_spec = Some(spec);
     }
 
-    /// Attaches a fault plan to the *live* store, so demand reads hit
-    /// the media model (tests of the retry/poison path use this).
-    pub fn attach_store_faults(&mut self, plan: FaultPlan) {
-        self.store.attach_faults(plan);
-    }
-
     /// Fail-stops a bank (channel-local index): the controller enters
     /// degraded mode, dropping writes headed there and poisoning reads
     /// instead of panicking.
@@ -170,5 +164,29 @@ impl MemoryController {
     /// True when any bank has fail-stopped.
     pub fn is_degraded(&self) -> bool {
         self.banks.iter().any(BankTimer::is_failed)
+    }
+}
+
+#[cfg(test)]
+impl MemoryController {
+    /// Attaches a fault plan to the *live* store, so demand reads hit
+    /// the media model (tests of the retry/poison path use this).
+    pub(crate) fn attach_store_faults(&mut self, plan: FaultPlan) {
+        self.store.attach_faults(plan);
+    }
+
+    /// XORs `mask` into the stored ciphertext of data line `line`: an
+    /// attacker with physical access rewriting the DIMM under a running
+    /// machine.
+    pub(crate) fn tamper_data_line(
+        &mut self,
+        line: supermem_nvm::addr::LineAddr,
+        mask: supermem_nvm::LineData,
+    ) {
+        let mut bytes = self.store.read_data(line);
+        for (b, m) in bytes.iter_mut().zip(mask) {
+            *b ^= m;
+        }
+        self.store.write_data(line, bytes);
     }
 }

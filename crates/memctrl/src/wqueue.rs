@@ -1125,7 +1125,7 @@ mod tests {
 
     #[test]
     fn faulted_flush_loses_tree_entries_with_their_bank() {
-        use supermem_nvm::fault::FaultPlan;
+        use supermem_nvm::fault::{FaultPlan, MediaError};
         let mut wq = WriteQueue::new(8, false);
         let mut store = NvmStore::new();
         wq.append(WqTarget::Tree(1), 0, [1; 64], None, 0);
@@ -1133,9 +1133,9 @@ mod tests {
         let mut plan = FaultPlan::default();
         wq.flush_into_faulted(&mut store, Some(0), None, &mut plan);
         assert_eq!(store.read_tree(1), [0; 64]);
-        assert!(plan.tree_lost(1));
+        assert_eq!(plan.filter_tree_read(1, [0; 64]), Err(MediaError::Lost));
         assert_eq!(store.read_tree(2), [2; 64]);
-        assert!(!plan.tree_lost(2));
+        assert!(plan.filter_tree_read(2, [2; 64]).is_ok());
     }
 
     #[test]
@@ -1898,7 +1898,7 @@ mod randomized {
 
     #[test]
     fn faulted_flush_loses_entries_headed_for_the_failed_bank() {
-        use supermem_nvm::fault::FaultPlan;
+        use supermem_nvm::fault::{FaultPlan, MediaError};
         let mut wq = WriteQueue::new(8, false);
         let mut store = NvmStore::new();
         wq.append(WqTarget::Data(LineAddr(0x40)), 0, [1; 64], None, 0);
@@ -1908,10 +1908,16 @@ mod randomized {
         wq.flush_into_faulted(&mut store, Some(0), None, &mut plan);
         // Bank 0's data and counter entries died with the hardware.
         assert_eq!(store.read_data(LineAddr(0x40)), [0; 64]);
-        assert!(plan.data_lost(LineAddr(0x40)));
-        assert!(plan.counter_lost(PageId(3)));
+        assert_eq!(
+            plan.filter_data_read(LineAddr(0x40), [0; 64]),
+            Err(MediaError::Lost)
+        );
+        assert_eq!(
+            plan.filter_counter_read(PageId(3), [0; 64]),
+            Err(MediaError::Lost)
+        );
         // Bank 1's entry landed.
         assert_eq!(store.read_data(LineAddr(0x80)), [2; 64]);
-        assert!(!plan.data_lost(LineAddr(0x80)));
+        assert!(plan.filter_data_read(LineAddr(0x80), [2; 64]).is_ok());
     }
 }

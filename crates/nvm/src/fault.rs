@@ -327,16 +327,6 @@ impl FaultPlan {
         self.transient_counters.insert(page.0, times);
     }
 
-    /// Whether the line is gone with its bank.
-    pub fn data_lost(&self, line: LineAddr) -> bool {
-        self.lost_data.contains(&line.0)
-    }
-
-    /// Whether the counter line is gone with its bank.
-    pub fn counter_lost(&self, page: PageId) -> bool {
-        self.lost_counters.contains(&page.0)
-    }
-
     /// Resolves a checked read of a data line whose stored (true) bytes
     /// are `stored`, applying loss, transient failure, and the SECDED
     /// correct-vs-detect model, in that order.
@@ -450,11 +440,6 @@ impl FaultPlan {
     /// Marks a tree node line as lost with its failed bank.
     pub fn note_lost_tree(&mut self, line: u64) {
         self.lost_tree.insert(line);
-    }
-
-    /// Whether the tree node line is gone with its bank.
-    pub fn tree_lost(&self, line: u64) -> bool {
-        self.lost_tree.contains(&line)
     }
 
     /// [`Self::filter_data_read`] for an integrity-tree node line.
@@ -582,8 +567,8 @@ mod tests {
         assert!(!p.admit_counter_write(PAGE));
         // Still lost after the dropped write.
         assert_eq!(p.filter_data_read(LINE, [5; 64]), Err(MediaError::Lost));
+        assert_eq!(p.filter_counter_read(PAGE, [5; 64]), Err(MediaError::Lost));
         assert_eq!(p.counters().dropped_writes, 2);
-        assert!(p.data_lost(LINE) && p.counter_lost(PAGE));
     }
 
     #[test]

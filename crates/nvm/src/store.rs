@@ -23,7 +23,7 @@ use crate::fault::{FaultClass, FaultCounters, FaultPlan, FaultSpec, MediaError, 
 use crate::wearlevel::StartGap;
 use crate::{LineData, LINE_BYTES};
 
-#[cfg(test)]
+// Test-only: the module file is compiled only for tests.
 mod reference;
 
 /// Lines per chunk: 64, one 4 KiB page of data lines.
@@ -106,10 +106,6 @@ impl Region {
 
     fn wear_mut(&mut self, key: u64) -> &mut u64 {
         &mut self.chunk_mut(key).wear[lane(key)]
-    }
-
-    fn wear(&self, key: u64) -> u64 {
-        self.chunk(key).map_or(0, |c| c.wear[lane(key)])
     }
 
     /// Every written key, ascending.
@@ -332,21 +328,6 @@ impl NvmStore {
         self.tree.keys()
     }
 
-    /// Number of distinct data lines ever written (diagnostics).
-    pub fn data_lines_touched(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Number of distinct tree node lines ever written (diagnostics).
-    pub fn tree_lines_touched(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Number of distinct counter lines ever written (diagnostics).
-    pub fn counter_lines_touched(&self) -> usize {
-        self.counters.len()
-    }
-
     /// Summarizes per-line write wear — the DIMM-lifetime metric the
     /// paper's endurance discussion (§3.4.1) is about.
     pub fn wear_report(&self) -> WearReport {
@@ -358,27 +339,6 @@ impl NvmStore {
             total_data_writes,
             total_counter_writes,
         }
-    }
-
-    /// Write count of the physical slot a data line occupies now (0 if
-    /// never written). Without wear leveling the slot is the line
-    /// itself; with it, the slot the Start-Gap map currently assigns.
-    ///
-    /// # Panics
-    ///
-    /// With wear leveling on, panics for a line outside the leveled
-    /// region, as [`Self::write_data`] does.
-    pub fn data_wear(&self, line: LineAddr) -> u64 {
-        let index = line.0 / LINE_BYTES as u64;
-        match &self.wear_leveling {
-            None => self.data.wear(index),
-            Some(sg) => self.data.wear(sg.map(index)),
-        }
-    }
-
-    /// Per-line write count of a counter line (0 if never written).
-    pub fn counter_wear(&self, page: PageId) -> u64 {
-        self.counters.wear(page.0)
     }
 
     /// Merges another store into this one (multi-channel crash-image
@@ -588,6 +548,54 @@ impl NvmStore {
             }
         }
         self.faults = Some(plan);
+    }
+}
+
+/// Per-line inspection for the differential test against the reference
+/// store.
+#[cfg(test)]
+impl Region {
+    fn wear(&self, key: u64) -> u64 {
+        self.chunk(key).map_or(0, |c| c.wear[lane(key)])
+    }
+}
+
+#[cfg(test)]
+impl NvmStore {
+    /// Number of distinct data lines ever written (diagnostics).
+    pub(crate) fn data_lines_touched(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Number of distinct tree node lines ever written (diagnostics).
+    pub(crate) fn tree_lines_touched(&self) -> usize {
+        self.tree.len()
+    }
+
+    /// Number of distinct counter lines ever written (diagnostics).
+    pub(crate) fn counter_lines_touched(&self) -> usize {
+        self.counters.len()
+    }
+
+    /// Write count of the physical slot a data line occupies now (0 if
+    /// never written). Without wear leveling the slot is the line
+    /// itself; with it, the slot the Start-Gap map currently assigns.
+    ///
+    /// # Panics
+    ///
+    /// With wear leveling on, panics for a line outside the leveled
+    /// region, as [`Self::write_data`] does.
+    pub(crate) fn data_wear(&self, line: LineAddr) -> u64 {
+        let index = line.0 / LINE_BYTES as u64;
+        match &self.wear_leveling {
+            None => self.data.wear(index),
+            Some(sg) => self.data.wear(sg.map(index)),
+        }
+    }
+
+    /// Per-line write count of a counter line (0 if never written).
+    pub(crate) fn counter_wear(&self, page: PageId) -> u64 {
+        self.counters.wear(page.0)
     }
 }
 

@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The six-map store this module's paged layout replaced, kept as the
 //! reference model for the differential test in `super::tests`.
 //!

@@ -20,6 +20,14 @@ pub trait PMem {
     /// Reads `buf.len()` bytes starting at `addr`.
     fn read(&mut self, addr: u64, buf: &mut [u8]);
 
+    /// Reads the bytes [`PMem::read`] would return, without advancing
+    /// simulated time or changing any state a later operation can
+    /// observe (caches, statistics, probe events). The default forwards
+    /// to `read`, which is exact for memories without a timing model.
+    fn peek(&mut self, addr: u64, buf: &mut [u8]) {
+        self.read(addr, buf);
+    }
+
     /// Writes `bytes` starting at `addr`.
     fn write(&mut self, addr: u64, bytes: &[u8]);
 

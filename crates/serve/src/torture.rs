@@ -37,6 +37,7 @@ pub struct ServeSubject;
 
 /// The warmed service positioned before the tortured op, with both
 /// oracle states.
+#[derive(Clone)]
 pub struct ServeState {
     svc: Service,
     layout: ServiceLayout,

@@ -40,11 +40,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// True for the marker events that carry no memory semantics.
-    pub fn is_marker(&self) -> bool {
-        matches!(self, TraceEvent::TxnBegin | TraceEvent::TxnEnd)
-    }
-
     /// Performs this event's memory operation on `mem`; markers do
     /// nothing. A read lands in `scratch`, which is resized to its
     /// length and reused across calls.
@@ -65,12 +60,20 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supermem_persist::VecMem;
 
     #[test]
     fn markers_are_markers() {
-        assert!(TraceEvent::TxnBegin.is_marker());
-        assert!(TraceEvent::TxnEnd.is_marker());
-        assert!(!TraceEvent::Sfence.is_marker());
-        assert!(!TraceEvent::Read { addr: 0, len: 1 }.is_marker());
+        // Markers carry no memory semantics: applying them touches
+        // nothing, while a memory event does.
+        let mut mem = VecMem::new();
+        let mut scratch = Vec::new();
+        for marker in [TraceEvent::TxnBegin, TraceEvent::TxnEnd] {
+            marker.apply(&mut mem, &mut scratch);
+        }
+        assert_eq!((mem.flush_count(), mem.fence_count()), (0, 0));
+        assert!(scratch.is_empty());
+        TraceEvent::Sfence.apply(&mut mem, &mut scratch);
+        assert_eq!(mem.fence_count(), 1);
     }
 }
