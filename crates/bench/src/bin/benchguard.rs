@@ -20,7 +20,7 @@ use supermem::{Experiment, Scheme, System};
 use supermem_bench::guard::{check, extract_after_ns, tolerance, GuardCheck};
 use supermem_bench::machine;
 use supermem_bench::micro::Harness;
-use supermem_kv::kv_campaign;
+use supermem_kv::{crc32, kv_campaign};
 use supermem_lincheck::{lincheck, LincheckConfig};
 use supermem_serve::{run_serve, ServeConfig, StructureKind};
 
@@ -271,6 +271,16 @@ fn main() -> ExitCode {
             );
             black_box(r.verdict)
         });
+    }
+
+    {
+        // The checksum of one 24 KiB snapshot payload, the size the
+        // crash-recover benchmark's store writes and recovery re-checks
+        // several times per crash (both slots in discovery, then the
+        // state digest). Guards the carry-less-multiply CRC-32 path.
+        let mut payload = vec![0u8; 24 * 1024];
+        SplitMix64::new(0x24C0).fill_bytes(&mut payload);
+        h.bench("kv/crc32_24KiB", || crc32(black_box(&payload)));
     }
 
     {

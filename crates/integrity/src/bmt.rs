@@ -24,10 +24,10 @@
 //! reports the touched 64-byte node-group lines as [`TreeNodeWrite`]s
 //! that the memory controller pushes through its ADR write queue —
 //! while levels `L..=height` stay volatile and are recomputed at
-//! recovery ([`Bmt::recompute_from_level`]). At `L = 0` nothing but the
-//! counter lines themselves is persisted and recovery re-digests every
-//! leaf from them (Phoenix-style recoverable counter tree,
-//! [`Bmt::set_leaf`]).
+//! recovery ([`Bmt::rebuild`]). At `L = 0` nothing but the counter
+//! lines themselves is persisted and recovery re-digests every leaf
+//! from them (Phoenix-style recoverable counter tree,
+//! [`BmtRebuild::set_leaf`]).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -254,6 +254,24 @@ impl Bmt {
         Ok(bmt)
     }
 
+    /// Opens a crash-time rebuild ([`BmtRebuild`]) of the tree over
+    /// `pages` counter lines with `persisted_levels` strictly persisted
+    /// digest arrays, starting from the fresh tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`Bmt::with_frontier`].
+    pub fn rebuild(
+        key: [u8; 16],
+        pages: u64,
+        persisted_levels: usize,
+    ) -> Result<BmtRebuild, TreeConfigError> {
+        Ok(BmtRebuild {
+            tree: Self::with_frontier(key, pages, persisted_levels)?,
+            changed: vec![Vec::new(); persisted_levels.max(1)],
+        })
+    }
+
     /// Number of protected counter lines.
     pub fn pages(&self) -> u64 {
         self.levels[0].len() as u64
@@ -285,17 +303,22 @@ impl Bmt {
     pub fn update(&mut self, page: u64, counter_line: &[u8; 64]) {
         let mut idx = page as usize;
         self.levels[0][idx] = self.digester.line(page, counter_line);
-        for level in 0..self.height() {
-            let parent = idx / ARITY;
-            let start = parent * ARITY;
-            let end = (start + ARITY).min(self.levels[level].len());
-            let digest = self
-                .digester
-                .node(parent as u64, &self.levels[level][start..end]);
-            self.levels[level + 1][parent] = digest;
-            idx = parent;
+        for level in 1..=self.height() {
+            idx /= ARITY;
+            self.levels[level][idx] = self.hash_node(level, idx);
         }
         self.root = self.levels[self.height()][0];
+    }
+
+    /// Hashes node `index` of level `level` (>= 1) from its children:
+    /// the stored digests of group `index` one level down.
+    fn hash_node(&self, level: usize, index: usize) -> u64 {
+        let below = &self.levels[level - 1];
+        let start = index * ARITY;
+        self.digester.node(
+            index as u64,
+            &below[start..(start + ARITY).min(below.len())],
+        )
     }
 
     /// Arms a leaf update in the pending cache (the streaming fold). A
@@ -412,82 +435,6 @@ impl Bmt {
         out
     }
 
-    /// Installs a persisted node-group line read back from NVM at
-    /// recovery. Entries past the level's end are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is out of range.
-    pub fn install_node_line(&mut self, level: usize, group: u64, payload: &[u8; 64]) {
-        let start = group as usize * ARITY;
-        for i in 0..ARITY {
-            let idx = start + i;
-            if idx >= self.levels[level].len() {
-                break;
-            }
-            let mut bytes = [0u8; 8];
-            bytes.copy_from_slice(&payload[i * 8..(i + 1) * 8]);
-            self.levels[level][idx] = u64::from_le_bytes(bytes);
-        }
-    }
-
-    /// Sets page `page`'s leaf digest from its counter line *without*
-    /// propagating the path — recovery's Phoenix-style leaf
-    /// reconstruction at `persisted_levels = 0`, followed by
-    /// [`Bmt::recompute_from_level`]`(1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn set_leaf(&mut self, page: u64, counter_line: &[u8; 64]) {
-        self.levels[0][page as usize] = self.digester.line(page, counter_line);
-    }
-
-    /// Recomputes the volatile digest arrays `level..=height` bottom-up
-    /// from the array below, refreshing the root. Returns the number of
-    /// node hashes performed (recovery-time accounting). `level = 0` is
-    /// clamped to 1 — leaves are rebuilt with [`Bmt::set_leaf`], not
-    /// from a level below.
-    pub fn recompute_from_level(&mut self, level: usize) -> u64 {
-        let mut hashes = 0u64;
-        for l in level.max(1)..=self.height() {
-            let next: Vec<u64> = self.levels[l - 1]
-                .chunks(ARITY)
-                .enumerate()
-                .map(|(i, children)| self.digester.node(i as u64, children))
-                .collect();
-            hashes += next.len() as u64;
-            self.levels[l] = next;
-        }
-        self.root = self.levels[self.height()][0];
-        hashes
-    }
-
-    /// Recovery's per-level audit of the persisted region: rehashes the
-    /// stored digests below `level` and compares the results against the
-    /// stored digests *at* `level`. Returns the number of node hashes
-    /// performed and whether every group matched. Without this, tampering
-    /// inside a persisted level below the frontier's top would never
-    /// influence the recomputed root (which only reads the topmost
-    /// persisted array) and would go unnoticed until demand verification.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is 0 (leaves have no level below) or out of
-    /// range.
-    pub fn audit_level(&self, level: usize) -> (u64, bool) {
-        assert!(level >= 1, "leaves are audited against counter lines");
-        let mut hashes = 0u64;
-        let mut clean = true;
-        for (i, children) in self.levels[level - 1].chunks(ARITY).enumerate() {
-            hashes += 1;
-            if self.digester.node(i as u64, children) != self.levels[level][i] {
-                clean = false;
-            }
-        }
-        (hashes, clean)
-    }
-
     /// Verifies page `page`'s counter line against the trusted root,
     /// recomputing the path and using stored *siblings* — which are
     /// themselves untrusted, so any tampering along the way surfaces as
@@ -501,16 +448,126 @@ impl Bmt {
     pub fn verify(&self, page: u64, counter_line: &[u8; 64]) -> bool {
         let mut idx = page as usize;
         let mut digest = self.digester.line(page, counter_line);
+        let mut group = [0u64; ARITY];
         for level in 0..self.height() {
             let parent = idx / ARITY;
             let start = parent * ARITY;
             let end = (start + ARITY).min(self.levels[level].len());
-            let mut children: Vec<u64> = self.levels[level][start..end].to_vec();
+            let children = &mut group[..end - start];
+            children.copy_from_slice(&self.levels[level][start..end]);
             children[idx - start] = digest;
-            digest = self.digester.node(parent as u64, &children);
+            digest = self.digester.node(parent as u64, children);
             idx = parent;
         }
         digest == self.root
+    }
+}
+
+/// A crash-time rebuild of the tree from what NVM persisted, opened by
+/// [`Bmt::rebuild`] and closed by [`BmtRebuild::finish`].
+///
+/// Phoenix-style leaves ([`BmtRebuild::set_leaf`]) or Triad-NVM-style
+/// persisted node lines ([`BmtRebuild::install_node_line`]) are written
+/// over a fresh tree, and the rebuild notes every node group they
+/// overwrite. A node digest is a pure function of its index and its
+/// children, so every group no input reached still holds the fresh
+/// tree's digests, which already hash from their children. `finish`
+/// therefore audits only the nodes beside a changed group and
+/// recomputes only the changed groups' ancestors; the digests, the root
+/// and the audit verdict equal a full rebuild's. The hash count it
+/// reports is the full modeled one: recovery hardware cannot know which
+/// lines a crash left untouched, so it hashes every node of every
+/// audited and recomputed level.
+#[derive(Debug)]
+pub struct BmtRebuild {
+    tree: Bmt,
+    /// For each level below the first recomputed one, the groups an
+    /// input overwrote (unsorted, with repeats until `finish`).
+    changed: Vec<Vec<usize>>,
+}
+
+impl BmtRebuild {
+    /// Installs a persisted node-group line read back from NVM. Entries
+    /// past the level's end are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is not below the persistence frontier.
+    pub fn install_node_line(&mut self, level: usize, group: u64, payload: &[u8; 64]) {
+        assert!(
+            level < self.tree.frontier,
+            "level {level} is above the persisted levels"
+        );
+        let digests = &mut self.tree.levels[level];
+        let start = group as usize * ARITY;
+        if start >= digests.len() {
+            return;
+        }
+        for (slot, bytes) in digests[start..].iter_mut().zip(payload.chunks_exact(8)) {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(bytes);
+            *slot = u64::from_le_bytes(word);
+        }
+        self.changed[level].push(group as usize);
+    }
+
+    /// Sets page `page`'s leaf digest from its counter line: the
+    /// Phoenix-style leaf reconstruction at `persisted_levels = 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn set_leaf(&mut self, page: u64, counter_line: &[u8; 64]) {
+        let leaf = self.tree.digester.line(page, counter_line);
+        self.tree.levels[0][page as usize] = leaf;
+        self.changed[0].push(page as usize / ARITY);
+    }
+
+    /// Audits the persisted levels bottom-up, then recomputes the
+    /// volatile levels `frontier.max(1)..=height` and the root.
+    ///
+    /// Each persisted level `1..frontier` must hash from the level below
+    /// it: the recomputed root reads only the frontier's top array, so
+    /// damage beneath it is caught here or not at all. Returns the
+    /// rebuilt tree, or `Err(level)` for the first level that does not
+    /// match its children, together with the modeled node hashes spent
+    /// (audits up to the verdict, plus the recompute on success).
+    pub fn finish(mut self) -> (Result<Bmt, usize>, u64) {
+        for groups in &mut self.changed {
+            groups.sort_unstable();
+            groups.dedup();
+        }
+        let tree = &mut self.tree;
+        let mut hashes = 0u64;
+        for level in 1..tree.frontier {
+            let len = tree.levels[level].len();
+            hashes += len as u64;
+            // Parents of a changed child group, and every node of a
+            // changed parent group; each other node is still fresh.
+            let parent_groups = self.changed[level].iter().map(|&g| g * ARITY);
+            let mut audited = self.changed[level - 1]
+                .iter()
+                .copied()
+                .chain(parent_groups.flat_map(|start| start..(start + ARITY).min(len)));
+            if !audited.all(|i| tree.hash_node(level, i) == tree.levels[level][i]) {
+                return (Err(level), hashes);
+            }
+        }
+        let from = tree.frontier.max(1);
+        let mut groups = std::mem::take(&mut self.changed[from - 1]);
+        for level in from..=tree.height() {
+            hashes += tree.levels[level].len() as u64;
+            for &g in &groups {
+                let digest = tree.hash_node(level, g);
+                tree.levels[level][g] = digest;
+            }
+            for g in &mut groups {
+                *g /= ARITY;
+            }
+            groups.dedup();
+        }
+        tree.root = tree.levels[tree.height()][0];
+        (Ok(self.tree), hashes)
     }
 }
 
@@ -520,6 +577,31 @@ impl Bmt {
     /// bus/DIMM attacker. `level` 0 addresses leaf digests.
     fn tamper_node(&mut self, level: usize, index: usize, xor: u64) {
         self.levels[level][index] ^= xor;
+    }
+
+    /// The full recompute [`BmtRebuild::finish`] must equal: rehashes
+    /// every node of levels `level.max(1)..=height` bottom-up from the
+    /// array below and refreshes the root. Returns the node hashes.
+    fn recompute_from_level(&mut self, level: usize) -> u64 {
+        let mut hashes = 0u64;
+        for l in level.max(1)..=self.height() {
+            let next: Vec<u64> = (0..self.levels[l].len())
+                .map(|i| self.hash_node(l, i))
+                .collect();
+            hashes += next.len() as u64;
+            self.levels[l] = next;
+        }
+        self.root = self.levels[self.height()][0];
+        hashes
+    }
+
+    /// The full audit [`BmtRebuild::finish`] must agree with: rehashes
+    /// every node of `level` (>= 1) from the stored level below and
+    /// compares. Returns the node hashes and whether all matched.
+    fn audit_level(&self, level: usize) -> (u64, bool) {
+        let nodes = self.levels[level].len();
+        let clean = (0..nodes).all(|i| self.hash_node(level, i) == self.levels[level][i]);
+        (nodes as u64, clean)
     }
 }
 
@@ -728,13 +810,13 @@ mod tests {
         let prop = b.propagate_pending();
         // Install every persisted line into a fresh tree and recompute
         // the volatile levels: the roots must agree.
-        let mut fresh = Bmt::with_frontier([3; 16], 100, 1).expect("valid");
+        let mut fresh = Bmt::rebuild([3; 16], 100, 1).expect("valid");
         for w in &prop.node_writes {
             assert_eq!(w.level, 0, "frontier 1 persists only leaf lines");
             fresh.install_node_line(w.level as usize, w.group, &w.payload);
         }
-        fresh.recompute_from_level(1);
-        assert_eq!(fresh.root(), b.root());
+        let (rebuilt, _) = fresh.finish();
+        assert_eq!(rebuilt.expect("clean lines audit").root(), b.root());
     }
 }
 
@@ -800,9 +882,14 @@ mod template {
         let mut a = Bmt::new(key, 300).expect("valid");
         a.update(17, &[9; 64]);
         a.tamper_node(1, 3, 0xFFFF);
-        a.install_node_line(0, 5, &[0xAB; 64]);
-        a.set_leaf(299, &[1; 64]);
         a.recompute_from_level(1);
+        let mut r = Bmt::rebuild(key, 300, 2).expect("valid");
+        r.install_node_line(0, 5, &[0xAB; 64]);
+        r.install_node_line(1, 0, &[0xCD; 64]);
+        assert!(r.finish().0.is_err(), "forged lines fail the audit");
+        let mut r = Bmt::rebuild(key, 300, 0).expect("valid");
+        r.set_leaf(299, &[1; 64]);
+        assert!(r.finish().0.is_ok());
         assert_same(
             &Bmt::new(key, 300).expect("valid"),
             &cold,
@@ -995,7 +1082,7 @@ mod randomized {
                 // Recover: fresh tree, persisted lines for levels
                 // 0..frontier, Phoenix leaves when the frontier is 0,
                 // volatile levels recomputed bottom-up.
-                let mut rec = Bmt::with_frontier([4; 16], pages, frontier).expect("valid");
+                let mut rec = Bmt::rebuild([4; 16], pages, frontier).expect("valid");
                 if frontier == 0 {
                     for (&page, line) in &counters {
                         rec.set_leaf(page, line);
@@ -1007,7 +1094,8 @@ mod randomized {
                         rec.install_node_line(level, tree_line_group(id), payload);
                     }
                 }
-                rec.recompute_from_level(frontier);
+                let (rec, _) = rec.finish();
+                let rec = rec.expect("persisted levels audit clean");
                 assert_eq!(
                     rec.root(),
                     live.root(),
@@ -1017,6 +1105,167 @@ mod randomized {
                     assert!(rec.verify(page, line));
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
+mod rebuild {
+    //! [`BmtRebuild`] against the full audit and recompute it replaces.
+    use super::*;
+    use std::collections::BTreeMap;
+    use supermem_sim::SplitMix64;
+
+    /// The full rebuild: every node of every persisted level audited
+    /// bottom-up, then every node of every volatile level recomputed.
+    fn full_rebuild(mut tree: Bmt) -> (Result<Bmt, usize>, u64) {
+        let mut hashes = 0;
+        for level in 1..tree.frontier {
+            let (audited, clean) = tree.audit_level(level);
+            hashes += audited;
+            if !clean {
+                return (Err(level), hashes);
+            }
+        }
+        hashes += tree.recompute_from_level(tree.frontier.max(1));
+        (Ok(tree), hashes)
+    }
+
+    fn line(rng: &mut SplitMix64) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        rng.fill_bytes(&mut out);
+        out
+    }
+
+    /// 64-byte lines by id: tree-region line ids or page numbers.
+    type Lines = BTreeMap<u64, [u8; 64]>;
+
+    /// The live tree of a streaming run at `frontier`, the node lines it
+    /// persisted (newest write wins) and the counter lines it wrote.
+    fn crashed_run(
+        rng: &mut SplitMix64,
+        key: [u8; 16],
+        pages: u64,
+        frontier: usize,
+    ) -> (Bmt, Lines, Lines) {
+        let mut live = Bmt::with_frontier(key, pages, frontier).expect("valid");
+        let (mut nvm, mut counters) = (BTreeMap::new(), BTreeMap::new());
+        for _ in 0..rng.next_range(0, 60) {
+            let page = rng.next_below(pages);
+            let counter = line(rng);
+            counters.insert(page, counter);
+            let evicted = live.enqueue_update(page, &counter).eviction;
+            for w in evicted.iter().flat_map(|p| &p.node_writes) {
+                nvm.insert(w.line_id(), w.payload);
+            }
+        }
+        for w in live.propagate_pending().node_writes {
+            nvm.insert(w.line_id(), w.payload);
+        }
+        (live, nvm, counters)
+    }
+
+    /// Over genuine and replayed inputs, plus at most one flipped bit,
+    /// forged line (sometimes past its level's end) or forged leaf per
+    /// case, at every frontier, the incremental rebuild yields the full
+    /// rebuild's levels, root, audit verdict and hash count.
+    #[test]
+    fn incremental_rebuild_matches_the_full_reference() {
+        let mut rng = SplitMix64::new(0x1BC7);
+        let key = [0x5E; 16];
+        // Clean and live root, clean with another root (damage at the
+        // frontier's top array), refused at level 1, refused above it.
+        let mut outcomes = [0usize; 4];
+        for pages in [1u64, 7, 9, 64, 65, 300, 520, 4096] {
+            let height = Bmt::new(key, pages).expect("valid").height();
+            for frontier in 0..=height {
+                for case in 0..12 {
+                    let (live, nvm, counters) = crashed_run(&mut rng, key, pages, frontier);
+                    let mut lines: Vec<(usize, u64, [u8; 64])> = nvm
+                        .iter()
+                        .map(|(&id, &p)| (tree_line_level(id) as usize, tree_line_group(id), p))
+                        .collect();
+                    let mut leaves: Vec<(u64, [u8; 64])> = counters.into_iter().collect();
+                    match (case % 4, frontier) {
+                        (0, _) => {}
+                        (1, 1..) if !lines.is_empty() => {
+                            let i = rng.next_below(lines.len() as u64) as usize;
+                            lines[i].2[rng.next_below(64) as usize] ^= 1 << rng.next_below(8);
+                        }
+                        (2, 1..) => {
+                            let level = rng.next_below(frontier as u64) as usize;
+                            let groups = (Bmt::new(key, pages).expect("valid").levels[level].len()
+                                / ARITY
+                                + 2) as u64;
+                            lines.push((level, rng.next_below(groups), line(&mut rng)));
+                        }
+                        _ => leaves.push((rng.next_below(pages), line(&mut rng))),
+                    }
+                    let mut rb = Bmt::rebuild(key, pages, frontier).expect("valid");
+                    if frontier == 0 {
+                        for (page, counter) in &leaves {
+                            rb.set_leaf(*page, counter);
+                        }
+                    } else {
+                        if case % 4 == 3 {
+                            let (page, counter) = leaves[leaves.len() - 1];
+                            rb.set_leaf(page, &counter);
+                        }
+                        for (level, group, payload) in &lines {
+                            rb.install_node_line(*level, *group, payload);
+                            if rng.next_below(4) == 0 {
+                                // A replayed line changes nothing.
+                                rb.install_node_line(*level, *group, payload);
+                            }
+                        }
+                    }
+                    let (want, want_hashes) = full_rebuild(rb.tree.clone());
+                    let (got, got_hashes) = rb.finish();
+                    let what = format!("{pages} pages, frontier {frontier}, case {case}");
+                    assert_eq!(got_hashes, want_hashes, "{what}: hashes");
+                    match (got, want) {
+                        (Ok(got), Ok(want)) => {
+                            assert_eq!(got.levels, want.levels, "{what}: levels");
+                            assert_eq!(got.root(), want.root(), "{what}: root");
+                            if case % 4 == 0 {
+                                assert_eq!(got.root(), live.root(), "{what}: live root");
+                            }
+                            outcomes[usize::from(got.root() != live.root())] += 1;
+                        }
+                        (Err(got), Err(want)) => {
+                            assert_eq!(got, want, "{what}: failing level");
+                            outcomes[if got == 1 { 2 } else { 3 }] += 1;
+                        }
+                        (got, want) => panic!(
+                            "{what}: verdicts differ: {:?} vs {:?}",
+                            got.map(|t| t.root()),
+                            want.map(|t| t.root())
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&n| n >= 5),
+            "every outcome exercised: {outcomes:?}"
+        );
+    }
+
+    /// A clean rebuild reports the modeled cost of a full one even when
+    /// nothing was installed.
+    #[test]
+    fn untouched_rebuild_is_the_fresh_tree_at_full_cost() {
+        let key = [0x11; 16];
+        for frontier in 0..=4 {
+            let fresh = Bmt::with_frontier(key, 4096, frontier).expect("valid");
+            let (want, want_hashes) = full_rebuild(fresh.clone());
+            let (got, got_hashes) = Bmt::rebuild(key, 4096, frontier).expect("valid").finish();
+            assert_eq!(got_hashes, want_hashes);
+            assert_eq!(got.expect("clean").levels, want.expect("clean").levels);
+            // Audits below the frontier plus the recompute above it
+            // cover every inner node once.
+            assert_eq!(got_hashes, 512 + 64 + 8 + 1, "frontier {frontier}");
         }
     }
 }

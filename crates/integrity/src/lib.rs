@@ -57,7 +57,7 @@ pub mod bmt;
 pub mod digest;
 
 pub use bmt::{
-    tree_line_group, tree_line_id, tree_line_level, Bmt, EnqueueOutcome, Propagation,
+    tree_line_group, tree_line_id, tree_line_level, Bmt, BmtRebuild, EnqueueOutcome, Propagation,
     TreeConfigError, TreeNodeWrite, ARITY, PENDING_CACHE_SLOTS,
 };
 pub use digest::LineDigester;

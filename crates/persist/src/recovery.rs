@@ -572,8 +572,11 @@ pub struct TreeRebuild {
     pub counter_lines_checked: u64,
     /// Persisted tree-node lines read back from the tree region.
     pub persisted_lines_installed: u64,
-    /// Node hashes performed: leaf digests, per-level audits, and the
-    /// volatile-level recompute.
+    /// Node hashes the recovery hardware performs: leaf digests,
+    /// per-level audits, and the volatile-level recompute. The model
+    /// charges every node of each audited and recomputed level; the
+    /// host itself rehashes only what the crash changed
+    /// ([`supermem_integrity::BmtRebuild`]).
     pub nodes_recomputed: u64,
     /// Transient-read retries spent on the rebuild's media reads.
     pub read_retries: u64,
@@ -618,15 +621,14 @@ fn rebuild_image_tree(
             "{what} unreadable during integrity verification: {e}"
         ))
     };
-    let mut bmt = match supermem_integrity::Bmt::new(cfg.encryption_key(), cfg.integrity_pages) {
-        Ok(b) => b,
-        Err(e) => return Err(RecoveryError::Config(format!("integrity tree: {e}"))),
-    };
     let frontier = if cfg.streaming_tree() {
         cfg.persisted_levels.unwrap_or(0) as usize
     } else {
         0
     };
+    let mut bmt =
+        supermem_integrity::Bmt::rebuild(cfg.encryption_key(), cfg.integrity_pages, frontier)
+            .map_err(|e| RecoveryError::Config(format!("integrity tree: {e}")))?;
     if frontier == 0 {
         // Leaves from the (always-persisted) counter lines themselves.
         for page in store.counter_lines() {
@@ -651,21 +653,16 @@ fn rebuild_image_tree(
             bmt.install_node_line(level, supermem_integrity::tree_line_group(id), &raw);
             rep.persisted_lines_installed += 1;
         }
-        // Audit the persisted region level-against-level: a recomputed
-        // root only reads the frontier's top array, so damage below it
-        // must be caught here.
-        for level in 1..frontier {
-            let (hashes, clean) = bmt.audit_level(level);
-            rep.nodes_recomputed += hashes;
-            if !clean {
-                return Err(RecoveryError::DetectedCorrupt(format!(
-                    "persisted tree level {level} does not match its children"
-                )));
-            }
-        }
     }
-    rep.nodes_recomputed += bmt.recompute_from_level(frontier.max(1));
-    if bmt.root() != root {
+    // Audit the persisted levels, then recompute the volatile ones.
+    let (rebuilt, hashes) = bmt.finish();
+    rep.nodes_recomputed += hashes;
+    let tree = rebuilt.map_err(|level| {
+        RecoveryError::DetectedCorrupt(format!(
+            "persisted tree level {level} does not match its children"
+        ))
+    })?;
+    if tree.root() != root {
         return Err(RecoveryError::DetectedCorrupt(
             "integrity root mismatch: counter region does not match the trusted root".into(),
         ));
