@@ -15,14 +15,18 @@ use supermem::nvm::addr::LineAddr;
 use supermem::nvm::NvmStore;
 use supermem::persist::{PMem, RecoveredMemory};
 use supermem::sim::{Config, SplitMix64};
+use supermem::workloads::Workload as _;
 use supermem::workloads::{WorkloadKind, WorkloadSpec};
 use supermem::{Experiment, Scheme, System};
 use supermem_bench::guard::{check, extract_after_ns, tolerance, GuardCheck};
 use supermem_bench::machine;
 use supermem_bench::micro::Harness;
-use supermem_kv::{crc32, kv_campaign};
+use supermem_kv::layout::SNAP_HEADER_LEN;
+use supermem_kv::{
+    crc32, kv_campaign, recover as kv_recover, KvLayout, KvWorkload, RecoveryOptions,
+};
 use supermem_lincheck::{lincheck, LincheckConfig};
-use supermem_serve::{run_serve, ServeConfig, StructureKind};
+use supermem_serve::{run_serve, ServeConfig, StructureKind, TrafficSpec};
 
 fn baseline_json() -> String {
     let path = std::env::var("SUPERMEM_BENCH_BASELINE").unwrap_or_else(|_| {
@@ -285,25 +289,76 @@ fn main() -> ExitCode {
 
     {
         // One crash-image recovery in the crash-recover benchmark's
-        // shape: SuperMem with the streaming tree persisting level 1
-        // over the default 4,096-page tree, 320 pages touched (40 leaf
-        // groups), then image the machine and rebuild, audit and
-        // root-check the tree. Guards the fresh-tree template that
-        // spares every recovery the all-zero leaf derivation.
-        let cfg = Scheme::SuperMem
+        // shape: SuperMem on its 1-core machine with the streaming tree
+        // persisting level 1 over the default 4,096-page tree, one page
+        // touched in each of 40 leaf groups, then rebuild, audit and
+        // root-check the tree. The image is taken once, outside the
+        // timed closure, which clones it (the rebuild consumes its
+        // image); one page per group keeps that clone small. Guards the
+        // fresh-tree template that spares every recovery the all-zero
+        // leaf derivation, and the incremental rebuild.
+        let mut cfg = Scheme::SuperMem
             .apply(Config::default())
             .with_integrity_tree(true)
             .with_persisted_levels(Some(1));
+        cfg.cores = 1;
         let page = cfg.page_bytes;
         let mut sys = System::new(cfg.clone());
-        for p in 0..320u64 {
-            sys.persist(p * page, &p.to_le_bytes());
+        for group in 0..40u64 {
+            sys.persist(group * 8 * page, &group.to_le_bytes());
         }
+        let image = sys.machine_crash_now();
         h.bench("recover_image/SuperMem-L1", || {
-            let image = sys.machine_crash_now();
-            let rec = RecoveredMemory::from_machine_image_checked(black_box(&cfg), image)
+            let rec = RecoveredMemory::from_machine_image_checked(black_box(&cfg), image.clone())
                 .expect("clean image recovers");
             black_box(rec.recovery_cycles())
+        });
+    }
+
+    {
+        // One KV recovery in the crash-recover benchmark's shape: its
+        // machine, layout and traffic (1,024 keys, Zipf 0.99, 50% reads,
+        // a snapshot every 64 mutations), run until about 500 keys are
+        // live and both snapshot slots hold a generation, then crashed
+        // and rebuilt once. Recovery is read-only, so each iteration
+        // recovers the same image: discovery's decrypting reads of both
+        // slots, the winner's materialized map, WAL replay and the state
+        // digest. Guards the page-run read path and the inline index.
+        let mut cfg = Scheme::SuperMem
+            .apply(Config::default())
+            .with_integrity_tree(true)
+            .with_persisted_levels(Some(1))
+            .with_seed(1);
+        cfg.cores = 1;
+        let mut sys = System::new(cfg.clone());
+        let keyspace = 1024;
+        let snap_cap = (SNAP_HEADER_LEN + keyspace * 24 + 64).next_multiple_of(64);
+        let layout = KvLayout::new(0x8000, 1 << 16, snap_cap).expect("valid layout");
+        let traffic = TrafficSpec {
+            read_pct: 50,
+            zipf_theta: 0.99,
+            keyspace,
+            seed: 1,
+            ..TrafficSpec::default()
+        };
+        let mut kv = KvWorkload::new(&mut sys, layout, 64, traffic).expect("layout fits");
+        sys.checkpoint();
+        for _ in 0..2_000 * 64 + 40 {
+            kv.step(&mut sys).expect("request fits the layout");
+        }
+        let live = kv.store().len();
+        assert!(
+            (400..=600).contains(&live),
+            "{live} live keys, want about 500"
+        );
+        assert!(kv.store().stats().snapshots >= 2, "both slots written");
+        let mut rec = RecoveredMemory::from_machine_image_checked(&cfg, sys.machine_crash_now())
+            .expect("clean image recovers");
+        h.bench("kv/recover-round", || {
+            let r = kv_recover(&mut rec, black_box(layout), &RecoveryOptions::default())
+                .expect("clean store recovers");
+            assert_eq!(r.result.entries, live as u64);
+            black_box(r.result.state_digest)
         });
     }
 

@@ -13,10 +13,9 @@
 //! `tests/kv_properties.rs` call these directly; a violation is a
 //! `String` describing the breach, never a panic.
 
-use std::collections::BTreeMap;
-
 use supermem_persist::PMem;
 
+use crate::bytes::KvMap;
 use crate::oracle::{Legality, ShadowOracle};
 use crate::recovery::{recover, RecoveryOptions, RecoveryResult};
 use crate::wal::KvOp;
@@ -89,7 +88,7 @@ pub fn r2_idempotent<M: PMem>(
 pub fn r3_prefix_consistent(
     oracle: &ShadowOracle,
     point: u64,
-    recovered: &BTreeMap<Vec<u8>, Vec<u8>>,
+    recovered: &KvMap,
 ) -> Result<Legality, String> {
     match oracle.legal_at(point, recovered) {
         Legality::Illegal => Err(format!(
@@ -108,10 +107,7 @@ pub fn r3_prefix_consistent(
 /// # Errors
 ///
 /// Names the first alien key.
-pub fn r4_no_invented_data(
-    oracle: &ShadowOracle,
-    recovered: &BTreeMap<Vec<u8>, Vec<u8>>,
-) -> Result<(), String> {
+pub fn r4_no_invented_data(oracle: &ShadowOracle, recovered: &KvMap) -> Result<(), String> {
     for (k, v) in recovered {
         let written = oracle
             .ops()
@@ -137,7 +133,7 @@ pub fn r4_no_invented_data(
 pub fn r5_no_silent_drop(
     oracle: &ShadowOracle,
     point: u64,
-    recovered: &BTreeMap<Vec<u8>, Vec<u8>>,
+    recovered: &KvMap,
     result: &RecoveryResult,
 ) -> Result<(), String> {
     if result.damaged() {
@@ -210,11 +206,11 @@ mod tests {
     #[test]
     fn invented_and_dropped_data_are_caught() {
         let mut oracle = ShadowOracle::new();
-        oracle.record(KvOp::Put(b"a".to_vec(), b"1".to_vec()), 1);
-        oracle.record(KvOp::Put(b"b".to_vec(), b"2".to_vec()), 2);
+        oracle.record(KvOp::Put(b"a".into(), b"1".into()), 1);
+        oracle.record(KvOp::Put(b"b".into(), b"2".into()), 2);
 
         let mut alien = oracle.state_after(2);
-        alien.insert(b"ghost".to_vec(), b"!".to_vec());
+        alien.insert(b"ghost".into(), b"!".into());
         assert!(r4_no_invented_data(&oracle, &alien).is_err());
         assert!(r3_prefix_consistent(&oracle, 2, &alien).is_err());
 

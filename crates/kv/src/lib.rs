@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bytes;
 pub mod crc32;
 pub mod invariants;
 pub mod layout;
@@ -51,6 +52,7 @@ pub mod torture;
 pub mod wal;
 pub mod workload;
 
+pub use bytes::{KvBytes, KvMap};
 pub use crc32::{crc32, Crc32};
 pub use layout::{KvLayout, LayoutError};
 pub use oracle::{op_stream, Legality, ShadowOracle};

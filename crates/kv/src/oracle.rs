@@ -9,10 +9,9 @@
 //! one operation in flight across `k` may or may not, and nothing else
 //! may appear. [`ShadowOracle::legal_at`] encodes that contract.
 
-use std::collections::BTreeMap;
-
 use supermem_sim::SplitMix64;
 
+use crate::bytes::{KvBytes, KvMap};
 use crate::wal::KvOp;
 
 /// How a recovered state relates to the oracle at a crash point.
@@ -65,10 +64,10 @@ impl ShadowOracle {
     }
 
     /// State after applying the first `n` operations.
-    pub fn state_after(&self, n: usize) -> BTreeMap<Vec<u8>, Vec<u8>> {
-        let mut map = BTreeMap::new();
+    pub fn state_after(&self, n: usize) -> KvMap {
+        let mut map = KvMap::new();
         for op in &self.ops[..n.min(self.ops.len())] {
-            op.apply(&mut map);
+            op.clone().apply(&mut map);
         }
         map
     }
@@ -80,7 +79,7 @@ impl ShadowOracle {
 
     /// Differential verdict for a recovered state at crash point
     /// `point` (see module docs for the durability frontier).
-    pub fn legal_at(&self, point: u64, recovered: &BTreeMap<Vec<u8>, Vec<u8>>) -> Legality {
+    pub fn legal_at(&self, point: u64, recovered: &KvMap) -> Legality {
         let acked = self.acked_before(point);
         // Prefer the larger match: "everything durable" beats "tail
         // lost" when both prefixes produce the same state.
@@ -104,14 +103,14 @@ pub fn op_stream(seed: u64, n: u64, keyspace: u64, max_val: usize) -> Vec<KvOp> 
     let mut rng = SplitMix64::new(seed ^ 0x6b76_6f70); // "kvop"
     let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        let key = rng.next_below(keyspace.max(1)).to_le_bytes().to_vec();
+        let key = KvBytes::from(&rng.next_below(keyspace.max(1)).to_le_bytes());
         if rng.next_below(4) == 0 {
             out.push(KvOp::Del(key));
         } else {
             let vlen = 1 + rng.next_below(max_val.max(1) as u64) as usize;
             let mut val = vec![0u8; vlen];
             rng.fill_bytes(&mut val);
-            out.push(KvOp::Put(key, val));
+            out.push(KvOp::Put(key, val.into()));
         }
     }
     out
@@ -124,9 +123,9 @@ mod tests {
 
     fn oracle() -> ShadowOracle {
         let mut o = ShadowOracle::new();
-        o.record(KvOp::Put(b"a".to_vec(), b"1".to_vec()), 2);
-        o.record(KvOp::Put(b"b".to_vec(), b"2".to_vec()), 5);
-        o.record(KvOp::Del(b"a".to_vec()), 9);
+        o.record(KvOp::Put(b"a".into(), b"1".into()), 2);
+        o.record(KvOp::Put(b"b".into(), b"2".into()), 5);
+        o.record(KvOp::Del(b"a".into()), 9);
         o
     }
 
@@ -149,7 +148,7 @@ mod tests {
         assert_eq!(o.legal_at(5, &o.state_after(1)), Legality::Illegal);
         // Alien data: illegal.
         let mut alien = o.state_after(2);
-        alien.insert(b"zz".to_vec(), b"?".to_vec());
+        alien.insert(b"zz".into(), b"?".into());
         assert_eq!(o.legal_at(5, &alien), Legality::Illegal);
         // Full run completed cleanly.
         assert_eq!(o.legal_at(9, &o.state_after(3)), Legality::Committed);

@@ -19,10 +19,9 @@
 //! WAL epoch), is a typed [`RecoveryError`]. Nothing in this module
 //! panics on any byte pattern the media can produce.
 
-use std::collections::BTreeMap;
-
 use supermem_persist::PMem;
 
+use crate::bytes::KvMap;
 use crate::crc32::crc32;
 use crate::layout::{KvLayout, Manifest};
 use crate::snapshot::{discover, encode_payload};
@@ -210,7 +209,7 @@ pub fn recover<M: PMem>(
 
 /// What one pass reconstructs: the state, the report, and whether the
 /// WAL header needs re-sealing on the first mutation.
-type PassOutcome = (BTreeMap<Vec<u8>, Vec<u8>>, RecoveryResult, bool);
+type PassOutcome = (KvMap, RecoveryResult, bool);
 
 /// One read-only recovery pass.
 fn recover_once<M: PMem>(
@@ -447,8 +446,8 @@ mod tests {
         // length words stay intact, so each is a skip candidate).
         let body = layout().wal_body_addr();
         let rec_len = crate::wal::record_len(&crate::wal::KvOp::Put(
-            0u64.to_le_bytes().to_vec(),
-            vec![7u8; 16],
+            (&0u64.to_le_bytes()).into(),
+            vec![7u8; 16].into(),
         ));
         for i in 0..5u64 {
             let addr = body + i * rec_len + 6;

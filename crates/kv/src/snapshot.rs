@@ -15,10 +15,9 @@
 //! point of failure. Only the winning slot's entries are built into a
 //! map; the others are validated in place and dropped.
 
-use std::collections::BTreeMap;
-
 use supermem_persist::PMem;
 
+use crate::bytes::{KvBytes, KvMap};
 use crate::crc32::crc32;
 use crate::layout::{
     read4, read8, KvLayout, FORMAT_VERSION, MAX_KEY, MAX_VAL, SNAP_HEADER_LEN, SNAP_MAGIC,
@@ -47,13 +46,14 @@ pub struct LoadedSnapshot {
     /// WAL body offset replay starts from.
     pub wal_off: u64,
     /// The key-value state at checkpoint time.
-    pub map: BTreeMap<Vec<u8>, Vec<u8>>,
+    pub map: KvMap,
 }
 
 /// Serializes a state map (sorted entries: `klen, vlen, key, value`).
-pub fn encode_payload(map: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<u8> {
+pub fn encode_payload(map: &KvMap) -> Vec<u8> {
     let mut out = Vec::new();
     for (k, v) in map {
+        let (k, v) = (k.as_slice(), v.as_slice());
         out.extend_from_slice(&(k.len() as u32).to_le_bytes());
         out.extend_from_slice(&(v.len() as u32).to_le_bytes());
         out.extend_from_slice(k);
@@ -76,7 +76,7 @@ pub fn write_snapshot<M: PMem>(
     seq: u64,
     wal_seq: u64,
     wal_off: u64,
-    map: &BTreeMap<Vec<u8>, Vec<u8>>,
+    map: &KvMap,
 ) -> Result<(), SnapshotOverflow> {
     let payload = encode_payload(map);
     let cap = layout.snap_payload_cap();
@@ -130,10 +130,12 @@ struct ValidSlot {
 }
 
 impl ValidSlot {
-    /// Parses the validated payload into the snapshot's state map.
+    /// Parses the validated payload into the snapshot's state map. The
+    /// entries arrive in key order, and short keys and values are stored
+    /// inline, so the map is built without a heap allocation per entry.
     fn materialize(self) -> LoadedSnapshot {
         let map = entries(&self.payload)
-            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .map(|(k, v)| (KvBytes::from(k), KvBytes::from(v)))
             .collect();
         LoadedSnapshot {
             slot: self.slot,
@@ -275,9 +277,9 @@ mod tests {
         KvLayout::new(0x1000, 4096, 4096).unwrap()
     }
 
-    fn sample_map(n: u64) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    fn sample_map(n: u64) -> KvMap {
         (0..n)
-            .map(|i| (i.to_le_bytes().to_vec(), vec![i as u8; 5]))
+            .map(|i| ((&i.to_le_bytes()).into(), vec![i as u8; 5].into()))
             .collect()
     }
 
@@ -319,7 +321,7 @@ mod tests {
     fn empty_snapshot_is_valid() {
         let l = layout();
         let mut mem = VecMem::new();
-        write_snapshot(&mut mem, &l, 0, 1, 1, 0, &BTreeMap::new()).unwrap();
+        write_snapshot(&mut mem, &l, 0, 1, 1, 0, &KvMap::new()).unwrap();
         let s = load_slot(&mut mem, &l, 0).unwrap();
         assert!(s.map.is_empty());
     }
@@ -367,7 +369,7 @@ mod tests {
         if crc32(&payload) != payload_crc {
             return None;
         }
-        let mut map = BTreeMap::new();
+        let mut map = KvMap::new();
         let mut pos = 0usize;
         for _ in 0..count {
             let klen = u32::from_le_bytes(read4(&payload, pos)?) as usize;
@@ -376,8 +378,8 @@ mod tests {
                 return None;
             }
             pos += 8;
-            let key = payload.get(pos..pos + klen)?.to_vec();
-            let val = payload.get(pos + klen..pos + klen + vlen)?.to_vec();
+            let key = payload.get(pos..pos + klen)?.into();
+            let val = payload.get(pos + klen..pos + klen + vlen)?.into();
             pos += klen + vlen;
             map.insert(key, val);
         }

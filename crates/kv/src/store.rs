@@ -15,10 +15,9 @@
 //!   the new snapshot's manifest flip persists, and the epoch-mixed
 //!   record CRC keeps their bytes from ever replaying again.
 
-use std::collections::BTreeMap;
-
 use supermem_persist::PMem;
 
+use crate::bytes::{KvBytes, KvMap};
 use crate::crc32::crc32;
 use crate::layout::{KvLayout, LayoutError, Manifest, MAX_KEY, MAX_VAL};
 use crate::snapshot::write_snapshot;
@@ -115,7 +114,7 @@ pub struct KvStats {
 #[derive(Debug, Clone)]
 pub struct KvStore {
     layout: KvLayout,
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
+    map: KvMap,
     wal_seq: u64,
     wal_off: u64,
     snap_seq: u64,
@@ -144,7 +143,7 @@ impl KvStore {
         snapshot_every: u64,
     ) -> Result<Self, KvError> {
         WalHeader { seq: 1 }.persist_fresh(mem, &layout);
-        write_snapshot(mem, &layout, 0, 1, 1, 0, &BTreeMap::new()).map_err(|e| {
+        write_snapshot(mem, &layout, 0, 1, 1, 0, &KvMap::new()).map_err(|e| {
             KvError::SnapshotOverflow {
                 need: e.need,
                 cap: e.cap,
@@ -157,7 +156,7 @@ impl KvStore {
         .persist(mem, &layout);
         Ok(Self {
             layout,
-            map: BTreeMap::new(),
+            map: KvMap::new(),
             wal_seq: 1,
             wal_off: 0,
             snap_seq: 1,
@@ -174,7 +173,7 @@ impl KvStore {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn resume(
         layout: KvLayout,
-        map: BTreeMap<Vec<u8>, Vec<u8>>,
+        map: KvMap,
         wal_seq: u64,
         wal_off: u64,
         snap_seq: u64,
@@ -209,7 +208,7 @@ impl KvStore {
         if value.len() > MAX_VAL {
             return Err(KvError::ValueTooLong { len: value.len() });
         }
-        self.log(mem, KvOp::Put(key.to_vec(), value.to_vec()))?;
+        self.log(mem, KvOp::Put(key.into(), value.into()))?;
         self.stats.puts += 1;
         Ok(())
     }
@@ -224,14 +223,14 @@ impl KvStore {
         if key.len() > MAX_KEY {
             return Err(KvError::KeyTooLong { len: key.len() });
         }
-        self.log(mem, KvOp::Del(key.to_vec()))?;
+        self.log(mem, KvOp::Del(key.into()))?;
         self.stats.dels += 1;
         Ok(())
     }
 
     /// Reads `key` from the volatile index.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.map.get(key).map(Vec::as_slice)
+        self.map.get(key).map(KvBytes::as_slice)
     }
 
     /// Number of live keys.
@@ -245,7 +244,7 @@ impl KvStore {
     }
 
     /// The full volatile index (sorted).
-    pub fn entries(&self) -> &BTreeMap<Vec<u8>, Vec<u8>> {
+    pub fn entries(&self) -> &KvMap {
         &self.map
     }
 

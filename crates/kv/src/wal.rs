@@ -20,10 +20,9 @@
 //! damage signal instead of resurrecting superseded or relocated
 //! operations.
 
-use std::collections::BTreeMap;
-
 use supermem_persist::PMem;
 
+use crate::bytes::{KvBytes, KvMap};
 use crate::crc32::{crc32, crc32_parts};
 use crate::layout::{read4, read8, KvLayout, FORMAT_VERSION, MAX_KEY, MAX_VAL, WAL_MAGIC};
 
@@ -40,9 +39,9 @@ pub const MAX_RECORD_LEN: usize = 9 + MAX_KEY + MAX_VAL;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvOp {
     /// Insert or overwrite `key` with `value`.
-    Put(Vec<u8>, Vec<u8>),
+    Put(KvBytes, KvBytes),
     /// Remove `key` (a no-op if absent).
-    Del(Vec<u8>),
+    Del(KvBytes),
 }
 
 impl KvOp {
@@ -54,13 +53,13 @@ impl KvOp {
     }
 
     /// Applies the operation to a volatile index.
-    pub fn apply(&self, map: &mut BTreeMap<Vec<u8>, Vec<u8>>) {
+    pub fn apply(self, map: &mut KvMap) {
         match self {
             KvOp::Put(k, v) => {
-                map.insert(k.clone(), v.clone());
+                map.insert(k, v);
             }
             KvOp::Del(k) => {
-                map.remove(k);
+                map.remove(k.as_slice());
             }
         }
     }
@@ -128,10 +127,11 @@ pub fn parse_at<M: PMem>(mem: &mut M, body_addr: u64, cap: u64, seq: u64, off: u
         return Parse::Corrupt(None);
     }
     let next = off + 8 + len;
-    let mut rest = vec![0u8; len as usize + 4];
-    mem.read(body_addr + off + 4, &mut rest);
+    let mut buf = [0u8; MAX_RECORD_LEN + 4];
+    let rest = &mut buf[..len as usize + 4];
+    mem.read(body_addr + off + 4, rest);
     let payload = &rest[..len as usize];
-    let Some(stored) = read4(&rest, len as usize) else {
+    let Some(stored) = read4(rest, len as usize) else {
         return Parse::Corrupt(Some(next));
     };
     if u32::from_le_bytes(stored) != crc32_parts(&[&seq.to_le_bytes(), &off.to_le_bytes(), payload])
@@ -154,9 +154,9 @@ fn decode_payload(p: &[u8]) -> Option<KvOp> {
     if klen > MAX_KEY || vlen > MAX_VAL || p.len() != 9 + klen + vlen {
         return None;
     }
-    let key = p.get(9..9 + klen)?.to_vec();
+    let key = p.get(9..9 + klen)?.into();
     match kind {
-        KIND_PUT => Some(KvOp::Put(key, p.get(9 + klen..)?.to_vec())),
+        KIND_PUT => Some(KvOp::Put(key, p.get(9 + klen..)?.into())),
         KIND_DEL if vlen == 0 => Some(KvOp::Del(key)),
         _ => None,
     }
@@ -223,9 +223,9 @@ mod tests {
         let l = layout();
         let mut mem = VecMem::new();
         let ops = [
-            KvOp::Put(b"key".to_vec(), b"value".to_vec()),
-            KvOp::Del(b"key".to_vec()),
-            KvOp::Put(vec![0; MAX_KEY], vec![0xFF; MAX_VAL]),
+            KvOp::Put(b"key".into(), b"value".into()),
+            KvOp::Del(b"key".into()),
+            KvOp::Put(vec![0; MAX_KEY].into(), vec![0xFF; MAX_VAL].into()),
         ];
         let mut off = 0;
         for op in &ops {
@@ -255,7 +255,7 @@ mod tests {
         // its previous life (R4).
         let l = layout();
         let mut mem = VecMem::new();
-        let rec = encode_record(3, 0, &KvOp::Put(b"k".to_vec(), b"v".to_vec()));
+        let rec = encode_record(3, 0, &KvOp::Put(b"k".into(), b"v".into()));
         mem.write(l.wal_body_addr(), &rec);
         assert!(matches!(
             parse_at(&mut mem, l.wal_body_addr(), l.wal_body, 4, 0),
@@ -271,7 +271,7 @@ mod tests {
         // (R4).
         let l = layout();
         let mut mem = VecMem::new();
-        let rec = encode_record(3, 0, &KvOp::Put(b"k".to_vec(), b"v".to_vec()));
+        let rec = encode_record(3, 0, &KvOp::Put(b"k".into(), b"v".into()));
         mem.write(l.wal_body_addr() + 64, &rec);
         assert!(matches!(
             parse_at(&mut mem, l.wal_body_addr(), l.wal_body, 3, 64),

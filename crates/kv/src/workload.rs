@@ -10,12 +10,11 @@
 //! surviving state against the in-DRAM shadow of acknowledged
 //! operations.
 
-use std::collections::BTreeMap;
-
 use supermem::persist::{PMem, TxnError};
 use supermem::workloads::Workload;
 use supermem_serve::{ReqKind, TrafficGen, TrafficSpec};
 
+use crate::bytes::{KvBytes, KvMap};
 use crate::recovery::{recover, RecoveryOptions};
 use crate::store::{KvError, KvStore};
 use crate::KvLayout;
@@ -44,7 +43,7 @@ use crate::KvLayout;
 pub struct KvWorkload {
     store: KvStore,
     traffic: TrafficGen,
-    shadow: BTreeMap<Vec<u8>, Vec<u8>>,
+    shadow: KvMap,
     reads: u64,
     read_mismatches: u64,
 }
@@ -73,7 +72,7 @@ impl KvWorkload {
         Ok(Self {
             store: KvStore::format(mem, layout, snapshot_every)?,
             traffic: TrafficGen::new(&spec),
-            shadow: BTreeMap::new(),
+            shadow: KvMap::new(),
             reads: 0,
             read_mismatches: 0,
         })
@@ -127,7 +126,8 @@ impl<M: PMem> Workload<M> for KvWorkload {
                 self.store
                     .put(mem, &key, &value)
                     .map_err(|e| to_txn_error(&e))?;
-                self.shadow.insert(key.to_vec(), value.to_vec());
+                self.shadow
+                    .insert(KvBytes::from(&key), KvBytes::from(&value));
             }
             ReqKind::Remove => {
                 self.store.delete(mem, &key).map_err(|e| to_txn_error(&e))?;
@@ -135,7 +135,7 @@ impl<M: PMem> Workload<M> for KvWorkload {
             }
             ReqKind::Read => {
                 self.reads += 1;
-                let expect = self.shadow.get(key.as_slice()).map(Vec::as_slice);
+                let expect = self.shadow.get(key.as_slice()).map(KvBytes::as_slice);
                 if self.store.get(&key) != expect {
                     self.read_mismatches += 1;
                 }

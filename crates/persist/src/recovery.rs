@@ -169,6 +169,61 @@ pub struct RecoveredMemory {
     media_failures: u64,
     tree: TreeRebuild,
     osiris: OsirisReport,
+    memo: ReadMemo,
+}
+
+/// What [`PMem::read`] on a [`RecoveredMemory`] remembers between lines
+/// and between calls. Each entry is keyed on every input of a pure
+/// function, so a hit yields exactly what recomputing would.
+#[derive(Debug, Clone, Default)]
+struct ReadMemo {
+    /// The last counter line decoded, keyed on its raw bytes: a run of
+    /// lines in one page reads the same counter line again and again.
+    counter: Option<(LineData, CounterLine)>,
+    /// The pad of the last line of the last read, keyed on its pad input
+    /// (address, major, minor): a WAL record's body read starts on the
+    /// line its length word was read from.
+    pad: Option<((u64, u64, u8), LineData)>,
+}
+
+/// A line of a read whose ciphertext is already in the caller's buffer
+/// and whose pad is not yet derived, so that two such lines can share
+/// one AES batch.
+struct PendingPad {
+    /// The pad input: line address, major, minor.
+    input: (u64, u64, u8),
+    /// Offset of the line's bytes in the caller's buffer.
+    at: usize,
+    /// Offset of the first byte read within the line.
+    off: usize,
+    /// Bytes read from the line.
+    n: usize,
+}
+
+/// Copies `line[off..]` into `dst`. The two helpers below take a
+/// whole line as a fixed-size array, which compiles to a few vector
+/// moves instead of a call for a run-time length.
+fn copy_line_part(dst: &mut [u8], line: &LineData, off: usize) {
+    match <&mut LineData>::try_from(&mut *dst) {
+        Ok(whole) => *whole = *line,
+        Err(_) => dst.copy_from_slice(&line[off..off + dst.len()]),
+    }
+}
+
+/// XORs `pad[off..]` into `dst`.
+fn xor_line_part(dst: &mut [u8], pad: &LineData, off: usize) {
+    match <&mut LineData>::try_from(&mut *dst) {
+        Ok(whole) => {
+            for (d, p) in whole.iter_mut().zip(pad) {
+                *d ^= p;
+            }
+        }
+        Err(_) => {
+            for (d, p) in dst.iter_mut().zip(&pad[off..]) {
+                *d ^= p;
+            }
+        }
+    }
 }
 
 impl RecoveredMemory {
@@ -243,6 +298,7 @@ impl RecoveredMemory {
             media_failures: 0,
             tree,
             osiris: OsirisReport::default(),
+            memo: ReadMemo::default(),
         };
         if let Some(window) = cfg.osiris_window {
             rec.osiris_scan(window);
@@ -312,6 +368,54 @@ impl RecoveredMemory {
         let ctr = CounterLine::decode(&raw);
         self.engine
             .decrypt_line(&cipher, line.0, ctr.major(), ctr.minor(idx))
+    }
+
+    /// The checked reads of one line of a [`PMem::read`], issued exactly
+    /// as [`Self::read_line_plain`] issues them: the data line, then (on
+    /// an encrypted machine) its page's counter line. The line's read
+    /// bytes land in `dst`: poison, or an unencrypted machine's
+    /// plaintext, or ciphertext. For ciphertext whose pad is memoized
+    /// the pad is applied at once; otherwise the pad input is returned.
+    fn fetch_line(
+        &mut self,
+        (line, page, idx): (LineAddr, PageId, usize),
+        off: usize,
+        dst: &mut [u8],
+    ) -> Option<(u64, u64, u8)> {
+        let Some(cipher) = self.checked_read(|s| s.read_data_checked(line)) else {
+            dst.fill(0);
+            return None;
+        };
+        if !self.encryption {
+            copy_line_part(dst, &cipher, off);
+            return None;
+        }
+        let Some(raw) = self.checked_read(|s| s.read_counter_checked(page)) else {
+            dst.fill(0);
+            return None;
+        };
+        copy_line_part(dst, &cipher, off);
+        let ctr = match &mut self.memo.counter {
+            Some((memo_raw, ctr)) if *memo_raw == raw => ctr,
+            slot => &slot.insert((raw, CounterLine::decode(&raw))).1,
+        };
+        let input = (line.0, ctr.major(), ctr.minor(idx));
+        match &self.memo.pad {
+            Some((memo_input, pad)) if *memo_input == input => {
+                xor_line_part(dst, pad, off);
+                None
+            }
+            _ => Some(input),
+        }
+    }
+
+    /// Applies a freshly derived pad to its pending line. The read's
+    /// last line's pad is memoized.
+    fn apply_pad(&mut self, p: PendingPad, pad: LineData, buf: &mut [u8]) {
+        xor_line_part(&mut buf[p.at..p.at + p.n], &pad, p.off);
+        if p.at + p.n == buf.len() {
+            self.memo.pad = Some((p.input, pad));
+        }
     }
 
     fn write_line_plain(&mut self, line: LineAddr, plain: LineData) {
@@ -434,17 +538,45 @@ impl RecoveredMemory {
 }
 
 impl PMem for RecoveredMemory {
+    /// Reads `buf.len()` bytes at `addr`. Every line's checked reads are
+    /// issued in address order, as a line-at-a-time read would issue
+    /// them; only the pad derivation is deferred, so that two lines
+    /// share one eight-block AES batch ([`EncryptionEngine::otp2`]).
     fn read(&mut self, addr: u64, buf: &mut [u8]) {
-        let line_bytes = 64u64;
-        let mut i = 0usize;
-        while i < buf.len() {
-            let a = addr + i as u64;
-            let line = LineAddr(a & !(line_bytes - 1));
-            let off = (a % line_bytes) as usize;
-            let n = ((line_bytes as usize) - off).min(buf.len() - i);
-            let data = self.read_line_plain(line);
-            buf[i..i + n].copy_from_slice(&data[off..off + n]);
-            i += n;
+        // The run's lines are walked page by page: the page and the
+        // line's index in it advance with the line, with no division.
+        let lines_per_page = self.map.lines_per_page() as usize;
+        let mut line = LineAddr(addr & !63);
+        let mut page = self.map.page_of_line(line);
+        let mut idx = self.map.line_index_in_page(line);
+        let mut held: Option<PendingPad> = None;
+        let (mut at, mut off) = (0usize, (addr % 64) as usize);
+        while at < buf.len() {
+            let n = (64 - off).min(buf.len() - at);
+            let dst = &mut buf[at..at + n];
+            if let Some(input) = self.fetch_line((line, page, idx), off, dst) {
+                let p = PendingPad { input, at, off, n };
+                match held.take() {
+                    None => held = Some(p),
+                    Some(first) => {
+                        let [pad0, pad1] = self.engine.otp2([first.input, p.input]);
+                        self.apply_pad(first, pad0, buf);
+                        self.apply_pad(p, pad1, buf);
+                    }
+                }
+            }
+            at += n;
+            off = 0;
+            line = LineAddr(line.0 + 64);
+            idx += 1;
+            if idx == lines_per_page {
+                (page, idx) = (PageId(page.0 + 1), 0);
+            }
+        }
+        if let Some(p) = held {
+            let (addr, major, minor) = p.input;
+            let pad = self.engine.otp(addr, major, minor);
+            self.apply_pad(p, pad, buf);
         }
     }
 
@@ -736,6 +868,25 @@ pub fn recover_transactions(
 }
 
 #[cfg(test)]
+impl RecoveredMemory {
+    /// The line-at-a-time read [`PMem::read`] replaced: per line, both
+    /// checked reads, a fresh counter decode and a single-line pad. Kept
+    /// as the reference the batched, memoized read must agree with.
+    fn read_reference(&mut self, addr: u64, buf: &mut [u8]) {
+        let mut i = 0usize;
+        while i < buf.len() {
+            let a = addr + i as u64;
+            let line = LineAddr(a & !63);
+            let off = (a % 64) as usize;
+            let n = (64 - off).min(buf.len() - i);
+            let data = self.read_line_plain(line);
+            buf[i..i + n].copy_from_slice(&data[off..off + n]);
+            i += n;
+        }
+    }
+}
+
+#[cfg(test)]
 #[allow(clippy::disallowed_methods)] // unwrap/expect are fine in tests
 mod tests {
     use super::*;
@@ -764,6 +915,140 @@ mod tests {
         rec.read(0x40, &mut buf);
         assert_eq!(&buf[..64], &[0xAB; 64]);
         assert_eq!(&buf[64..], &[0xCD; 64]);
+    }
+
+    /// A seeded image over the first four pages: random lines flushed
+    /// one to several times (so minors differ within a page), then a
+    /// random fault plan mixing every read-side fault the media model
+    /// has: transient failures (some past the retry budget), lost lines,
+    /// single and double flips, and stuck cells, on data and counter
+    /// lines alike.
+    fn faulty_image(cfg: &Config, rng: &mut supermem_sim::SplitMix64) -> CrashImage {
+        use supermem_nvm::{FaultClass, FaultPlan, FaultSpec};
+        const LINES: u64 = 4 * 64;
+        let mut mc = MemoryController::new(cfg);
+        let mut t = 0;
+        for _ in 0..rng.next_range(20, 200) {
+            let line = LineAddr(rng.next_below(LINES) * 64);
+            let mut data = [0u8; 64];
+            rng.fill_bytes(&mut data);
+            t = mc.flush_line(line, data, t);
+        }
+        mc.finish(t);
+        let mut image = mc.crash_now();
+        let mut plan = FaultPlan::new(FaultSpec {
+            class: FaultClass::BitFlip,
+            seed: rng.next_u64(),
+        });
+        for _ in 0..rng.next_below(12) {
+            let line = LineAddr(rng.next_below(LINES) * 64);
+            let page = PageId(rng.next_below(4));
+            let bit = rng.next_below(512) as usize;
+            match rng.next_below(9) {
+                0 => plan.fail_data_reads(line, rng.next_range(1, 6) as u32),
+                1 => plan.fail_counter_reads(page, rng.next_range(1, 6) as u32),
+                2 => plan.note_lost_data(line),
+                3 => plan.note_lost_counter(page),
+                4 => plan.flip_data_bit(line, bit),
+                5 => plan.flip_counter_bit(page, bit),
+                6 => {
+                    plan.flip_data_bit(line, bit);
+                    plan.flip_data_bit(line, (bit + 1 + rng.next_below(511) as usize) % 512);
+                }
+                7 => {
+                    plan.flip_counter_bit(page, bit);
+                    plan.flip_counter_bit(page, (bit + 1 + rng.next_below(511) as usize) % 512);
+                }
+                _ => plan.stick_data_cell(line, bit, rng.next_below(2) == 1),
+            }
+        }
+        image.store.attach_faults(plan);
+        image
+    }
+
+    /// A random read: one byte, a short unaligned run, a run across a
+    /// page boundary, or a long run, anywhere in (and just past) the
+    /// four written pages.
+    fn random_span(rng: &mut supermem_sim::SplitMix64) -> (u64, usize) {
+        match rng.next_below(4) {
+            0 => (rng.next_below(4 * 4096 + 128), 1),
+            1 => (rng.next_below(4 * 4096), rng.next_range(1, 70) as usize),
+            2 => {
+                let boundary = rng.next_range(1, 5) * 4096;
+                (
+                    boundary - rng.next_range(1, 200),
+                    rng.next_range(2, 400) as usize,
+                )
+            }
+            _ => (rng.next_below(4096), rng.next_range(64, 3 * 4096) as usize),
+        }
+    }
+
+    /// The batched, memoized read against the line-at-a-time reference,
+    /// over random images, fault plans and spans, on an encrypted and an
+    /// unencrypted machine: the same bytes, the same retry and failure
+    /// counts, and the same fault-plan tallies after every span. Writes
+    /// are interleaved so the memos see ciphertexts and counters change
+    /// under them, and reads repeat or continue where the last one
+    /// ended, as a WAL record's length read and body read do.
+    #[test]
+    fn batched_read_matches_the_line_at_a_time_reference() {
+        let mut rng = supermem_sim::SplitMix64::new(0x0BA7_C4ED);
+        let (mut retried, mut failed) = (0, 0);
+        for round in 0..160 {
+            let cfg = Config {
+                encryption: round % 4 != 3,
+                ..cfg()
+            };
+            let mut fast = recover(&cfg, faulty_image(&cfg, &mut rng));
+            let mut reference = fast.clone();
+            for step in 0..40 {
+                let what = format!("round {round}, step {step}");
+                let (addr, len) = random_span(&mut rng);
+                if rng.next_below(8) == 0 {
+                    let mut bytes = vec![0u8; len.min(200)];
+                    rng.fill_bytes(&mut bytes);
+                    fast.write(addr, &bytes);
+                    reference.write(addr, &bytes);
+                    continue;
+                }
+                // The span, then the same span again or the span right
+                // after it (a WAL record's body after its length word).
+                let mut span = (addr, len);
+                for _ in 0..=rng.next_below(3) {
+                    let (addr, len) = span;
+                    let (mut got, mut want) = (vec![0u8; len], vec![0u8; len]);
+                    fast.read(addr, &mut got);
+                    reference.read_reference(addr, &mut want);
+                    assert_eq!(got, want, "{what}: bytes at {addr:#x}+{len}");
+                    match rng.next_below(4) {
+                        0 | 1 => span = (addr + len as u64, rng.next_range(1, 100) as usize),
+                        // Rewrite the span's last byte: its line's minor
+                        // advances under the memoized pad.
+                        2 => {
+                            let last = addr + len as u64 - 1;
+                            let byte = [rng.next_u64() as u8];
+                            fast.write(last, &byte);
+                            reference.write(last, &byte);
+                        }
+                        _ => {}
+                    }
+                }
+                assert_eq!(fast.read_retries(), reference.read_retries(), "{what}");
+                assert_eq!(fast.media_failures(), reference.media_failures(), "{what}");
+                assert_eq!(
+                    fast.store().fault_counters(),
+                    reference.store().fault_counters(),
+                    "{what}"
+                );
+            }
+            retried += u32::from(fast.read_retries() > 0);
+            failed += u32::from(fast.media_failures() > 0);
+        }
+        assert!(
+            retried > 20 && failed > 20,
+            "fault plans too tame: {retried} rounds retried, {failed} failed"
+        );
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! mutations (stands in for proptest, which is unavailable in offline
 //! builds). Every case is reproducible from the fixed seeds.
 
-use std::collections::BTreeMap;
-
 use supermem_kv::invariants::{r1_deterministic, r2_idempotent, r4_no_invented_data};
-use supermem_kv::{op_stream, recover, KvLayout, KvOp, KvStore, RecoveryOptions, ShadowOracle};
+use supermem_kv::{
+    op_stream, recover, KvLayout, KvMap, KvOp, KvStore, RecoveryOptions, ShadowOracle,
+};
 use supermem_persist::{PMem, VecMem};
 use supermem_sim::SplitMix64;
 
@@ -41,7 +41,7 @@ fn build_image(seed: u64, n: u64, snapshot_every: u64) -> (VecMem, KvLayout, Sha
     (mem, layout, oracle)
 }
 
-fn is_prefix(oracle: &ShadowOracle, state: &BTreeMap<Vec<u8>, Vec<u8>>) -> bool {
+fn is_prefix(oracle: &ShadowOracle, state: &KvMap) -> bool {
     (0..=oracle.len()).any(|n| &oracle.state_after(n) == state)
 }
 
@@ -151,9 +151,9 @@ fn duplicated_record_cannot_replay_at_the_wrong_offset() {
     let mut oracle = ShadowOracle::new();
     // Equal-length records so the splice is byte-exact.
     let ops = [
-        KvOp::Put(b"aaaa".to_vec(), b"1111".to_vec()),
-        KvOp::Put(b"bbbb".to_vec(), b"2222".to_vec()),
-        KvOp::Put(b"cccc".to_vec(), b"3333".to_vec()),
+        KvOp::Put(b"aaaa".into(), b"1111".into()),
+        KvOp::Put(b"bbbb".into(), b"2222".into()),
+        KvOp::Put(b"cccc".into(), b"3333".into()),
     ];
     for (i, op) in ops.iter().enumerate() {
         match op {
